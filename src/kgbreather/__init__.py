@@ -1,6 +1,5 @@
 """Periodic nonlinear field runs with phase-plane mode classification."""
 
-from .accel import BACKEND, IMPLS, NUMBA_AVAILABLE, set_backend
 from .configfile import parse_config, parse_config_text
 from .core import (
     DIAGNOSTICS_COLUMNS,

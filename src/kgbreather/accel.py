@@ -1,248 +1,12 @@
-"""Kernel backend selection: numba-jitted hot loops with a pure-numpy fallback.
+"""The batched per-mode stage matrix-vector product of the stage solver."""
 
-The active backend is chosen once at import from the environment variable
-``KGBREATHER_NUMBA``:
-
-* unset or ``auto``   -- use numba when importable, else numpy
-* ``0`` / ``off`` / ``numpy`` -- force the numpy path
-* ``1`` / ``on`` / ``numba``  -- require numba, raise if missing
-
-Both implementations of every kernel stay importable through ``IMPLS`` so the
-benchmark (and tests) can compare them; ``set_backend`` rebinds the module
-level names used by the rest of the package.  The numpy fallbacks accumulate
-in the same order as the jitted loops, so the solver-path kernels
-(``stage_matvec``, ``cube``) produce bit-identical results on either backend.
-"""
-
-import math
-import os
-
-import numpy as np
-
-__all__ = [
-    "BACKEND",
-    "NUMBA_AVAILABLE",
-    "IMPLS",
-    "set_backend",
-    "cube",
-    "stage_matvec",
-    "segment_hits",
-    "turn_sum",
-]
+__all__ = ["stage_matvec"]
 
 
-# ---------------------------------------------------------------------------
-# numpy implementations
-
-
-def _cube_np(u):
-    return u * u * u
-
-
-def _stage_matvec_np(minv, rhs):
-    # minv: (n, d, d) real, rhs: (n, d) complex -> (n, d) complex.
-    # Fixed left-to-right accumulation, matching the jitted loop exactly.
+def stage_matvec(minv, rhs):
+    """minv: (n, d, d) real, rhs: (n, d) complex -> (n, d) complex."""
+    # Fixed left-to-right accumulation over j.
     acc = minv[:, :, 0] * rhs[:, 0, None]
     for j in range(1, rhs.shape[1]):
         acc = acc + minv[:, :, j] * rhs[:, j, None]
     return acc
-
-
-def _pair_arrays(m):
-    i, j = np.triu_indices(m, k=2)
-    keep = ~((i == 0) & (j == m - 1))
-    return i[keep], j[keep]
-
-
-def _segment_hits_np(px, py, eps):
-    m = px.shape[0]
-    if m < 4:
-        empty = np.empty(0)
-        return empty.astype(np.int64), empty.astype(np.int64), empty, empty
-    i, j = _pair_arrays(m)
-    inx = (i + 1) % m
-    jnx = (j + 1) % m
-    rx = px[inx] - px[i]
-    ry = py[inx] - py[i]
-    sx = px[jnx] - px[j]
-    sy = py[jnx] - py[j]
-    qpx = px[j] - px[i]
-    qpy = py[j] - py[i]
-    denom = rx * sy - ry * sx
-    ok = denom != 0.0
-    denom_safe = np.where(ok, denom, 1.0)
-    ta = (qpx * sy - qpy * sx) / denom_safe
-    tb = (qpx * ry - qpy * rx) / denom_safe
-    et = eps / np.hypot(rx, ry)
-    eu = eps / np.hypot(sx, sy)
-    hit = ok & (ta >= -et) & (ta <= 1.0 + et) & (tb >= -eu) & (tb <= 1.0 + eu)
-    return i[hit].astype(np.int64), j[hit].astype(np.int64), ta[hit], tb[hit]
-
-
-def _turn_sum_np(u, v, cu, cv, closed):
-    th = np.arctan2(v - cv, u - cu)
-    if closed:
-        d = np.diff(np.concatenate([th, th[:1]]))
-    else:
-        d = np.diff(th)
-    d = np.where(d > math.pi, d - 2.0 * math.pi, d)
-    d = np.where(d <= -math.pi, d + 2.0 * math.pi, d)
-    return float(np.sum(d))
-
-
-_NUMPY_IMPL = {
-    "cube": _cube_np,
-    "stage_matvec": _stage_matvec_np,
-    "segment_hits": _segment_hits_np,
-    "turn_sum": _turn_sum_np,
-}
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-
-try:
-    import numba
-
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    numba = None
-    NUMBA_AVAILABLE = False
-
-
-def _build_numba_impl():
-    njit = numba.njit
-
-    @njit(cache=True)
-    def cube_nb(u):
-        out = np.empty_like(u)
-        for k in range(u.shape[0]):
-            out[k] = u[k] * u[k] * u[k]
-        return out
-
-    @njit(cache=True)
-    def stage_matvec_nb(minv, rhs):
-        n, d = rhs.shape
-        out = np.empty((n, d), dtype=np.complex128)
-        for k in range(n):
-            for i in range(d):
-                acc = minv[k, i, 0] * rhs[k, 0]
-                for j in range(1, d):
-                    acc = acc + minv[k, i, j] * rhs[k, j]
-                out[k, i] = acc
-        return out
-
-    @njit(cache=True)
-    def _pair_hit(px, py, i, j, m, eps):
-        inx = (i + 1) % m
-        jnx = (j + 1) % m
-        rx = px[inx] - px[i]
-        ry = py[inx] - py[i]
-        sx = px[jnx] - px[j]
-        sy = py[jnx] - py[j]
-        denom = rx * sy - ry * sx
-        if denom == 0.0:
-            return False, 0.0, 0.0
-        qpx = px[j] - px[i]
-        qpy = py[j] - py[i]
-        ta = (qpx * sy - qpy * sx) / denom
-        tb = (qpx * ry - qpy * rx) / denom
-        et = eps / math.hypot(rx, ry)
-        eu = eps / math.hypot(sx, sy)
-        if -et <= ta <= 1.0 + et and -eu <= tb <= 1.0 + eu:
-            return True, ta, tb
-        return False, 0.0, 0.0
-
-    @njit(cache=True)
-    def segment_hits_nb(px, py, eps):
-        m = px.shape[0]
-        count = 0
-        for i in range(m):
-            for j in range(i + 2, m):
-                if i == 0 and j == m - 1:
-                    continue
-                hit, _, _ = _pair_hit(px, py, i, j, m, eps)
-                if hit:
-                    count += 1
-        out_i = np.empty(count, dtype=np.int64)
-        out_j = np.empty(count, dtype=np.int64)
-        out_ta = np.empty(count, dtype=np.float64)
-        out_tb = np.empty(count, dtype=np.float64)
-        k = 0
-        for i in range(m):
-            for j in range(i + 2, m):
-                if i == 0 and j == m - 1:
-                    continue
-                hit, ta, tb = _pair_hit(px, py, i, j, m, eps)
-                if hit:
-                    out_i[k] = i
-                    out_j[k] = j
-                    out_ta[k] = ta
-                    out_tb[k] = tb
-                    k += 1
-        return out_i, out_j, out_ta, out_tb
-
-    @njit(cache=True)
-    def turn_sum_nb(u, v, cu, cv, closed):
-        n = u.shape[0]
-        steps = n if closed else n - 1
-        total = 0.0
-        th0 = math.atan2(v[0] - cv, u[0] - cu)
-        for k in range(steps):
-            k1 = (k + 1) % n
-            th1 = math.atan2(v[k1] - cv, u[k1] - cu)
-            d = th1 - th0
-            if d > math.pi:
-                d -= 2.0 * math.pi
-            elif d <= -math.pi:
-                d += 2.0 * math.pi
-            total += d
-            th0 = th1
-        return total
-
-    return {
-        "cube": cube_nb,
-        "stage_matvec": stage_matvec_nb,
-        "segment_hits": segment_hits_nb,
-        "turn_sum": turn_sum_nb,
-    }
-
-
-IMPLS = {"numpy": _NUMPY_IMPL}
-if NUMBA_AVAILABLE:
-    IMPLS["numba"] = _build_numba_impl()
-
-
-def _pick_default():
-    raw = os.environ.get("KGBREATHER_NUMBA", "auto").strip().lower()
-    if raw in ("0", "off", "false", "numpy"):
-        return "numpy"
-    if raw in ("1", "on", "true", "require", "numba"):
-        if not NUMBA_AVAILABLE:
-            raise ImportError(
-                "KGBREATHER_NUMBA requires the numba backend but numba is not importable"
-            )
-        return "numba"
-    return "numba" if NUMBA_AVAILABLE else "numpy"
-
-
-BACKEND = _pick_default()
-
-
-def set_backend(name):
-    """Rebind the active kernel set. Call before starting runs, not during."""
-    global BACKEND, cube, stage_matvec, segment_hits, turn_sum
-    if name not in IMPLS:
-        raise ValueError(f"unknown backend {name!r}; have {sorted(IMPLS)}")
-    BACKEND = name
-    impl = IMPLS[name]
-    cube = impl["cube"]
-    stage_matvec = impl["stage_matvec"]
-    segment_hits = impl["segment_hits"]
-    turn_sum = impl["turn_sum"]
-
-
-cube = IMPLS[BACKEND]["cube"]
-stage_matvec = IMPLS[BACKEND]["stage_matvec"]
-segment_hits = IMPLS[BACKEND]["segment_hits"]
-turn_sum = IMPLS[BACKEND]["turn_sum"]

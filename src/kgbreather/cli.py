@@ -10,7 +10,6 @@ import os
 import sys
 import time
 
-from . import accel
 from .configfile import parse_config
 from .core import SimParams, make_grid, params_from_dict, params_to_dict, validate_params
 from .dynamics import fixed_points
@@ -36,6 +35,7 @@ from .runio import (
     read_manifest,
     read_snapshots,
     read_tracers,
+    verify_digests,
     write_diagnostics,
     write_manifest,
     write_snapshots,
@@ -106,7 +106,6 @@ def run_and_write(params, out_dir):
     manifest = {
         "tool": "kgbreather",
         "tool_version": __version__,
-        "kernel_backend": accel.BACKEND,
         "params": params_to_dict(params),
         "grid": _grid_entry(grid),
     }
@@ -219,8 +218,17 @@ def cmd_sweep(args):
     return 0
 
 
+def _read_verified_manifest(run_dir):
+    """The run's manifest, once every file it lists still has its recorded digest."""
+    manifest = read_manifest(os.path.join(run_dir, MANIFEST_FILE))
+    problems = verify_digests(manifest, run_dir)
+    if problems:
+        raise InsufficientData(f"{run_dir} does not match its manifest: " + "; ".join(problems))
+    return manifest
+
+
 def cmd_classify(args):
-    manifest = read_manifest(os.path.join(args.out, MANIFEST_FILE))
+    manifest = _read_verified_manifest(args.out)
     params = params_from_dict(manifest["params"])
     diagnostics = read_diagnostics(os.path.join(args.out, DIAGNOSTICS_FILE))
     tracks = read_tracers(os.path.join(args.out, TRACERS_FILE))
@@ -235,7 +243,7 @@ def cmd_classify(args):
 
 
 def cmd_plot(args):
-    manifest = read_manifest(os.path.join(args.out, MANIFEST_FILE))
+    manifest = _read_verified_manifest(args.out)
     params = params_from_dict(manifest["params"])
     nodes, states = read_snapshots(os.path.join(args.out, SNAPSHOTS_FILE))
     if args.time is None:

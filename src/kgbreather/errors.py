@@ -65,7 +65,7 @@ class DegenerateLoop(KgError):
 
 
 class InsufficientData(KgError):
-    """Not enough run output to classify."""
+    """Run output is missing, truncated, altered or too short to use."""
 
 
 class ConfigParseError(KgError):

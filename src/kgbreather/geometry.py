@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import accel
 from .errors import (
     CenterOnLoop,
     CenterOnTrack,
@@ -101,6 +100,26 @@ def _dedup_closed(u, v):
     return u, v
 
 
+def _turns(u, v, center):
+    """Cumulative signed turns about center at every sample of the polyline (u, v).
+
+    Angle steps are taken as principal values in (-pi, pi]. Samples within
+    CENTER_EPS of the center carry no angle: the count holds its value over
+    them and the next step is measured from the last sample that had one.
+    """
+    du = u - center[0]
+    dv = v - center[1]
+    keep = np.hypot(du, dv) >= CENTER_EPS
+    d = np.diff(np.arctan2(dv[keep], du[keep]))
+    d = np.where(d > math.pi, d - 2.0 * math.pi, d)
+    d = np.where(d <= -math.pi, d + 2.0 * math.pi, d)
+    # sequential sum, so every prefix is the running total
+    cum = np.concatenate([[0.0], np.cumsum(d)]) / (2.0 * math.pi)
+    # position among the kept samples of the latest one at or before each sample
+    last = np.cumsum(keep) - 1
+    return cum[np.maximum(last, 0)]
+
+
 def winding_number(loop, center):
     """Signed integer turns of the closed loop about center.
 
@@ -114,8 +133,7 @@ def winding_number(loop, center):
         raise DegenerateLoop(f"loop reduces to {u.size} vertices")
     if float(np.min(np.hypot(u - cu, v - cv))) < CENTER_EPS:
         raise CenterOnLoop(f"center ({cu}, {cv}) lies on the loop")
-    total = accel.turn_sum(u, v, cu, cv, True)
-    turns = total / (2.0 * math.pi)
+    turns = float(_turns(np.append(u, u[0]), np.append(v, v[0]), (cu, cv))[-1])
     nearest = round(turns)
     if abs(turns - nearest) > WINDING_GUARD:
         raise NonIntegerWinding(f"angle sum is {turns} turns, not an integer")
@@ -129,7 +147,7 @@ def cumulative_rotation(track, center):
         raise InsufficientData(f"track has {len(track)} samples; need at least 2")
     if float(np.min(np.hypot(track.u - cu, track.v - cv))) < CENTER_EPS:
         raise CenterOnTrack(f"center ({cu}, {cv}) lies on the track")
-    return accel.turn_sum(track.u, track.v, cu, cv, False) / (2.0 * math.pi)
+    return float(_turns(track.u, track.v, (cu, cv))[-1])
 
 
 @dataclass(frozen=True)
@@ -148,6 +166,35 @@ class CrossingSet:
 
     def __len__(self):
         return self.count
+
+
+def _segment_hits(px, py, eps):
+    """Index pairs (i, j), i + 2 <= j, of non-adjacent closed-polyline edges that meet.
+
+    Returns (i, j, ta, tb) with the edge parameters of each meeting point;
+    eps is an absolute tolerance, turned into a per-edge parameter tolerance.
+    """
+    m = px.shape[0]
+    i, j = np.triu_indices(m, k=2)
+    keep = ~((i == 0) & (j == m - 1))  # the closing edge is adjacent to edge 0
+    i, j = i[keep], j[keep]
+    inx = (i + 1) % m
+    jnx = (j + 1) % m
+    rx = px[inx] - px[i]
+    ry = py[inx] - py[i]
+    sx = px[jnx] - px[j]
+    sy = py[jnx] - py[j]
+    qpx = px[j] - px[i]
+    qpy = py[j] - py[i]
+    denom = rx * sy - ry * sx
+    ok = denom != 0.0
+    denom_safe = np.where(ok, denom, 1.0)
+    ta = (qpx * sy - qpy * sx) / denom_safe
+    tb = (qpx * ry - qpy * rx) / denom_safe
+    et = eps / np.hypot(rx, ry)
+    eu = eps / np.hypot(sx, sy)
+    hit = ok & (ta >= -et) & (ta <= 1.0 + et) & (tb >= -eu) & (tb <= 1.0 + eu)
+    return i[hit].astype(np.int64), j[hit].astype(np.int64), ta[hit], tb[hit]
 
 
 def self_intersections(loop):
@@ -173,7 +220,7 @@ def self_intersections(loop):
         )
     diam = float(np.max(np.hypot(u[:, None] - u[None, :], v[:, None] - v[None, :])))
     eps = CROSSING_REL_EPS * diam
-    i, j, ta, tb = accel.segment_hits(np.ascontiguousarray(u), np.ascontiguousarray(v), eps)
+    i, j, ta, tb = _segment_hits(u, v, eps)
     px = u[i] + ta * (u[(i + 1) % m] - u[i])
     py = v[i] + ta * (v[(i + 1) % m] - v[i])
     return CrossingSet(seg_a=i, seg_b=j, ta=ta, tb=tb, points=np.column_stack([px, py]))

@@ -55,10 +55,21 @@ def _read_csv(path, expect_header):
             raise InsufficientData(f"{path} is empty") from None
         if tuple(header) != tuple(expect_header):
             raise InsufficientData(f"{path} has header {header}, expected {list(expect_header)}")
-        try:
-            return [[float(cell) for cell in row] for row in reader if row]
-        except ValueError as exc:
-            raise InsufficientData(f"{path}: non-numeric cell ({exc})") from None
+        rows = []
+        for row in reader:
+            if len(row) != len(header):
+                if not row:
+                    continue
+                raise InsufficientData(
+                    f"{path}, line {reader.line_num}: {len(row)} cells, expected {len(header)}"
+                )
+            try:
+                rows.append([float(cell) for cell in row])
+            except ValueError as exc:
+                raise InsufficientData(
+                    f"{path}, line {reader.line_num}: non-numeric cell ({exc})"
+                ) from None
+        return rows
 
 
 def write_snapshots(path, snapshots, grid):

@@ -8,7 +8,6 @@ touching the data.
 
 import numpy as np
 
-from . import accel
 from .errors import LengthMismatch, NonFinite, NonHermitianSpectrum
 
 # Hermitian-symmetry tolerance, applied to max(1, n * max|c|). The floor of 1
@@ -73,9 +72,9 @@ def second_derivative(u, grid):
 
 
 def _cube_samples(u):
-    # numba kernels never warn on overflow; keep the numpy path just as quiet
+    # overflow is reported below as NonFinite, not as a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
-        w = accel.cube(u)
+        w = u * u * u
     if not np.all(np.isfinite(w)):
         raise NonFinite("cubic term overflowed")
     return w

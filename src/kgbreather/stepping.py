@@ -110,7 +110,8 @@ class StageSolver:
         a = self.tableau.a
         tol = self.params.stage_tol
         rhs = np.empty((n, 2 * s), dtype=np.complex128)
-        nl_old = self._nonlinear([uhat] * s)
+        # every stage starts from uhat, so its cube serves all of them
+        nl_old = self._nonlinear([uhat]) * s
         prev_res = math.inf
         stall = 0
         for it in range(1, self.params.stage_max_iter + 1):
@@ -182,38 +183,6 @@ class RunSummary:
     total_sweeps: int
 
 
-class _RotationAccumulator:
-    """Streaming signed rotation (in turns) of one tracer about a fixed center."""
-
-    # Points closer than this to the center contribute no angle.
-    EPS = 1e-12
-
-    def __init__(self, cu, cv):
-        self.cu = cu
-        self.cv = cv
-        self.prev = None
-        self.total = 0.0
-
-    def push(self, u, v):
-        du = u - self.cu
-        dv = v - self.cv
-        if math.hypot(du, dv) < self.EPS:
-            return
-        ang = math.atan2(dv, du)
-        if self.prev is not None:
-            d = ang - self.prev
-            if d > math.pi:
-                d -= 2.0 * math.pi
-            elif d <= -math.pi:
-                d += 2.0 * math.pi
-            self.total += d
-        self.prev = ang
-
-    @property
-    def turns(self):
-        return self.total / (2.0 * math.pi)
-
-
 def integrate(params, grid=None, state=None):
     """March from the given (or default) state to t_end with fixed steps.
 
@@ -234,7 +203,7 @@ def integrate(params, grid=None, state=None):
         probe_indices,
     )
     from .dynamics import energy, energy_drift, fixed_points, momentum
-    from .geometry import TracerTrack
+    from .geometry import TracerTrack, _turns
 
     if grid is None:
         grid = make_grid(params.grid_points, params.domain_length)
@@ -259,49 +228,17 @@ def integrate(params, grid=None, state=None):
             return (0.0, 0.0)
         return fps.minus if u0 < 0 else fps.plus
 
-    acc_origin = acc_first = acc_second = None
     trk_t = np.empty(steps + 1)
     trk_u = np.empty((len(idx), steps + 1))
     trk_v = np.empty((len(idx), steps + 1))
-    if idx:
-        acc_origin = _RotationAccumulator(0.0, 0.0)
-        acc_first = _RotationAccumulator(*nearest_fp(state.u[idx[0]]))
-    if len(idx) > 1:
-        acc_second = _RotationAccumulator(*nearest_fp(state.u[idx[1]]))
 
     def record_tracers(step_no, st):
         trk_t[step_no] = st.t
-        for p, j in enumerate(idx):
-            trk_u[p, step_no] = st.u[j]
-            trk_v[p, step_no] = st.v[j]
-        if acc_origin is not None:
-            acc_origin.push(st.u[idx[0]], st.v[idx[0]])
-            acc_first.push(st.u[idx[0]], st.v[idx[0]])
-        if acc_second is not None:
-            acc_second.push(st.u[idx[1]], st.v[idx[1]])
-
-    e0 = energy(state, params, grid)
-
-    def diag_row(st):
-        e = energy(st, params, grid)
-        return DiagnosticsRow(
-            t=st.t,
-            energy=e,
-            momentum=momentum(st, params, grid),
-            energy_drift=energy_drift(e, e0),
-            u_min_left=float(np.min(st.u[mask_left])),
-            u_max_left=float(np.max(st.u[mask_left])),
-            u_min_right=float(np.min(st.u[mask_right])),
-            u_max_right=float(np.max(st.u[mask_right])),
-            rot_origin=acc_origin.turns if acc_origin else 0.0,
-            rot_left=acc_first.turns if acc_first else 0.0,
-            rot_right=acc_second.turns if acc_second else 0.0,
-        )
+        trk_u[:, step_no] = st.u[idx]
+        trk_v[:, step_no] = st.v[idx]
 
     record_tracers(0, state)
     snapshots = [state]
-    diagnostics = [diag_row(state)]
-    max_drift = 0.0
     max_residual = 0.0
     total_sweeps = 0
     for i in range(1, steps + 1):
@@ -320,10 +257,36 @@ def integrate(params, grid=None, state=None):
         total_sweeps += report.iterations
         record_tracers(i, state)
         if i % sps == 0:
-            row = diag_row(state)
             snapshots.append(state)
-            diagnostics.append(row)
-            max_drift = max(max_drift, abs(row.energy_drift))
+
+    # turns of the first probe about the origin and of each of the first two
+    # probes about the vacuum on its starting side, at every snapshot
+    rot_origin = rot_left = rot_right = np.zeros(len(snapshots))
+    if idx:
+        rot_origin = _turns(trk_u[0], trk_v[0], (0.0, 0.0))[::sps]
+        rot_left = _turns(trk_u[0], trk_v[0], nearest_fp(trk_u[0, 0]))[::sps]
+    if len(idx) > 1:
+        rot_right = _turns(trk_u[1], trk_v[1], nearest_fp(trk_u[1, 0]))[::sps]
+    e0 = energy(snapshots[0], params, grid)
+    diagnostics = []
+    for k, st in enumerate(snapshots):
+        e = energy(st, params, grid)
+        diagnostics.append(
+            DiagnosticsRow(
+                t=st.t,
+                energy=e,
+                momentum=momentum(st, params, grid),
+                energy_drift=energy_drift(e, e0),
+                u_min_left=float(np.min(st.u[mask_left])),
+                u_max_left=float(np.max(st.u[mask_left])),
+                u_min_right=float(np.min(st.u[mask_right])),
+                u_max_right=float(np.max(st.u[mask_right])),
+                rot_origin=float(rot_origin[k]),
+                rot_left=float(rot_left[k]),
+                rot_right=float(rot_right[k]),
+            )
+        )
+    max_drift = max(abs(row.energy_drift) for row in diagnostics)
     tracks = [
         TracerTrack(
             probe_x=params.probes[p],

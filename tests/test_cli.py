@@ -116,6 +116,22 @@ def test_classify_truncated_diagnostics_exits_2(finished_run):
     assert "error" in res.stderr
 
 
+def test_classify_rejects_an_edited_rot_left_cell(finished_run):
+    path = os.path.join(finished_run, "diagnostics.csv")
+    lines = open(path).read().splitlines(keepends=True)
+    cells = lines[-1].rstrip("\n").split(",")
+    col = lines[0].rstrip("\n").split(",").index("rot_left")
+    digit = cells[col][-1]
+    cells[col] = cells[col][:-1] + str((int(digit) + 1) % 10)
+    lines[-1] = ",".join(cells) + "\n"
+    with open(path, "w") as fh:
+        fh.write("".join(lines))
+    res = run_cli("classify", "--out", finished_run)
+    assert res.returncode == 2
+    assert "diagnostics.csv: digest mismatch" in res.stderr
+    assert res.stdout == ""
+
+
 def test_classify_missing_run_exits_3(tmp_path):
     res = run_cli("classify", "--out", str(tmp_path / "nowhere"))
     assert res.returncode == 3
@@ -145,6 +161,19 @@ def test_plot_specific_time_and_miss(finished_run):
     res = run_cli("plot", "--out", finished_run, "--time", "17")
     assert res.returncode == 2
     assert "no snapshot" in res.stderr
+
+
+def test_plot_rejects_an_edited_snapshots_file(finished_run):
+    path = os.path.join(finished_run, "snapshots.csv")
+    text = open(path).read()
+    with open(path, "w") as fh:
+        fh.write(text.replace("\n64.0,", "\n64.5,", 1))
+    os.remove(os.path.join(finished_run, "tracers.csv"))
+    res = run_cli("plot", "--out", finished_run)
+    assert res.returncode == 2
+    assert "snapshots.csv: digest mismatch" in res.stderr
+    assert "tracers.csv: listed in manifest but missing" in res.stderr
+    assert not os.path.exists(os.path.join(finished_run, "waveform.svg"))
 
 
 def test_plot_is_byte_deterministic(finished_run):

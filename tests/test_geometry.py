@@ -20,12 +20,14 @@ from kgbreather import (
     classify_mode,
     cumulative_rotation,
     initial_state,
+    integrate,
     make_grid,
     phase_loop,
     self_intersections,
     split_at_crossing,
     winding_number,
 )
+from kgbreather.geometry import _turns
 
 U_STAR = math.sqrt(0.00305)
 
@@ -104,6 +106,14 @@ def test_winding_unit_circle():
     loop = circle_loop()
     assert winding_number(loop, (0.0, 0.0)) == 1
     assert winding_number(loop, (3.0, 0.0)) == 0
+
+
+def test_winding_full_circle_sums_to_exactly_one_turn():
+    loop = circle_loop(m=48)
+    assert winding_number(loop, (0.0, 0.0)) == 1
+    closed_u = np.append(loop.u, loop.u[0])
+    closed_v = np.append(loop.v, loop.v[0])
+    assert _turns(closed_u, closed_v, (0.0, 0.0))[-1] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_winding_negates_under_reversal():
@@ -214,6 +224,21 @@ def test_rotation_center_on_track_raises():
     trk = circle_track(1.0)
     with pytest.raises(CenterOnTrack):
         cumulative_rotation(trk, (float(trk.u[3]), float(trk.v[3])))
+
+
+def test_sample_on_the_center_carries_no_angle():
+    trk = circle_track(1.5, m=97, radius=0.5, cu=0.25)
+    k = 40
+    center = (float(trk.u[k]), float(trk.v[k]))
+    u, v = np.delete(trk.u, k), np.delete(trk.v, k)
+    without = _turns(u, v, center)
+    with_it = _turns(trk.u, trk.v, center)
+    # the count holds its value over the skipped sample and is otherwise unchanged
+    assert with_it[k] == with_it[k - 1]
+    assert np.array_equal(np.delete(with_it, k), without)
+    assert cumulative_rotation(TracerTrack(probe_x=2.0, t=np.arange(96.0), u=u, v=v), center) == without[-1]
+    with pytest.raises(CenterOnTrack):
+        cumulative_rotation(trk, center)
 
 
 def test_rotation_needs_two_samples():
@@ -429,3 +454,12 @@ def test_classify_insufficient_data(default_params):
     # 3 rows reach t = 32, less than 4 snapshot intervals (64)
     with pytest.raises(InsufficientData):
         classify_mode(rows_every_16(3, 0.02, -0.02), good_track, default_params)
+
+
+def test_classify_turns_equal_the_last_diagnostics_row_bit_for_bit():
+    params = SimParams(amplitude=0.12, t_end=256.0)
+    _, _, diagnostics, tracks = integrate(params)
+    res = classify_mode(diagnostics, tracks[0], params)
+    assert abs(res.rot_left) > 1.0  # the tracer actually rotates
+    assert res.rot_left == diagnostics[-1].rot_left
+    assert res.rot_origin == diagnostics[-1].rot_origin

@@ -86,6 +86,33 @@ def test_snapshots_reject_non_numeric_cell(tmp_path):
         read_snapshots(path)
 
 
+def cut_inside_last_row(path):
+    """Drop the end of the file from the middle of the last row's second cell."""
+    text = path.read_text(encoding="utf-8")
+    last = text.rstrip("\n").rfind("\n") + 1
+    second = text.index(",", last) + 1
+    path.write_text(text[: second + 2], encoding="utf-8")
+
+
+def test_snapshots_cut_mid_row_are_rejected(tmp_path):
+    p = SimParams(grid_points=16)
+    g = make_grid(p.grid_points, p.domain_length)
+    path = tmp_path / "snapshots.csv"
+    write_snapshots(path, [FieldState(t=0.0, u=np.sin(g.nodes), v=np.cos(g.nodes))], g)
+    cut_inside_last_row(path)
+    with pytest.raises(InsufficientData, match="line 17"):
+        read_snapshots(path)
+
+
+def test_tracers_cut_mid_row_are_rejected(tmp_path):
+    track = TracerTrack(probe_x=2.0, t=np.arange(9.0), u=np.linspace(0.1, 0.9, 9), v=np.ones(9))
+    path = tmp_path / "tracers.csv"
+    write_tracers(path, [track])
+    cut_inside_last_row(path)
+    with pytest.raises(InsufficientData, match="tracers.csv, line 10"):
+        read_tracers(path)
+
+
 def sample_rows():
     rng = np.random.default_rng(13)
     return [
