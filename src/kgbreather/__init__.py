@@ -30,7 +30,6 @@ from .errors import (
     LengthMismatch,
     MissingSnapshot,
     NonFinite,
-    NonHermitianSpectrum,
     NonIntegerWinding,
     StageSolveDiverged,
     UnsupportedStageCount,
@@ -48,13 +47,7 @@ from .geometry import (
     split_at_crossing,
     winding_number,
 )
-from .spectral import (
-    cube_dealiased,
-    dft_forward,
-    dft_inverse,
-    first_derivative,
-    second_derivative,
-)
+from .spectral import dft_forward, dft_inverse, first_derivative
 from .stepping import (
     ButcherTableau,
     RunSummary,

@@ -218,9 +218,20 @@ def cmd_sweep(args):
     return 0
 
 
-def _read_verified_manifest(run_dir):
-    """The run's manifest, once every file it lists still has its recorded digest."""
-    manifest = read_manifest(os.path.join(run_dir, MANIFEST_FILE))
+def _read_verified_manifest(run_dir, names):
+    """The run's manifest, once it lists each of names and every file it lists
+    still has its recorded digest."""
+    path = os.path.join(run_dir, MANIFEST_FILE)
+    try:
+        manifest = read_manifest(path)
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise InsufficientData(f"{path} is not a JSON manifest: {exc}") from None
+    if not isinstance(manifest, dict) or "params" not in manifest:
+        raise InsufficientData(f"{path} is not a run manifest: it has no params")
+    files = manifest.get("files")
+    unlisted = [name for name in names if not isinstance(files, dict) or name not in files]
+    if unlisted:
+        raise InsufficientData(f"{path} records no digest for {', '.join(unlisted)}")
     problems = verify_digests(manifest, run_dir)
     if problems:
         raise InsufficientData(f"{run_dir} does not match its manifest: " + "; ".join(problems))
@@ -228,7 +239,7 @@ def _read_verified_manifest(run_dir):
 
 
 def cmd_classify(args):
-    manifest = _read_verified_manifest(args.out)
+    manifest = _read_verified_manifest(args.out, [DIAGNOSTICS_FILE, TRACERS_FILE])
     params = params_from_dict(manifest["params"])
     diagnostics = read_diagnostics(os.path.join(args.out, DIAGNOSTICS_FILE))
     tracks = read_tracers(os.path.join(args.out, TRACERS_FILE))
@@ -243,7 +254,9 @@ def cmd_classify(args):
 
 
 def cmd_plot(args):
-    manifest = _read_verified_manifest(args.out)
+    draw_phase = args.kind in ("phase", "both")
+    names = [SNAPSHOTS_FILE, TRACERS_FILE] if draw_phase else [SNAPSHOTS_FILE]
+    manifest = _read_verified_manifest(args.out, names)
     params = params_from_dict(manifest["params"])
     nodes, states = read_snapshots(os.path.join(args.out, SNAPSHOTS_FILE))
     if args.time is None:
@@ -269,15 +282,13 @@ def cmd_plot(args):
         path = os.path.join(args.out, WAVEFORM_SVG)
         atomic_write_text(path, wave)
         written.append(path)
-    if args.kind in ("phase", "both"):
+    if draw_phase:
         trail_u = trail_v = None
-        tracers_path = os.path.join(args.out, TRACERS_FILE)
-        if os.path.exists(tracers_path):
-            tracks = read_tracers(tracers_path)
-            if tracks:
-                keep = tracks[0].t <= state.t + 1e-9
-                trail_u = tracks[0].u[keep]
-                trail_v = tracks[0].v[keep]
+        tracks = read_tracers(os.path.join(args.out, TRACERS_FILE))
+        if tracks:
+            keep = tracks[0].t <= state.t + 1e-9
+            trail_u = tracks[0].u[keep]
+            trail_v = tracks[0].v[keep]
         phase = phase_svg(
             phase_loop(state), fixed_points(params).as_list(), trail_u=trail_u, trail_v=trail_v
         )

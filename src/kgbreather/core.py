@@ -128,7 +128,7 @@ def params_from_dict(mapping):
 
 @dataclass(frozen=True)
 class Grid:
-    """Periodic collocation grid: nodes x_j = jL/N and FFT-ordered wavenumbers 2*pi*m/L."""
+    """Periodic collocation grid: nodes x_j = jL/N and the half-spectrum wavenumbers 2*pi*m/L, m = 0..N/2."""
 
     n: int
     length: float
@@ -144,7 +144,7 @@ def make_grid(n, length):
     if n % 2 != 0 or n < 8 or length <= 0:
         raise InvalidGrid(f"need even n >= 8 and length > 0, got n={n}, length={length}")
     nodes = np.arange(n) * (length / n)
-    wavenumbers = 2.0 * np.pi * np.fft.fftfreq(n, d=length / n)
+    wavenumbers = 2.0 * np.pi * np.fft.rfftfreq(n, d=length / n)
     nodes.setflags(write=False)
     wavenumbers.setflags(write=False)
     return Grid(n=int(n), length=float(length), nodes=nodes, wavenumbers=wavenumbers)

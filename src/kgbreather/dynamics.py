@@ -1,9 +1,12 @@
 """Continuous-time dynamics on the grid: right-hand side and conserved quantities.
 
 The second-order field equation is reduced to du/dt = v,
-dv/dt = sigma*alpha*D2 u + mu*u - beta*u^3, with D2 the spectral second
-derivative. sigma = +1 ("standard_wave") keeps the usual wave operator; the
-equation as written with a +alpha*u_xx term moved to the other side flips it.
+dv/dt = sigma*alpha*u_xx + mu*u - beta*u^3. In coefficient space the linear
+part acts on mode m as lambda_m = mu - sigma*alpha*k_m^2 (linear_symbol) and
+the cubic is dealiased (nonlinear_hat); the stage solver integrates exactly
+these two terms and rhs assembles them. sigma = +1 ("standard_wave") keeps
+the usual wave operator; the equation as written with a +alpha*u_xx term
+moved to the other side flips it.
 """
 
 import math
@@ -13,19 +16,23 @@ import numpy as np
 
 from .core import DRIFT_GUARD
 from .errors import InvalidParams, NonFinite
-from .spectral import cube_dealiased, derivative_multipliers, dft_forward, dft_inverse
+from .spectral import cube_hat, dft_forward, dft_inverse, first_derivative
 
 
-def _apply_multiplier(c, mult):
-    return dft_inverse(mult * c)
+def linear_symbol(params, grid):
+    """lambda_m = mu - sigma*alpha*k_m^2, the linear force on each half-spectrum mode."""
+    return params.mu - params.sigma * params.alpha * grid.wavenumbers ** 2
+
+
+def nonlinear_hat(uhat, params):
+    """-beta times the (dealiased) cube, in coefficient space."""
+    return -params.beta * cube_hat(uhat, params.dealias)
 
 
 def rhs(state_u, state_v, params, grid):
     """Time derivative (du, dv) of the collocated first-order system."""
-    _, d2 = derivative_multipliers(grid)
-    lap = _apply_multiplier(dft_forward(state_u), d2)
-    cubic = cube_dealiased(state_u, params.dealias)
-    dv = params.sigma * params.alpha * lap + params.mu * state_u - params.beta * cubic
+    uhat = dft_forward(state_u)
+    dv = dft_inverse(linear_symbol(params, grid) * uhat + nonlinear_hat(uhat, params))
     du = np.array(state_v, dtype=np.float64, copy=True)
     if not (np.all(np.isfinite(du)) and np.all(np.isfinite(dv))):
         raise NonFinite("right-hand side produced non-finite entries")
@@ -34,8 +41,7 @@ def rhs(state_u, state_v, params, grid):
 
 def energy(state, params, grid):
     """Discrete energy dx * sum(v^2/2 + sigma*alpha*(Du)^2/2 - mu*u^2/2 + beta*u^4/4)."""
-    d1, _ = derivative_multipliers(grid)
-    du = _apply_multiplier(dft_forward(state.u), d1)
+    du = first_derivative(state.u, grid)
     dens = (
         0.5 * state.v ** 2
         + 0.5 * params.sigma * params.alpha * du ** 2
@@ -50,8 +56,7 @@ def energy(state, params, grid):
 
 def momentum(state, params, grid):
     """Discrete field momentum dx * sum(v * Du); quadratic, so Gauss steps preserve it."""
-    d1, _ = derivative_multipliers(grid)
-    du = _apply_multiplier(dft_forward(state.u), d1)
+    du = first_derivative(state.u, grid)
     val = grid.dx * float(np.sum(state.v * du))
     if not math.isfinite(val):
         raise NonFinite(f"momentum non-finite at t={state.t}")

@@ -28,10 +28,6 @@ class LengthMismatch(KgError):
     """Sample array length disagrees with the grid."""
 
 
-class NonHermitianSpectrum(KgError):
-    """Spectrum of a real field lost its conjugate symmetry."""
-
-
 class NonFinite(KgError):
     """NaN or Inf appeared where a finite value is required."""
 

@@ -3,6 +3,8 @@
 Floats are written as their shortest round-tripping decimal so every file
 reloads to the exact binary value. All writers build the whole payload first
 and publish it with os.replace, so a crash never leaves a half-written file.
+Every CSV ends with a newline; the readers reject one that does not, since
+it was cut inside its last cell.
 """
 
 import csv
@@ -10,6 +12,7 @@ import hashlib
 import io
 import json
 import os
+import tempfile
 
 import numpy as np
 
@@ -32,10 +35,26 @@ def fmt(x):
 
 
 def atomic_write_text(path, text):
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    """Publish text at path by os.replace of a synced temp file unique to this call.
+
+    If the write fails, the temp file is removed and path keeps what it held.
+    """
+    fd, tmp = tempfile.mkstemp(
+        prefix=os.path.basename(path) + ".", suffix=".tmp", dir=os.path.dirname(path) or "."
+    )
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+            # the mode open() would give a new file: 0o666 less the umask
+            mask = os.umask(0)
+            os.umask(mask)
+            os.fchmod(fh.fileno(), 0o666 & ~mask)
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _csv_text(header, rows):
@@ -44,6 +63,12 @@ def _csv_text(header, rows):
     w.writerow(header)
     w.writerows(rows)
     return buf.getvalue()
+
+
+def _ends_with_newline(path):
+    with open(path, "rb") as fh:
+        fh.seek(-1, os.SEEK_END)
+        return fh.read(1) == b"\n"
 
 
 def _read_csv(path, expect_header):
@@ -69,7 +94,11 @@ def _read_csv(path, expect_header):
                 raise InsufficientData(
                     f"{path}, line {reader.line_num}: non-numeric cell ({exc})"
                 ) from None
-        return rows
+    if not _ends_with_newline(path):
+        raise InsufficientData(
+            f"{path}, line {reader.line_num}: no final newline, cut inside its last cell"
+        )
+    return rows
 
 
 def write_snapshots(path, snapshots, grid):

@@ -1,13 +1,14 @@
 """Gauss-Legendre implicit Runge-Kutta stepping in Fourier space.
 
-Per Fourier mode the linear part of the first-order system is
-L_m = [[0, 1], [lambda_m, 0]] with lambda_m = mu - sigma*alpha*k_m^2, so the
-stage equations split into independent 2s x 2s real linear solves coupled only
-through the cubic term. Each step runs linearly implicit sweeps: the cubic is
-lagged, the linear stage system is solved exactly with a cached batched
-inverse, and the sweep repeats until the true stage residual (which equals
--dt*(A ox I)*(N_new - N_old) and is measured in the physical max norm) falls
-below stage_tol.
+Per mode of the half-spectrum (spectral.py) the linear part of the
+first-order system is L_m = [[0, 1], [lambda_m, 0]] with lambda_m =
+mu - sigma*alpha*k_m^2 (dynamics.linear_symbol), so the stage equations split
+into N/2 + 1 independent 2s x 2s real linear solves coupled only through the
+cubic term (dynamics.nonlinear_hat). Each step runs linearly implicit sweeps:
+the cubic is lagged, the linear stage system is solved exactly with a cached
+batched inverse, and the sweep repeats until the true stage residual (which
+equals -dt*(A ox I)*(N_new - N_old) and is measured in the physical max norm)
+falls below stage_tol.
 """
 
 import math
@@ -17,8 +18,9 @@ import numpy as np
 
 from . import accel
 from .core import FieldState
+from .dynamics import linear_symbol, nonlinear_hat
 from .errors import InvalidParams, NonFinite, StageSolveDiverged, UnsupportedStageCount
-from .spectral import cube_hat, dft_forward, dft_inverse
+from .spectral import dft_forward, dft_inverse
 
 # Consecutive non-decreasing sweep residuals before declaring divergence.
 _STALL_LIMIT = 5
@@ -80,14 +82,11 @@ class StageSolver:
 
     def __init__(self, params, grid, dt=None):
         self.params = params
-        self.grid = grid
         self.dt = params.dt if dt is None else float(dt)
         self.tableau = gauss_tableau(params.irk_stages)
-        k = grid.wavenumbers
-        self.lam = params.mu - params.sigma * params.alpha * k ** 2
+        self.lam = linear_symbol(params, grid)
         s = self.tableau.stages
-        n = grid.n
-        m = np.zeros((n, 2 * s, 2 * s))
+        m = np.zeros((self.lam.size, 2 * s, 2 * s))
         m[:, np.arange(2 * s), np.arange(2 * s)] = 1.0
         for i in range(s):
             for j in range(s):
@@ -96,22 +95,14 @@ class StageSolver:
                 m[:, 2 * i + 1, 2 * j] -= daij * self.lam
         self.minv = np.linalg.inv(m)
 
-    def _nonlinear(self, stage_u_hats):
-        """-beta * dealiased cube of each stage, in coefficient space."""
-        return [
-            -self.params.beta * cube_hat(cu, self.params.dealias)
-            for cu in stage_u_hats
-        ]
-
     def solve(self, uhat, vhat, t):
         """Return (stage_u_hats, stage_v_hats, nl_hats, StepReport)."""
         s = self.tableau.stages
-        n = self.grid.n
         a = self.tableau.a
         tol = self.params.stage_tol
-        rhs = np.empty((n, 2 * s), dtype=np.complex128)
+        rhs = np.empty((uhat.size, 2 * s), dtype=np.complex128)
         # every stage starts from uhat, so its cube serves all of them
-        nl_old = self._nonlinear([uhat]) * s
+        nl_old = [nonlinear_hat(uhat, self.params)] * s
         prev_res = math.inf
         stall = 0
         for it in range(1, self.params.stage_max_iter + 1):
@@ -124,14 +115,14 @@ class StageSolver:
             g = accel.stage_matvec(self.minv, rhs)
             stage_u = [np.ascontiguousarray(g[:, 2 * i]) for i in range(s)]
             stage_v = [np.ascontiguousarray(g[:, 2 * i + 1]) for i in range(s)]
-            nl_new = self._nonlinear(stage_u)
+            nl_new = [nonlinear_hat(cu, self.params) for cu in stage_u]
             res = 0.0
             for i in range(s):
                 diff = a[i, 0] * (nl_new[0] - nl_old[0])
                 for j in range(1, s):
                     diff = diff + a[i, j] * (nl_new[j] - nl_old[j])
                 # physical max norm of the only nonzero residual component
-                r_phys = np.real(np.fft.ifft(self.dt * diff) * n)
+                r_phys = dft_inverse(self.dt * diff)
                 res = max(res, float(np.max(np.abs(r_phys))))
             nl_old = nl_new
             if res <= tol:

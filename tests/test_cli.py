@@ -132,6 +132,47 @@ def test_classify_rejects_an_edited_rot_left_cell(finished_run):
     assert res.stdout == ""
 
 
+def edit_manifest(run_dir, change):
+    path = os.path.join(run_dir, "manifest.json")
+    manifest = json.loads(open(path).read())
+    change(manifest)
+    with open(path, "w") as fh:
+        json.dump(manifest, fh)
+
+
+def test_classify_and_plot_reject_a_manifest_that_is_not_json(finished_run):
+    with open(os.path.join(finished_run, "manifest.json"), "w") as fh:
+        fh.write('{"params": {')
+    for command in ("classify", "plot"):
+        res = run_cli(command, "--out", finished_run)
+        assert res.returncode == 2, command
+        assert "manifest.json is not a JSON manifest" in res.stderr
+        assert "Traceback" not in res.stderr
+
+
+def test_classify_and_plot_reject_a_manifest_without_params(finished_run):
+    edit_manifest(finished_run, lambda m: m.pop("params"))
+    for command in ("classify", "plot"):
+        res = run_cli(command, "--out", finished_run)
+        assert res.returncode == 2, command
+        assert "it has no params" in res.stderr
+        assert "Traceback" not in res.stderr
+
+
+def test_classify_rejects_a_manifest_without_file_digests(finished_run):
+    edit_manifest(finished_run, lambda m: m.pop("files"))
+    path = os.path.join(finished_run, "diagnostics.csv")
+    lines = open(path).read().splitlines(keepends=True)
+    last = lines[-1].rstrip("\n")
+    lines[-1] = last[:-1] + str((int(last[-1]) + 1) % 10) + "\n"
+    with open(path, "w") as fh:
+        fh.write("".join(lines))
+    res = run_cli("classify", "--out", finished_run)
+    assert res.returncode == 2
+    assert "records no digest for diagnostics.csv, tracers.csv" in res.stderr
+    assert res.stdout == ""
+
+
 def test_classify_missing_run_exits_3(tmp_path):
     res = run_cli("classify", "--out", str(tmp_path / "nowhere"))
     assert res.returncode == 3

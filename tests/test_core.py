@@ -28,14 +28,13 @@ from kgbreather.core import is_odd, odd_part, reflect
 
 def test_make_grid_wavenumber_set():
     g = make_grid(8, 8.0)
-    expected = {0.0, math.pi / 4, -math.pi / 4, math.pi / 2, -math.pi / 2,
-                3 * math.pi / 4, -3 * math.pi / 4, -math.pi}
-    assert set(np.round(g.wavenumbers, 12)) == set(np.round(sorted(expected), 12))
+    expected = [0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4, math.pi]
+    assert np.allclose(g.wavenumbers, expected, rtol=0.0, atol=1e-12)
 
 
 def test_make_grid_integer_wavenumbers_on_2pi():
     g = make_grid(8, 2 * math.pi)
-    assert np.allclose(sorted(g.wavenumbers), [-4, -3, -2, -1, 0, 1, 2, 3], atol=1e-15)
+    assert np.allclose(g.wavenumbers, [0, 1, 2, 3, 4], atol=1e-15)
 
 
 def test_make_grid_nodes_and_dx():
@@ -46,10 +45,14 @@ def test_make_grid_nodes_and_dx():
 
 
 def test_make_grid_wavenumbers_closed_under_negation_except_nyquist():
+    # the half-spectrum stores m = 0..N/2; with the implied partners -k_m of
+    # 0 < m < N/2 it covers N distinct modes, and only the Nyquist is unpaired
     g = make_grid(32, 8.0)
-    ks = set(np.round(g.wavenumbers, 12))
-    nyquist = g.wavenumbers[16]
-    assert nyquist < 0
+    half = g.wavenumbers
+    assert half.size == 17 and half[0] == 0.0 and np.all(np.diff(half) > 0.0)
+    ks = set(np.round(np.concatenate([half, -half[1:-1]]), 12))
+    assert len(ks) == 32
+    nyquist = half[-1]
     for k in ks:
         if k == round(nyquist, 12):
             assert -k not in ks

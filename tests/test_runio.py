@@ -15,6 +15,7 @@ from kgbreather import (
     make_grid,
 )
 from kgbreather.runio import (
+    atomic_write_text,
     file_digest,
     fmt,
     inventory_digests,
@@ -110,6 +111,18 @@ def test_tracers_cut_mid_row_are_rejected(tmp_path):
     write_tracers(path, [track])
     cut_inside_last_row(path)
     with pytest.raises(InsufficientData, match="tracers.csv, line 10"):
+        read_tracers(path)
+
+
+def test_tracers_cut_inside_last_cell_are_rejected(tmp_path):
+    # the row keeps its width and the cut cell still parses, to a shorter number
+    track = TracerTrack(probe_x=2.0, t=np.arange(3.0), u=np.ones(3), v=np.full(3, 0.000345574078778584))
+    path = tmp_path / "tracers.csv"
+    write_tracers(path, [track])
+    text = path.read_text(encoding="utf-8")
+    assert text.endswith(",0.000345574078778584\n")
+    path.write_text(text[: -len("78584\n")], encoding="utf-8")
+    with pytest.raises(InsufficientData, match="tracers.csv, line 4: no final newline"):
         read_tracers(path)
 
 
@@ -218,6 +231,15 @@ def test_writers_leave_no_temp_files(tmp_path):
     write_manifest(tmp_path / "manifest.json", {"files": {}})
     leftovers = [name for name in os.listdir(tmp_path) if name.endswith(".tmp")]
     assert leftovers == []
+
+
+def test_failed_write_keeps_the_old_file_and_leaves_no_temp_file(tmp_path):
+    path = tmp_path / "manifest.json"
+    atomic_write_text(path, "old\n")
+    with pytest.raises(UnicodeEncodeError):
+        atomic_write_text(path, "new \ud800\n")  # a lone surrogate has no utf-8 form
+    assert path.read_text(encoding="utf-8") == "old\n"
+    assert os.listdir(tmp_path) == ["manifest.json"]
 
 
 def test_identical_runs_write_identical_bytes(tmp_path):

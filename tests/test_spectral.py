@@ -1,27 +1,45 @@
-"""Transforms, spectral derivatives, and the dealiased cube."""
+"""Half-spectrum transforms, spectral derivatives, and the dealiased cube."""
 
-import math
+import dataclasses
 
 import numpy as np
 import pytest
 
 from kgbreather import (
     LengthMismatch,
-    NonHermitianSpectrum,
     SimParams,
-    cube_dealiased,
     dft_forward,
     dft_inverse,
     first_derivative,
     initial_state,
     make_grid,
-    second_derivative,
+    rhs,
 )
-from kgbreather.spectral import cube_hat, derivative_multipliers
+from kgbreather.dynamics import linear_symbol
+from kgbreather.spectral import cube_hat
+
+
+def cube(u, mode):
+    """u^3 on the collocation grid through the stepper's coefficient-space cube."""
+    return dft_inverse(cube_hat(dft_forward(u), mode))
+
+
+def laplacian(u, grid):
+    """u_xx from rhs: with alpha = 1 and mu = beta = 0, dv is the laplacian term."""
+    p = SimParams(alpha=1.0, mu=0.0, beta=0.0)
+    return rhs(u, np.zeros_like(u), p, grid)[1]
+
+
+def random_band(rng, grid, width):
+    """Half-spectrum with random complex modes 1..width and nothing else."""
+    c = np.zeros(grid.n // 2 + 1, dtype=complex)
+    c[1 : width + 1] = rng.standard_normal(width) + 1j * rng.standard_normal(width)
+    return c
 
 
 def test_forward_constant_field():
     c = dft_forward(np.ones(32))
+    assert c.size == 17
     assert c[0] == pytest.approx(1.0, abs=1e-15)
     assert np.max(np.abs(c[1:])) <= 1e-15
 
@@ -29,10 +47,11 @@ def test_forward_constant_field():
 def test_forward_single_sine():
     g = make_grid(64, 8.0)
     c = dft_forward(np.sin(2 * np.pi * g.nodes / 8.0))
+    assert c.size == 33
+    # the -1 partner, conj(c[1]) = 0.5j, is implied and not stored
     assert c[1] == pytest.approx(-0.5j, abs=1e-15)
-    assert c[-1] == pytest.approx(0.5j, abs=1e-15)
-    mask = np.ones(64, bool)
-    mask[[1, -1]] = False
+    mask = np.ones(c.size, bool)
+    mask[1] = False
     assert np.max(np.abs(c[mask])) <= 1e-15
 
 
@@ -41,9 +60,8 @@ def test_forward_default_profile_is_one_mode_pair():
     g = make_grid(p.grid_points, p.domain_length)
     c = dft_forward(initial_state(p, g).u)
     assert abs(c[1]) == pytest.approx(0.02, abs=1e-15)
-    assert abs(c[-1]) == pytest.approx(0.02, abs=1e-15)
-    mask = np.ones(g.n, bool)
-    mask[[1, -1]] = False
+    mask = np.ones(c.size, bool)
+    mask[1] = False
     assert np.max(np.abs(c[mask])) <= 1e-16
 
 
@@ -60,9 +78,12 @@ def test_parseval_identity():
     for _ in range(50):
         u = rng.standard_normal(128)
         c = dft_forward(u)
+        # every mode but m = 0 and the Nyquist also stands for its partner -m
+        weight = np.full(c.size, 2.0)
+        weight[[0, -1]] = 1.0
         lhs = float(np.sum(u * u)) / u.size
-        rhs = float(np.sum(np.abs(c) ** 2))
-        assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+        total = float(np.sum(weight * np.abs(c) ** 2))
+        assert abs(lhs - total) <= 1e-12 * abs(lhs)
 
 
 def test_forward_rejects_bad_shapes():
@@ -70,13 +91,6 @@ def test_forward_rejects_bad_shapes():
         dft_forward(np.zeros((4, 4)))
     with pytest.raises(LengthMismatch):
         dft_forward(np.zeros(0))
-
-
-def test_inverse_rejects_non_hermitian_spectrum():
-    c = np.zeros(16, dtype=complex)
-    c[1] = 1.0  # no conjugate partner at -1
-    with pytest.raises(NonHermitianSpectrum):
-        dft_inverse(c)
 
 
 def test_first_derivative_of_sine():
@@ -88,45 +102,42 @@ def test_first_derivative_of_sine():
 
 def test_first_derivative_annihilates_nyquist():
     g = make_grid(32, 8.0)
-    u = np.cos(g.wavenumbers[16] * g.nodes)  # alternating +-1 samples
+    u = np.cos(g.wavenumbers[-1] * g.nodes)  # alternating +-1 samples
     assert np.max(np.abs(first_derivative(u, g))) == 0.0
 
 
-def test_second_derivative_keeps_nyquist():
+def test_rhs_laplacian_keeps_nyquist():
     g = make_grid(32, 8.0)
-    kn = g.wavenumbers[16]
+    kn = g.wavenumbers[-1]
     u = np.cos(kn * g.nodes)
-    d2 = second_derivative(u, g)
+    d2 = laplacian(u, g)
     assert np.max(np.abs(d2 - (-(kn ** 2)) * u)) <= 1e-11
 
 
-def test_second_derivative_matches_twice_first_on_smooth_fields():
+def test_rhs_laplacian_matches_twice_first_derivative():
     g = make_grid(64, 8.0)
     rng = np.random.default_rng(11)
     for _ in range(20):
-        c = np.zeros(g.n, dtype=complex)
-        m = np.arange(1, g.n // 4 + 1)  # band-limited to N/4
-        amps = rng.standard_normal(m.size) + 1j * rng.standard_normal(m.size)
-        c[m] = amps
-        c[-m] = np.conj(amps)
-        u = dft_inverse(c)
-        d2 = second_derivative(u, g)
+        u = dft_inverse(random_band(rng, g, g.n // 4))  # band-limited to N/4
+        d2 = laplacian(u, g)
         dd = first_derivative(first_derivative(u, g), g)
         assert np.max(np.abs(d2 - dd)) <= 1e-10 * max(1.0, np.max(np.abs(d2)))
 
 
-def test_derivative_multipliers_shapes():
+def test_linear_symbol_is_mu_minus_sigma_alpha_k_squared():
     g = make_grid(16, 8.0)
-    d1, d2 = derivative_multipliers(g)
-    assert d1[8] == 0.0            # Nyquist zeroed for odd derivatives
-    assert d2[8] == -(g.wavenumbers[8] ** 2)
-    assert np.all(np.real(d1) == 0.0)
-    assert np.all(d2 <= 0.0)
+    p = SimParams()
+    k = g.wavenumbers
+    lam = linear_symbol(p, g)
+    assert lam.shape == (9,)
+    assert np.array_equal(lam, p.mu - p.alpha * k ** 2)  # Nyquist included
+    flipped = linear_symbol(dataclasses.replace(p, laplacian_sign="as_written"), g)
+    assert np.array_equal(flipped, p.mu + p.alpha * k ** 2)
 
 
 def test_cube_constant_both_modes():
     for mode in ("none", "pad2x"):
-        out = cube_dealiased(np.full(32, 2.0), mode)
+        out = cube(np.full(32, 2.0), mode)
         assert np.max(np.abs(out - 8.0)) <= 1e-12
 
 
@@ -137,19 +148,20 @@ def test_cube_sine_identity_exact():
         k = 2 * np.pi / 8.0
         u = np.sin(k * g.nodes)
         want = 0.75 * np.sin(k * g.nodes) - 0.25 * np.sin(3 * k * g.nodes)
-        out = cube_dealiased(u, "pad2x")
+        out = cube(u, "pad2x")
         assert np.max(np.abs(out - want)) <= 1e-15
 
 
 def test_cube_sine_identity_coefficientwise():
-    g = make_grid(32, 8.0)
-    u = np.sin(2 * np.pi * g.nodes / 8.0)
-    c = cube_hat(dft_forward(u), "pad2x")
+    # the exact half-spectrum of sin(2 pi x/8) on 32 nodes: c[1] = -0.5j
+    c = np.zeros(17, dtype=complex)
+    c[1] = -0.5j
+    c = cube_hat(c, "pad2x")
+    assert c.size == 17
     assert c[1] == pytest.approx(0.75 * (-0.5j), abs=1e-16)
     assert c[3] == pytest.approx(-0.25 * (-0.5j), abs=1e-16)
-    assert c[-1] == pytest.approx(0.75 * (0.5j), abs=1e-16)
-    mask = np.ones(32, bool)
-    mask[[1, 3, -3, -1]] = False
+    mask = np.ones(c.size, bool)
+    mask[[1, 3]] = False
     assert np.max(np.abs(c[mask])) <= 1e-16
 
 
@@ -159,23 +171,17 @@ def test_cube_modes_agree_for_narrow_band_inputs():
     g = make_grid(96, 8.0)
     rng = np.random.default_rng(5)
     for _ in range(10):
-        width = g.n // 6
-        c = np.zeros(g.n, dtype=complex)
-        m = np.arange(1, width + 1)
-        amps = rng.standard_normal(width) + 1j * rng.standard_normal(width)
-        c[m] = amps
-        c[-m] = np.conj(amps)
-        u = dft_inverse(c)
-        a = cube_dealiased(u, "none")
-        b = cube_dealiased(u, "pad2x")
+        u = dft_inverse(random_band(rng, g, g.n // 6))
+        a = cube(u, "none")
+        b = cube(u, "pad2x")
         assert np.max(np.abs(a - b)) <= 1e-12 * max(1.0, np.max(np.abs(a)))
 
 
 def test_cube_modes_differ_at_highest_retained_mode():
     g = make_grid(16, 8.0)
     u = np.cos(g.wavenumbers[7] * g.nodes)  # highest non-Nyquist mode
-    a = cube_dealiased(u, "none")
-    b = cube_dealiased(u, "pad2x")
+    a = cube(u, "none")
+    b = cube(u, "pad2x")
     # aliased cos(3k) term folds back with mode none; pad2x removes it
     assert np.max(np.abs(a - b)) > 0.1
 
@@ -184,6 +190,13 @@ def test_cube_hermitian_output_round_trips():
     g = make_grid(64, 8.0)
     rng = np.random.default_rng(9)
     u = 0.05 * rng.standard_normal(g.n)
-    out = cube_dealiased(u, "pad2x")  # raises if the spectrum went asymmetric
-    assert out.shape == u.shape
-    assert np.all(np.isfinite(out))
+    for mode in ("none", "pad2x"):
+        c = cube_hat(dft_forward(u), mode)
+        # a half-spectrum can only break the symmetry of a real field in the
+        # imaginary parts of its m = 0 and Nyquist coefficients
+        assert c.shape == (g.n // 2 + 1,)
+        assert c[0].imag == 0.0 and c[-1].imag == 0.0
+        out = dft_inverse(c)
+        assert out.shape == u.shape
+        assert np.all(np.isfinite(out))
+    assert np.max(np.abs(cube(u, "none") - u ** 3)) <= 1e-15

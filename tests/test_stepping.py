@@ -267,13 +267,20 @@ def test_default_run_stays_exactly_odd():
     assert np.array_equal(tracks[1].v, -tracks[0].v)
 
 
-def test_even_perturbation_grows_at_the_instability_rate():
+@pytest.mark.parametrize(
+    "resolution",
+    [{}, {"dt": 0.0625}, {"grid_points": 256}],
+    ids=["default", "dt_0.0625", "grid_points_256"],
+)
+def test_even_perturbation_grows_at_the_instability_rate(resolution):
     # A uniform offset is even about x = 0, so the start is not odd and the
     # run is left unprojected. The confined state is parametrically unstable
     # to it: the parity defect max|u(x) + u(L - x)| grows at about 0.046 per
-    # time unit. (A cos(pi x/4) seed would not do: to first order it only
-    # translates the profile, which does not grow.)
-    p = SimParams(t_end=512.0)
+    # time unit, at half the step and at twice the points alike, so the rate
+    # belongs to the equation and not to the discretization. (A cos(pi x/4)
+    # seed would not do: to first order it only translates the profile, which
+    # does not grow.)
+    p = SimParams(t_end=512.0, **resolution)
     g = make_grid(p.grid_points, p.domain_length)
     s0 = initial_state(p, g)
     start = FieldState(t=0.0, u=s0.u + 1e-10, v=s0.v)
@@ -283,5 +290,5 @@ def test_even_perturbation_grows_at_the_instability_rate():
     assert defect[0] == pytest.approx(2e-10, rel=1e-6)
     fit = (t >= 64.0) & (t <= 384.0)
     rate = float(np.polyfit(t[fit], np.log(defect[fit]), 1)[0])
-    # measured 0.0460; the tolerance allows about 10 percent
+    # measured 0.0460 at all three resolutions; the tolerance allows about 10 percent
     assert rate == pytest.approx(0.046, abs=0.005)
