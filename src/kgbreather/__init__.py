@@ -44,7 +44,6 @@ from .geometry import (
     cumulative_rotation,
     phase_loop,
     self_intersections,
-    split_at_crossing,
     winding_number,
 )
 from .spectral import dft_forward, dft_inverse, first_derivative

@@ -219,8 +219,8 @@ def cmd_sweep(args):
 
 
 def _read_verified_manifest(run_dir, names):
-    """The run's manifest, once it lists each of names and every file it lists
-    still has its recorded digest."""
+    """The run's SimParams, once its manifest lists each of names and every
+    file it lists still has its recorded digest."""
     path = os.path.join(run_dir, MANIFEST_FILE)
     try:
         manifest = read_manifest(path)
@@ -235,12 +235,14 @@ def _read_verified_manifest(run_dir, names):
     problems = verify_digests(manifest, run_dir)
     if problems:
         raise InsufficientData(f"{run_dir} does not match its manifest: " + "; ".join(problems))
-    return manifest
+    try:
+        return params_from_dict(manifest["params"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InsufficientData(f"{path} has unusable params: {exc}") from None
 
 
 def cmd_classify(args):
-    manifest = _read_verified_manifest(args.out, [DIAGNOSTICS_FILE, TRACERS_FILE])
-    params = params_from_dict(manifest["params"])
+    params = _read_verified_manifest(args.out, [DIAGNOSTICS_FILE, TRACERS_FILE])
     diagnostics = read_diagnostics(os.path.join(args.out, DIAGNOSTICS_FILE))
     tracks = read_tracers(os.path.join(args.out, TRACERS_FILE))
     result = classify_mode(diagnostics, tracks[0] if tracks else None, params)
@@ -256,8 +258,7 @@ def cmd_classify(args):
 def cmd_plot(args):
     draw_phase = args.kind in ("phase", "both")
     names = [SNAPSHOTS_FILE, TRACERS_FILE] if draw_phase else [SNAPSHOTS_FILE]
-    manifest = _read_verified_manifest(args.out, names)
-    params = params_from_dict(manifest["params"])
+    params = _read_verified_manifest(args.out, names)
     nodes, states = read_snapshots(os.path.join(args.out, SNAPSHOTS_FILE))
     if args.time is None:
         sel = len(states) - 1

@@ -226,28 +226,6 @@ def self_intersections(loop):
     return CrossingSet(seg_a=i, seg_b=j, ta=ta, tb=tb, points=np.column_stack([px, py]))
 
 
-def split_at_crossing(loop, seg_a, seg_b, ta, tb):
-    """Split a closed loop at one self-intersection into its two sub-loops.
-
-    The crossing point becomes a vertex of both sub-loops; for any center off
-    both sub-loops the winding numbers add up to the original loop's.
-    """
-    u, v = _dedup_closed(loop.u, loop.v)
-    m = u.size
-    if not (0 <= seg_a < seg_b < m):
-        raise ValueError(f"need 0 <= seg_a < seg_b < {m}, got {seg_a}, {seg_b}")
-    pu = u[seg_a] + ta * (u[(seg_a + 1) % m] - u[seg_a])
-    pv = v[seg_a] + ta * (v[(seg_a + 1) % m] - v[seg_a])
-    mid_u = np.concatenate([[pu], u[seg_a + 1 : seg_b + 1]])
-    mid_v = np.concatenate([[pv], v[seg_a + 1 : seg_b + 1]])
-    rest_u = np.concatenate([[pu], u[seg_b + 1 :], u[: seg_a + 1]])
-    rest_v = np.concatenate([[pv], v[seg_b + 1 :], v[: seg_a + 1]])
-    return (
-        PhaseLoop(u=mid_u, v=mid_v, t=loop.t),
-        PhaseLoop(u=rest_u, v=rest_v, t=loop.t),
-    )
-
-
 class ModeLabel(enum.Enum):
     BREATHER = "breather"
     ORDINARY = "ordinary"

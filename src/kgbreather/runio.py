@@ -71,7 +71,9 @@ def _ends_with_newline(path):
         return fh.read(1) == b"\n"
 
 
-def _read_csv(path, expect_header):
+def _read_csv(path, expect_header, text_columns=()):
+    """Data rows as lists of floats; cells of the columns named in text_columns stay text."""
+    kinds = [str if name in text_columns else float for name in expect_header]
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -89,7 +91,12 @@ def _read_csv(path, expect_header):
                     f"{path}, line {reader.line_num}: {len(row)} cells, expected {len(header)}"
                 )
             try:
-                rows.append([float(cell) for cell in row])
+                # all-float files, such as a snapshot file of 0.5M rows, take the plain path
+                rows.append(
+                    [kind(cell) for kind, cell in zip(kinds, row)]
+                    if text_columns
+                    else [float(cell) for cell in row]
+                )
             except ValueError as exc:
                 raise InsufficientData(
                     f"{path}, line {reader.line_num}: non-numeric cell ({exc})"
@@ -194,21 +201,10 @@ def write_sweep(path, entries):
 
 
 def read_sweep(path):
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != SWEEP_COLUMNS:
-            raise InsufficientData(f"{path} has header {header}, expected {list(SWEEP_COLUMNS)}")
-        out = []
-        for row in reader:
-            if not row:
-                continue
-            e = dict(zip(SWEEP_COLUMNS, row))
-            for c in SWEEP_COLUMNS:
-                if c != "label":
-                    e[c] = float(e[c])
-            out.append(e)
-        return out
+    return [
+        dict(zip(SWEEP_COLUMNS, row))
+        for row in _read_csv(path, SWEEP_COLUMNS, text_columns=("label",))
+    ]
 
 
 def file_digest(path):

@@ -5,7 +5,10 @@ its half-spectrum c = rfft(u)/N, the N/2 + 1 coefficients of the modes
 exp(i k_m x) with k_m = 2*pi*m/L, m = 0..N/2. The m = 0 and Nyquist
 coefficients are real, and the negative modes c[-m] = conj(c[m]) are implied,
 so u = N * irfft(c) and every coefficient array stands for a real field.
-This module is the only one that calls a transform.
+dft_inverse and cube_hat act along the last axis, so one call serves a stack
+of half-spectra, such as the (s, N/2 + 1) stage block of the stepper;
+dft_forward takes one sample vector. This module is the only one that calls
+a transform.
 """
 
 import numpy as np
@@ -24,11 +27,11 @@ def dft_forward(u):
 
 
 def dft_inverse(c):
-    """Real samples of the N = 2*(len(c) - 1) point field with half-spectrum c."""
+    """Real samples of the N = 2*(n - 1) point fields whose n-coefficient half-spectra run along c's last axis."""
     c = np.asarray(c, dtype=np.complex128)
-    if c.ndim != 1 or c.size < 2:
-        raise LengthMismatch(f"expected a 1-d half-spectrum of >= 2 coefficients, got shape {c.shape}")
-    return np.fft.irfft(c) * (2 * (c.size - 1))
+    if c.ndim < 1 or c.shape[-1] < 2:
+        raise LengthMismatch(f"expected half-spectra of >= 2 coefficients, got shape {c.shape}")
+    return np.fft.irfft(c) * (2 * (c.shape[-1] - 1))
 
 
 def first_derivative(u, grid):
@@ -49,7 +52,7 @@ def _cube_samples(u):
 
 def _cube_hat_none(c):
     """Pointwise cube on the native grid, back to coefficients. Aliased."""
-    n = 2 * (c.size - 1)
+    n = 2 * (c.shape[-1] - 1)
     return np.fft.rfft(_cube_samples(np.fft.irfft(c) * n)) / n
 
 
@@ -63,19 +66,19 @@ def _cube_hat_pad2x(c):
     (Nyquist)^3 landing on -Nyquist; for any resolved field that term is far
     below roundoff.
     """
-    h = c.size - 1
+    h = c.shape[-1] - 1
     m = 4 * h
-    cpad = np.zeros(2 * h + 1, dtype=np.complex128)
-    cpad[:h] = c[:h]
-    cpad[h] = 0.5 * c[h]
+    cpad = np.zeros(c.shape[:-1] + (2 * h + 1,), dtype=np.complex128)
+    cpad[..., :h] = c[..., :h]
+    cpad[..., h] = 0.5 * c[..., h]
     w = np.fft.rfft(_cube_samples(np.fft.irfft(cpad) * m)) / m
-    out = w[: h + 1].copy()
-    out[h] = 2.0 * w[h].real
+    out = w[..., : h + 1].copy()
+    out[..., h] = 2.0 * w[..., h].real
     return out
 
 
 def cube_hat(c, mode):
-    """Half-spectrum of u^3 from that of u, computed alias-free when mode='pad2x'."""
+    """Half-spectra of u^3 from those of u (last axis), alias-free when mode='pad2x'."""
     c = np.asarray(c, dtype=np.complex128)
     if mode == "pad2x":
         return _cube_hat_pad2x(c)

@@ -9,6 +9,11 @@ the cubic is lagged, the linear stage system is solved exactly with a cached
 batched inverse, and the sweep repeats until the true stage residual (which
 equals -dt*(A ox I)*(N_new - N_old) and is measured in the physical max norm)
 falls below stage_tol.
+
+The state carried from step to step is the pair of half-spectra (uhat, vhat);
+integrate synthesizes samples from it only for output. The stages of u, of v
+and of the cubic are each held as one (s, N/2 + 1) block, so a sweep makes
+one batched cube of all stages and one batched synthesis of the residual.
 """
 
 import math
@@ -76,54 +81,42 @@ class StepReport:
 class StageSolver:
     """Caches the batched inverse of the per-mode linear stage matrices.
 
-    Valid for one (params, grid, dt, tableau) combination; integrate builds one
-    and reuses it for every step.
+    Valid for one (params, grid) combination; integrate builds one and reuses
+    it for every step.
     """
 
-    def __init__(self, params, grid, dt=None):
+    def __init__(self, params, grid):
         self.params = params
-        self.dt = params.dt if dt is None else float(dt)
+        self.dt = params.dt
         self.tableau = gauss_tableau(params.irk_stages)
         self.lam = linear_symbol(params, grid)
         s = self.tableau.stages
+        # per mode, rows and columns interleave (u_i, v_i): I - dt*(A ox L_m)
+        da = self.dt * self.tableau.a
         m = np.zeros((self.lam.size, 2 * s, 2 * s))
         m[:, np.arange(2 * s), np.arange(2 * s)] = 1.0
-        for i in range(s):
-            for j in range(s):
-                daij = self.dt * self.tableau.a[i, j]
-                m[:, 2 * i, 2 * j + 1] -= daij
-                m[:, 2 * i + 1, 2 * j] -= daij * self.lam
+        m[:, 0::2, 1::2] -= da
+        m[:, 1::2, 0::2] -= da * self.lam[:, None, None]
         self.minv = np.linalg.inv(m)
 
     def solve(self, uhat, vhat, t):
-        """Return (stage_u_hats, stage_v_hats, nl_hats, StepReport)."""
+        """Return (stage_u, stage_v, nl, StepReport); the first three are (s, N/2+1) blocks."""
         s = self.tableau.stages
         a = self.tableau.a
         tol = self.params.stage_tol
         rhs = np.empty((uhat.size, 2 * s), dtype=np.complex128)
+        rhs[:, 0::2] = uhat[:, None]
         # every stage starts from uhat, so its cube serves all of them
-        nl_old = [nonlinear_hat(uhat, self.params)] * s
+        nl_old = np.broadcast_to(nonlinear_hat(uhat, self.params), (s, uhat.size))
         prev_res = math.inf
         stall = 0
         for it in range(1, self.params.stage_max_iter + 1):
-            for i in range(s):
-                forc = a[i, 0] * nl_old[0]
-                for j in range(1, s):
-                    forc = forc + a[i, j] * nl_old[j]
-                rhs[:, 2 * i] = uhat
-                rhs[:, 2 * i + 1] = vhat + self.dt * forc
+            rhs[:, 1::2] = (vhat + self.dt * (a @ nl_old)).T
             g = accel.stage_matvec(self.minv, rhs)
-            stage_u = [np.ascontiguousarray(g[:, 2 * i]) for i in range(s)]
-            stage_v = [np.ascontiguousarray(g[:, 2 * i + 1]) for i in range(s)]
-            nl_new = [nonlinear_hat(cu, self.params) for cu in stage_u]
-            res = 0.0
-            for i in range(s):
-                diff = a[i, 0] * (nl_new[0] - nl_old[0])
-                for j in range(1, s):
-                    diff = diff + a[i, j] * (nl_new[j] - nl_old[j])
-                # physical max norm of the only nonzero residual component
-                r_phys = dft_inverse(self.dt * diff)
-                res = max(res, float(np.max(np.abs(r_phys))))
+            stage_u, stage_v = g[:, 0::2].T, g[:, 1::2].T
+            nl_new = nonlinear_hat(stage_u, self.params)
+            # physical max norm of the only nonzero residual component
+            res = float(np.max(np.abs(dft_inverse(self.dt * (a @ (nl_new - nl_old))))))
             nl_old = nl_new
             if res <= tol:
                 return stage_u, stage_v, nl_new, StepReport(it, res, True)
@@ -141,28 +134,22 @@ class StageSolver:
             t=t,
         )
 
+    def step(self, uhat, vhat, t):
+        """Half-spectra (uhat, vhat) one step of dt after t, and the StepReport."""
+        stage_u, stage_v, nl, report = self.solve(uhat, vhat, t)
+        b = self.tableau.b
+        new_uhat = uhat + self.dt * (b @ stage_v)
+        new_vhat = vhat + self.dt * (b @ (self.lam * stage_u + nl))
+        return new_uhat, new_vhat, report
+
 
 def irk_step(state, params, grid, solver=None):
-    """Advance one step of size params.dt (or solver.dt); returns (state, report)."""
+    """Advance one step of size params.dt; returns (state, report)."""
     if solver is None:
         solver = StageSolver(params, grid)
-    uhat = dft_forward(state.u)
-    vhat = dft_forward(state.v)
-    stage_u, stage_v, nl, report = solver.solve(uhat, vhat, state.t)
-    b = solver.tableau.b
-    fu = b[0] * stage_v[0]
-    fv = b[0] * (solver.lam * stage_u[0] + nl[0])
-    for i in range(1, solver.tableau.stages):
-        fu = fu + b[i] * stage_v[i]
-        fv = fv + b[i] * (solver.lam * stage_u[i] + nl[i])
-    new_uhat = uhat + solver.dt * fu
-    new_vhat = vhat + solver.dt * fv
-    new = FieldState(
-        t=state.t + solver.dt,
-        u=dft_inverse(new_uhat),
-        v=dft_inverse(new_vhat),
-    )
-    return new, report
+    uhat, vhat, report = solver.step(dft_forward(state.u), dft_forward(state.v), state.t)
+    u, v = dft_inverse(np.stack([uhat, vhat]))
+    return FieldState(t=state.t + solver.dt, u=u, v=v), report
 
 
 @dataclass(frozen=True)
@@ -232,12 +219,15 @@ def integrate(params, grid=None, state=None):
     snapshots = [state]
     max_residual = 0.0
     total_sweeps = 0
+    uhat, vhat = dft_forward(state.u), dft_forward(state.v)
     for i in range(1, steps + 1):
         t_next = i * params.dt
         try:
-            stepped, report = irk_step(state, params, grid, solver)
-            u, v = stepped.u, stepped.v
-            if keep_odd:
+            uhat, vhat, report = solver.step(uhat, vhat, state.t)
+            if keep_odd:  # odd fields have purely imaginary coefficients
+                uhat, vhat = 1j * uhat.imag, 1j * vhat.imag
+            u, v = dft_inverse(np.stack([uhat, vhat]))
+            if keep_odd:  # irfft of those is odd only to roundoff
                 u, v = odd_part(u), odd_part(v)
             state = FieldState(t=t_next, u=u, v=v)
         except (StageSolveDiverged, NonFinite) as exc:

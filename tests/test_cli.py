@@ -159,6 +159,15 @@ def test_classify_and_plot_reject_a_manifest_without_params(finished_run):
         assert "Traceback" not in res.stderr
 
 
+def test_classify_and_plot_reject_an_unknown_params_key(finished_run):
+    edit_manifest(finished_run, lambda m: m["params"].update(bogus=1))
+    for command in ("classify", "plot"):
+        res = run_cli(command, "--out", finished_run)
+        assert res.returncode == 2, command
+        assert "unknown parameter keys: ['bogus']" in res.stderr
+        assert "Traceback" not in res.stderr
+
+
 def test_classify_rejects_a_manifest_without_file_digests(finished_run):
     edit_manifest(finished_run, lambda m: m.pop("files"))
     path = os.path.join(finished_run, "diagnostics.csv")

@@ -24,7 +24,6 @@ from kgbreather import (
     make_grid,
     phase_loop,
     self_intersections,
-    split_at_crossing,
     winding_number,
 )
 from kgbreather.geometry import _turns
@@ -297,32 +296,6 @@ def test_crossings_invariant_under_shift_and_reversal(shift):
 def test_crossings_reject_coincident_points():
     with pytest.raises(DegenerateLoop):
         self_intersections(PhaseLoop(u=np.full(8, 0.3), v=np.full(8, -0.7)))
-
-
-def test_split_bowtie_into_triangles():
-    bow = PhaseLoop(u=np.array([0.0, 1.0, 1.0, 0.0]), v=np.array([0.0, 1.0, 0.0, 1.0]))
-    cs = self_intersections(bow)
-    a, b = split_at_crossing(bow, int(cs.seg_a[0]), int(cs.seg_b[0]), float(cs.ta[0]), float(cs.tb[0]))
-    assert len(a) == 3
-    assert len(b) == 3
-    for center in ((0.6, 0.5), (0.4, 0.5), (0.5, 0.8), (0.5, 0.2), (4.0, 4.0)):
-        total = winding_number(a, center) + winding_number(b, center)
-        assert total == winding_number(bow, center)
-
-
-def test_split_figure_eight_windings_add_up():
-    loop = figure_eight()
-    cs = self_intersections(loop)
-    a, b = split_at_crossing(loop, int(cs.seg_a[0]), int(cs.seg_b[0]), float(cs.ta[0]), float(cs.tb[0]))
-    for center in ((0.5, 0.0), (-0.5, 0.0), (2.0, 1.0), (0.3, 0.1)):
-        total = winding_number(a, center) + winding_number(b, center)
-        assert total == winding_number(loop, center)
-
-
-def test_split_rejects_bad_edge_order():
-    bow = PhaseLoop(u=np.array([0.0, 1.0, 1.0, 0.0]), v=np.array([0.0, 1.0, 0.0, 1.0]))
-    with pytest.raises(ValueError):
-        split_at_crossing(bow, 2, 0, 0.5, 0.5)
 
 
 def axis_pieces(loop):

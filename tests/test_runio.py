@@ -187,6 +187,31 @@ def test_sweep_round_trip(tmp_path):
     assert math.isnan(back[1]["m_left"])
 
 
+def sweep_file(tmp_path):
+    entry = {"A": 0.02, "label": "breather", "m_left": 0.01, "m_right": -0.01,
+             "rot_left": 1.5, "rot_origin": 0.1, "max_drift": 3.35020664224661e-11}
+    path = tmp_path / "sweep.csv"
+    write_sweep(path, [entry, dict(entry, A=0.04)])
+    text = path.read_text(encoding="utf-8")
+    assert text.endswith(",3.35020664224661e-11\n")
+    return path, text
+
+
+def test_sweep_cut_inside_last_cell_is_rejected(tmp_path):
+    # the cut cell would still parse, to 3.0
+    path, text = sweep_file(tmp_path)
+    path.write_text(text[: -len(".35020664224661e-11\n")], encoding="utf-8")
+    with pytest.raises(InsufficientData, match="sweep.csv, line 3: no final newline"):
+        read_sweep(path)
+
+
+def test_sweep_row_short_of_cells_is_rejected(tmp_path):
+    path, text = sweep_file(tmp_path)
+    path.write_text(text[: text.rindex(",")] + "\n", encoding="utf-8")
+    with pytest.raises(InsufficientData, match="sweep.csv, line 3: 6 cells, expected 7"):
+        read_sweep(path)
+
+
 def test_manifest_round_trip_and_digests(tmp_path):
     grid = make_grid(16, 8.0)
     write_snapshots(tmp_path / "snapshots.csv", sample_states(grid), grid)

@@ -200,3 +200,18 @@ def test_cube_hermitian_output_round_trips():
         assert out.shape == u.shape
         assert np.all(np.isfinite(out))
     assert np.max(np.abs(cube(u, "none") - u ** 3)) <= 1e-15
+
+
+@pytest.mark.parametrize("mode", ["none", "pad2x"])
+def test_stacked_half_spectra_act_row_by_row(mode):
+    # the stepper cubes and synthesizes its (s, N/2 + 1) stage block in one call
+    g = make_grid(64, 8.0)
+    rng = np.random.default_rng(11)
+    c = np.stack([dft_forward(0.05 * rng.standard_normal(g.n)) for _ in range(3)])
+    cubes = cube_hat(c, mode)
+    samples = dft_inverse(c)
+    assert cubes.shape == c.shape
+    assert samples.shape == (3, g.n)
+    for row in range(3):
+        assert np.array_equal(cubes[row], cube_hat(c[row], mode))
+        assert np.array_equal(samples[row], dft_inverse(c[row]))

@@ -11,6 +11,7 @@ from kgbreather import (
     SimParams,
     StageSolveDiverged,
     UnsupportedStageCount,
+    dft_forward,
     gauss_tableau,
     initial_state,
     integrate,
@@ -150,6 +151,37 @@ def test_explicit_solver_matches_fresh_one():
     b, _ = irk_step(s0, p, g)
     assert np.array_equal(a.u, b.u)
     assert np.array_equal(a.v, b.v)
+
+
+@pytest.mark.parametrize("dealias", ["pad2x", "none"])
+@pytest.mark.parametrize("stages", [1, 2, 3])
+def test_integrate_and_chained_irk_steps_agree(stages, dealias):
+    # a non-odd start, so integrate leaves the run unprojected; it then
+    # differs from chained irk_step calls only by the samples' round trip
+    p = SimParams(t_end=8.0, snapshot_every=8.0, irk_stages=stages, dealias=dealias)
+    g = make_grid(p.grid_points, p.domain_length)
+    s0 = initial_state(p, g)
+    st = FieldState(t=0.0, u=s0.u + 1e-10, v=s0.v)
+    summary, _, _, _ = integrate(p, g, st)
+    solver = StageSolver(p, g)
+    for _ in range(summary.steps):
+        st, _ = irk_step(st, p, g, solver)
+    assert st.t == summary.final_state.t
+    assert np.max(np.abs(st.u - summary.final_state.u)) <= 1e-12
+    assert np.max(np.abs(st.v - summary.final_state.v)) <= 1e-12
+
+
+@pytest.mark.parametrize("stages", [1, 2, 3])
+def test_stage_solver_returns_stage_blocks(stages):
+    p = SimParams(irk_stages=stages)
+    g = make_grid(p.grid_points, p.domain_length)
+    s0 = initial_state(p, g)
+    stage_u, stage_v, nl, report = StageSolver(p, g).solve(
+        dft_forward(s0.u), dft_forward(s0.v), 0.0
+    )
+    for block in (stage_u, stage_v, nl):
+        assert block.shape == (stages, g.n // 2 + 1)
+    assert report.converged
 
 
 def test_stage_solver_reports_divergence_with_time():
