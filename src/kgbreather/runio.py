@@ -91,12 +91,7 @@ def _read_csv(path, expect_header, text_columns=()):
                     f"{path}, line {reader.line_num}: {len(row)} cells, expected {len(header)}"
                 )
             try:
-                # all-float files, such as a snapshot file of 0.5M rows, take the plain path
-                rows.append(
-                    [kind(cell) for kind, cell in zip(kinds, row)]
-                    if text_columns
-                    else [float(cell) for cell in row]
-                )
+                rows.append([kind(cell) for kind, cell in zip(kinds, row)])
             except ValueError as exc:
                 raise InsufficientData(
                     f"{path}, line {reader.line_num}: non-numeric cell ({exc})"
