@@ -11,43 +11,29 @@ from dataclasses import fields
 from .core import SimParams, validate_params
 from .errors import ConfigParseError, ConfigValidationError
 
-_INT_KEYS = {"grid_points", "irk_stages", "stage_max_iter"}
-_STR_KEYS = {"laplacian_sign", "dealias"}
-_FLOAT_KEYS = {
-    f.name
-    for f in fields(SimParams)
-    if f.name not in _INT_KEYS | _STR_KEYS | {"probes"}
-}
-_ALL_KEYS = _INT_KEYS | _STR_KEYS | _FLOAT_KEYS | {"probes"}
+# each key's kind is its SimParams annotation: float, int, str, or tuple (probes)
+_KINDS = {f.name: f.type for f in fields(SimParams)}
 
 
 def _convert(key, raw, lineno):
-    if key == "probes":
-        raw = raw.strip()
+    raw = raw.strip()
+    kind = _KINDS[key]
+    if kind is tuple:
         if not raw:
             return ()
-        parts = [p.strip() for p in raw.split(",")]
         try:
-            return tuple(float(p) for p in parts)
+            return tuple(float(p.strip()) for p in raw.split(","))
         except ValueError:
             raise ConfigParseError(
-                f"probes must be comma separated numbers, got {raw!r}", line=lineno, key=key
+                f"{key} must be comma separated numbers, got {raw!r}", line=lineno, key=key
             ) from None
-    if key in _STR_KEYS:
-        return raw.strip()
-    if key in _INT_KEYS:
-        try:
-            return int(raw.strip())
-        except ValueError:
-            raise ConfigParseError(
-                f"{key} must be an integer, got {raw.strip()!r}", line=lineno, key=key
-            ) from None
+    if kind is str:
+        return raw
     try:
-        return float(raw.strip())
+        return kind(raw)
     except ValueError:
-        raise ConfigParseError(
-            f"{key} must be a number, got {raw.strip()!r}", line=lineno, key=key
-        ) from None
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigParseError(f"{key} must be {noun}, got {raw!r}", line=lineno, key=key) from None
 
 
 def parse_config_text(text):
@@ -61,7 +47,7 @@ def parse_config_text(text):
             raise ConfigParseError(f"expected key = value, got {stripped!r}", line=lineno)
         key, _, raw = stripped.partition("=")
         key = key.strip()
-        if key not in _ALL_KEYS:
+        if key not in _KINDS:
             raise ConfigParseError(f"unknown key {key!r}", line=lineno, key=key)
         if key in assigned:
             raise ConfigParseError(f"duplicate key {key!r}", line=lineno, key=key)

@@ -92,6 +92,8 @@ def validate_params(params):
         v.append(f"stage_tol must be > 0, got {params.stage_tol}")
     if params.stage_max_iter < 1:
         v.append(f"stage_max_iter must be >= 1, got {params.stage_max_iter}")
+    if len(set(params.probes)) != len(params.probes):
+        v.append(f"probes must be distinct, got {params.probes}")
     length = params.domain_length
     for x in params.probes:
         if not (0 <= x < length):
@@ -224,19 +226,7 @@ class DiagnosticsRow:
     rot_right: float
 
 
-DIAGNOSTICS_COLUMNS = (
-    "t",
-    "energy",
-    "momentum",
-    "energy_drift",
-    "u_min_left",
-    "u_max_left",
-    "u_min_right",
-    "u_max_right",
-    "rot_origin",
-    "rot_left",
-    "rot_right",
-)
+DIAGNOSTICS_COLUMNS = tuple(f.name for f in fields(DiagnosticsRow))
 
 
 def half_domain_masks(grid):

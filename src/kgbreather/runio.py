@@ -4,7 +4,9 @@ Floats are written as their shortest round-tripping decimal so every file
 reloads to the exact binary value. All writers build the whole payload first
 and publish it with os.replace, so a crash never leaves a half-written file.
 Every CSV ends with a newline; the readers reject one that does not, since
-it was cut inside its last cell.
+it was cut inside its last cell. The numeric readers collect a file into one
+float64 table, and a snapshot or a tracer track is a run of equal values in
+its key column (t or probe_x).
 """
 
 import csv
@@ -72,7 +74,11 @@ def _ends_with_newline(path):
 
 
 def _read_csv(path, expect_header, text_columns=()):
-    """Data rows as lists of floats; cells of the columns named in text_columns stay text."""
+    """Yield data rows as lists of floats; cells of the columns named in text_columns stay text.
+
+    The final-newline check runs once the rows are exhausted; every reader
+    consumes all of them, so none skips it.
+    """
     kinds = [str if name in text_columns else float for name in expect_header]
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -82,7 +88,6 @@ def _read_csv(path, expect_header, text_columns=()):
             raise InsufficientData(f"{path} is empty") from None
         if tuple(header) != tuple(expect_header):
             raise InsufficientData(f"{path} has header {header}, expected {list(expect_header)}")
-        rows = []
         for row in reader:
             if len(row) != len(header):
                 if not row:
@@ -91,7 +96,7 @@ def _read_csv(path, expect_header, text_columns=()):
                     f"{path}, line {reader.line_num}: {len(row)} cells, expected {len(header)}"
                 )
             try:
-                rows.append([kind(cell) for kind, cell in zip(kinds, row)])
+                yield [kind(cell) for kind, cell in zip(kinds, row)]
             except ValueError as exc:
                 raise InsufficientData(
                     f"{path}, line {reader.line_num}: non-numeric cell ({exc})"
@@ -100,7 +105,19 @@ def _read_csv(path, expect_header, text_columns=()):
         raise InsufficientData(
             f"{path}, line {reader.line_num}: no final newline, cut inside its last cell"
         )
-    return rows
+
+
+def _read_table(path, header):
+    """Data rows as one (rows, columns) float64 array."""
+    return np.fromiter(_read_csv(path, header), dtype=np.dtype((np.float64, len(header))))
+
+
+def _runs(key):
+    """(start, stop) of each run of equal consecutive values of key."""
+    if not len(key):
+        return []
+    cuts = (np.flatnonzero(key[1:] != key[:-1]) + 1).tolist()
+    return list(zip([0, *cuts], [*cuts, len(key)]))
 
 
 def write_snapshots(path, snapshots, grid):
@@ -113,34 +130,17 @@ def write_snapshots(path, snapshots, grid):
 
 
 def read_snapshots(path):
-    """Returns (node array, list of FieldState) grouped by the t column."""
-    data = _read_csv(path, ("t", "x", "u", "v"))
-    if not data:
+    """Returns (node array, list of FieldState), one state per run of equal t."""
+    t, x, u, v = _read_table(path, ("t", "x", "u", "v")).T
+    if not len(t):
         raise InsufficientData(f"{path} has no data rows")
+    runs = _runs(t)
+    nodes = x[slice(*runs[0])].copy()
     states = []
-    cur_t = None
-    xs, us, vs = [], [], []
-    nodes = None
-
-    def flush():
-        nonlocal nodes
-        if cur_t is None:
-            return
-        if nodes is None:
-            nodes = np.array(xs)
-        elif len(xs) != nodes.size or not np.array_equal(np.array(xs), nodes):
-            raise InsufficientData(f"{path}: snapshot at t={cur_t} has inconsistent nodes")
-        states.append(FieldState(t=cur_t, u=np.array(us), v=np.array(vs)))
-
-    for t, x, u, v in data:
-        if cur_t is None or t != cur_t:
-            flush()
-            cur_t = t
-            xs, us, vs = [], [], []
-        xs.append(x)
-        us.append(u)
-        vs.append(v)
-    flush()
+    for a, b in runs:
+        if not np.array_equal(x[a:b], nodes):
+            raise InsufficientData(f"{path}: snapshot at t={float(t[a])} has inconsistent nodes")
+        states.append(FieldState(t=float(t[a]), u=u[a:b], v=v[a:b]))
     return nodes, states
 
 
@@ -152,10 +152,7 @@ def write_diagnostics(path, rows):
 
 
 def read_diagnostics(path):
-    return [
-        DiagnosticsRow(**dict(zip(DIAGNOSTICS_COLUMNS, row)))
-        for row in _read_csv(path, DIAGNOSTICS_COLUMNS)
-    ]
+    return [DiagnosticsRow(*row) for row in _read_table(path, DIAGNOSTICS_COLUMNS).tolist()]
 
 
 def write_tracers(path, tracks):
@@ -168,21 +165,10 @@ def write_tracers(path, tracks):
 
 
 def read_tracers(path):
-    """Returns TracerTracks grouped by probe_x in file order."""
-    data = _read_csv(path, ("probe_x", "t", "u", "v"))
-    order = []
-    groups = {}
-    for px, t, u, v in data:
-        if px not in groups:
-            groups[px] = ([], [], [])
-            order.append(px)
-        g = groups[px]
-        g[0].append(t)
-        g[1].append(u)
-        g[2].append(v)
+    """Returns TracerTracks, one per run of equal probe_x, in file order."""
+    px, t, u, v = _read_table(path, ("probe_x", "t", "u", "v")).T
     return [
-        TracerTrack(probe_x=px, t=np.array(groups[px][0]), u=np.array(groups[px][1]), v=np.array(groups[px][2]))
-        for px in order
+        TracerTrack(probe_x=float(px[a]), t=t[a:b], u=u[a:b], v=v[a:b]) for a, b in _runs(px)
     ]
 
 

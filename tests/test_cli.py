@@ -7,14 +7,20 @@ import sys
 
 import pytest
 
+import kgbreather
 from kgbreather.runio import read_diagnostics, read_sweep
+
+# the child process imports the same package source as this test process
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(kgbreather.__file__)))
 
 
 def run_cli(*argv):
+    path = os.environ.get("PYTHONPATH")
     return subprocess.run(
         [sys.executable, "-m", "kgbreather.cli", *argv],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else "")),
     )
 
 
@@ -66,6 +72,16 @@ def test_simulate_bad_config_value_exits_2(tmp_path):
     res = run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "run"))
     assert res.returncode == 2
     assert "dt" in res.stderr
+
+
+def test_simulate_repeated_probe_exits_2(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("probes = 2, 2\nt_end = 64\ngrid_points = 64\n", encoding="utf-8")
+    out = tmp_path / "run"
+    res = run_cli("simulate", "--config", str(cfg), "--out", str(out))
+    assert res.returncode == 2
+    assert "probes must be distinct" in res.stderr
+    assert not (out / "tracers.csv").exists()
 
 
 def test_simulate_missing_config_exits_3(tmp_path):

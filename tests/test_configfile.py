@@ -83,6 +83,12 @@ def test_bad_probes_rejected():
         parse_config_text("probes = 2, six\n")
 
 
+def test_repeated_probes_rejected():
+    with pytest.raises(ConfigValidationError) as err:
+        parse_config_text("probes = 2, 2\n")
+    assert any("distinct" in viol for viol in err.value.violations)
+
+
 def test_int_keys_reject_floats():
     with pytest.raises(ConfigParseError) as err:
         parse_config_text("grid_points = 128.5\n")

@@ -145,6 +145,7 @@ def test_validate_params_defaults_clean():
         ("probes", (2.51,), "probe"),
         ("probes", (-0.5,), "probe"),
         ("probes", (8.0,), "probe"),
+        ("probes", (2.0, 6.0, 2.0), "distinct"),
     ],
 )
 def test_validate_params_flags_each_violation(field, value, word):

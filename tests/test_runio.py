@@ -2,6 +2,7 @@
 
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -85,6 +86,40 @@ def test_snapshots_reject_non_numeric_cell(tmp_path):
     path.write_text("t,x,u,v\n0.0,0.0,oops,0.0\n", encoding="utf-8")
     with pytest.raises(InsufficientData):
         read_snapshots(path)
+
+
+def test_snapshots_reject_inconsistent_nodes(tmp_path):
+    grid = make_grid(16, 8.0)
+    path = tmp_path / "snapshots.csv"
+    write_snapshots(path, sample_states(grid), grid)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    # line 0 is the header; the snapshot at t = 16 takes lines 17 to 32
+    t, _, u, v = lines[20].split(",")
+    lines[20] = ",".join((t, "0.123", u, v))
+    path.write_text("".join(lines), encoding="utf-8")
+    with pytest.raises(InsufficientData, match="t=16.0 has inconsistent nodes"):
+        read_snapshots(path)
+
+
+def test_snapshots_read_peaks_below_three_tables(tmp_path):
+    grid = make_grid(128, 8.0)
+    rng = np.random.default_rng(5)
+    states = [
+        FieldState(t=0.125 * i, u=rng.standard_normal(grid.n), v=rng.standard_normal(grid.n))
+        for i in range(256)
+    ]
+    path = tmp_path / "snapshots.csv"
+    write_snapshots(path, states, grid)
+    del states
+    table_bytes = 256 * grid.n * 4 * 8
+    tracemalloc.start()
+    try:
+        _, back = read_snapshots(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(back) == 256
+    assert peak < 3 * table_bytes, f"peak {peak / table_bytes:.2f} tables"
 
 
 def cut_inside_last_row(path):
