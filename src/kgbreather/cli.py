@@ -236,9 +236,13 @@ def _read_verified_manifest(run_dir, names):
     if problems:
         raise InsufficientData(f"{run_dir} does not match its manifest: " + "; ".join(problems))
     try:
-        return params_from_dict(manifest["params"])
+        params = params_from_dict(manifest["params"])
+        problems = validate_params(params)
     except (KeyError, TypeError, ValueError) as exc:
-        raise InsufficientData(f"{path} has unusable params: {exc}") from None
+        problems = [str(exc)]
+    if problems:
+        raise InsufficientData(f"{path} has unusable params: " + "; ".join(problems))
+    return params
 
 
 def cmd_classify(args):

@@ -43,16 +43,20 @@ class SimParams:
         return 1.0 if self.laplacian_sign == "standard_wave" else -1.0
 
 
-def _is_integer_multiple(value, unit, scale):
-    if unit <= 0:
-        return False
+def _is_integer_multiple(value, unit):
+    """value / unit is an integer to relative tolerance; unit must be positive."""
     ratio = value / unit
-    return abs(ratio - round(ratio)) <= _REL_TOL * max(1.0, abs(scale))
+    return abs(ratio - round(ratio)) <= _REL_TOL * max(1.0, abs(ratio))
 
 
 def validate_params(params):
     """Return the list of invariant violations; empty means valid. Never raises."""
     v = []
+    for f in fields(SimParams):
+        if f.type is float and not math.isfinite(getattr(params, f.name)):
+            v.append(f"{f.name} must be finite, got {getattr(params, f.name)}")
+    if v:  # the checks below do arithmetic with these values
+        return v
     if not params.alpha > 0:
         v.append(f"alpha must be > 0, got {params.alpha}")
     if not params.beta > 0:
@@ -70,15 +74,11 @@ def validate_params(params):
         v.append(f"grid_points must be even and >= 8, got {n}")
     if params.snapshot_every <= 0:
         v.append(f"snapshot_every must be positive, got {params.snapshot_every}")
-    elif params.dt > 0 and not _is_integer_multiple(
-        params.snapshot_every, params.dt, params.snapshot_every / params.dt
-    ):
+    elif params.dt > 0 and not _is_integer_multiple(params.snapshot_every, params.dt):
         v.append(
             f"snapshot_every = {params.snapshot_every} is not an integer multiple of dt = {params.dt}"
         )
-    if params.dt > 0 and params.t_end > 0 and not _is_integer_multiple(
-        params.t_end, params.dt, params.t_end / params.dt
-    ):
+    if params.dt > 0 and params.t_end > 0 and not _is_integer_multiple(params.t_end, params.dt):
         v.append(f"t_end = {params.t_end} is not an integer multiple of dt = {params.dt}")
     if params.laplacian_sign not in LAPLACIAN_SIGNS:
         v.append(
@@ -191,12 +191,12 @@ def initial_state(params, grid):
 
 
 def reflect(u):
-    """Samples of u(L - x): index j maps to (N - j) mod N."""
-    return np.roll(u[::-1], 1)
+    """Samples of u(L - x) along the last axis, so a block row by row: index j maps to (N - j) mod N."""
+    return np.roll(u[..., ::-1], 1, axis=-1)
 
 
 def is_odd(u):
-    """True when u(L - x) = -u(x) holds exactly at every node."""
+    """True when u(L - x) = -u(x) holds exactly at every node (of every row of a block)."""
     return bool(np.array_equal(u, -reflect(u)))
 
 

@@ -10,9 +10,10 @@ batched inverse, and the sweep repeats until the true stage residual (which
 equals -dt*(A ox I)*(N_new - N_old) and is measured in the physical max norm)
 falls below stage_tol.
 
-The state carried from step to step is the pair of half-spectra (uhat, vhat);
-integrate synthesizes samples from it only for output. The stages of u, of v
-and of the cubic are each held as one (s, N/2 + 1) block, so a sweep makes
+The state carried from step to step is one (2, N/2 + 1) coefficient block
+c = (uhat, vhat), and integrate builds a FieldState from its (2, N) sample
+block w = (u, v) only for snapshots and the final state. The stages of u, of
+v and of the cubic are each held as one (s, N/2 + 1) block, so a sweep makes
 one batched cube of all stages and one batched synthesis of the residual.
 """
 
@@ -22,9 +23,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import accel
-from .core import FieldState
-from .dynamics import linear_symbol, nonlinear_hat
+from .core import (
+    DiagnosticsRow,
+    FieldState,
+    half_domain_masks,
+    initial_state,
+    is_odd,
+    make_grid,
+    odd_part,
+    probe_indices,
+)
+from .dynamics import energy, energy_drift, fixed_points, linear_symbol, momentum, nonlinear_hat
 from .errors import InvalidParams, NonFinite, StageSolveDiverged, UnsupportedStageCount
+from .geometry import TracerTrack, _turns
 from .spectral import dft_forward, dft_inverse
 
 # Consecutive non-decreasing sweep residuals before declaring divergence.
@@ -99,8 +110,9 @@ class StageSolver:
         m[:, 1::2, 0::2] -= da * self.lam[:, None, None]
         self.minv = np.linalg.inv(m)
 
-    def solve(self, uhat, vhat, t):
-        """Return (stage_u, stage_v, nl, StepReport); the first three are (s, N/2+1) blocks."""
+    def solve(self, c, t):
+        """(stage_u, stage_v, nl, StepReport) from the block c = (uhat, vhat); stages are (s, N/2+1) blocks."""
+        uhat, vhat = c
         s = self.tableau.stages
         a = self.tableau.a
         tol = self.params.stage_tol
@@ -134,21 +146,19 @@ class StageSolver:
             t=t,
         )
 
-    def step(self, uhat, vhat, t):
-        """Half-spectra (uhat, vhat) one step of dt after t, and the StepReport."""
-        stage_u, stage_v, nl, report = self.solve(uhat, vhat, t)
+    def step(self, c, t):
+        """The (2, N/2+1) block c = (uhat, vhat) one step of dt after t, and the StepReport."""
+        stage_u, stage_v, nl, report = self.solve(c, t)
         b = self.tableau.b
-        new_uhat = uhat + self.dt * (b @ stage_v)
-        new_vhat = vhat + self.dt * (b @ (self.lam * stage_u + nl))
-        return new_uhat, new_vhat, report
+        return c + self.dt * np.stack([b @ stage_v, b @ (self.lam * stage_u + nl)]), report
 
 
 def irk_step(state, params, grid, solver=None):
     """Advance one step of size params.dt; returns (state, report)."""
     if solver is None:
         solver = StageSolver(params, grid)
-    uhat, vhat, report = solver.step(dft_forward(state.u), dft_forward(state.v), state.t)
-    u, v = dft_inverse(np.stack([uhat, vhat]))
+    c, report = solver.step(np.stack([dft_forward(state.u), dft_forward(state.v)]), state.t)
+    u, v = dft_inverse(c)
     return FieldState(t=state.t + solver.dt, u=u, v=v), report
 
 
@@ -171,18 +181,6 @@ def integrate(params, grid=None, state=None):
     every step. Solver failures and non-finite states propagate with a ``t``
     attribute attached.
     """
-    from .core import (
-        DiagnosticsRow,
-        half_domain_masks,
-        initial_state,
-        is_odd,
-        make_grid,
-        odd_part,
-        probe_indices,
-    )
-    from .dynamics import energy, energy_drift, fixed_points, momentum
-    from .geometry import TracerTrack, _turns
-
     if grid is None:
         grid = make_grid(params.grid_points, params.domain_length)
     if state is None:
@@ -193,7 +191,8 @@ def integrate(params, grid=None, state=None):
     # The exact flow and the scheme both commute with x -> L - x, so an odd
     # start stays odd; projecting each step keeps FFT roundoff from seeding
     # the even perturbations that the confined state amplifies.
-    keep_odd = is_odd(state.u) and is_odd(state.v)
+    w = np.stack([state.u, state.v])
+    keep_odd = is_odd(w)
     mask_left, mask_right = half_domain_masks(grid)
     idx = probe_indices(params, grid)
     try:
@@ -206,48 +205,47 @@ def integrate(params, grid=None, state=None):
             return (0.0, 0.0)
         return fps.minus if u0 < 0 else fps.plus
 
-    trk_t = np.empty(steps + 1)
-    trk_u = np.empty((len(idx), steps + 1))
-    trk_v = np.empty((len(idx), steps + 1))
-
-    def record_tracers(step_no, st):
-        trk_t[step_no] = st.t
-        trk_u[:, step_no] = st.u[idx]
-        trk_v[:, step_no] = st.v[idx]
-
-    record_tracers(0, state)
+    # tracer samples of (u, v) at every step: trk[0] is u, trk[1] is v
+    trk_t = np.arange(steps + 1) * params.dt
+    trk_t[0] = state.t
+    trk = np.empty((2, len(idx), steps + 1))
+    trk[:, :, 0] = w[:, idx]
     snapshots = [state]
     max_residual = 0.0
     total_sweeps = 0
-    uhat, vhat = dft_forward(state.u), dft_forward(state.v)
+    t = state.t
+    c = np.stack([dft_forward(state.u), dft_forward(state.v)])
     for i in range(1, steps + 1):
         t_next = i * params.dt
         try:
-            uhat, vhat, report = solver.step(uhat, vhat, state.t)
+            c, report = solver.step(c, t)
             if keep_odd:  # odd fields have purely imaginary coefficients
-                uhat, vhat = 1j * uhat.imag, 1j * vhat.imag
-            u, v = dft_inverse(np.stack([uhat, vhat]))
+                c = 1j * c.imag
+            w = dft_inverse(c)
             if keep_odd:  # irfft of those is odd only to roundoff
-                u, v = odd_part(u), odd_part(v)
-            state = FieldState(t=t_next, u=u, v=v)
+                w = odd_part(w)
+            if not np.all(np.isfinite(w)):
+                raise NonFinite(f"non-finite field entries at t={t_next}")
         except (StageSolveDiverged, NonFinite) as exc:
             if getattr(exc, "t", None) is None:
                 exc.t = t_next
             raise
+        t = t_next
         max_residual = max(max_residual, report.residual)
         total_sweeps += report.iterations
-        record_tracers(i, state)
+        trk[:, :, i] = w[:, idx]
         if i % sps == 0:
-            snapshots.append(state)
+            snapshots.append(FieldState(t=t, u=w[0], v=w[1]))
+    state = snapshots[-1] if steps % sps == 0 else FieldState(t=t, u=w[0], v=w[1])
 
     # turns of the first probe about the origin and of each of the first two
     # probes about the vacuum on its starting side, at every snapshot
     rot_origin = rot_left = rot_right = np.zeros(len(snapshots))
     if idx:
-        rot_origin = _turns(trk_u[0], trk_v[0], (0.0, 0.0))[::sps]
-        rot_left = _turns(trk_u[0], trk_v[0], nearest_fp(trk_u[0, 0]))[::sps]
+        rot_origin = _turns(trk[0, 0], trk[1, 0], (0.0, 0.0))[::sps]
+        rot_left = _turns(trk[0, 0], trk[1, 0], nearest_fp(trk[0, 0, 0]))[::sps]
     if len(idx) > 1:
-        rot_right = _turns(trk_u[1], trk_v[1], nearest_fp(trk_u[1, 0]))[::sps]
+        rot_right = _turns(trk[0, 1], trk[1, 1], nearest_fp(trk[0, 1, 0]))[::sps]
     e0 = energy(snapshots[0], params, grid)
     diagnostics = []
     for k, st in enumerate(snapshots):
@@ -269,12 +267,7 @@ def integrate(params, grid=None, state=None):
         )
     max_drift = max(abs(row.energy_drift) for row in diagnostics)
     tracks = [
-        TracerTrack(
-            probe_x=params.probes[p],
-            t=trk_t.copy(),
-            u=trk_u[p].copy(),
-            v=trk_v[p].copy(),
-        )
+        TracerTrack(probe_x=params.probes[p], t=trk_t, u=trk[0, p], v=trk[1, p])
         for p in range(len(idx))
     ]
     summary = RunSummary(

@@ -84,6 +84,15 @@ def test_simulate_repeated_probe_exits_2(tmp_path):
     assert not (out / "tracers.csv").exists()
 
 
+def test_simulate_infinite_t_end_exits_2(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("t_end = inf\n", encoding="utf-8")
+    res = run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "run"))
+    assert res.returncode == 2
+    assert "t_end must be finite" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_simulate_missing_config_exits_3(tmp_path):
     res = run_cli("simulate", "--config", str(tmp_path / "absent.cfg"), "--out", str(tmp_path / "x"))
     assert res.returncode == 3
@@ -175,12 +184,21 @@ def test_classify_and_plot_reject_a_manifest_without_params(finished_run):
         assert "Traceback" not in res.stderr
 
 
-def test_classify_and_plot_reject_an_unknown_params_key(finished_run):
-    edit_manifest(finished_run, lambda m: m["params"].update(bogus=1))
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        ({"bogus": 1}, "unknown parameter keys: ['bogus']"),
+        ({"snapshot_every": "16"}, "has unusable params"),
+        ({"domain_length": 0}, "domain_length must be > 0"),
+    ],
+    ids=["unknown_key", "string_snapshot_every", "zero_domain_length"],
+)
+def test_classify_and_plot_reject_unusable_params(finished_run, edit, message):
+    edit_manifest(finished_run, lambda m: m["params"].update(edit))
     for command in ("classify", "plot"):
         res = run_cli(command, "--out", finished_run)
         assert res.returncode == 2, command
-        assert "unknown parameter keys: ['bogus']" in res.stderr
+        assert message in res.stderr
         assert "Traceback" not in res.stderr
 
 

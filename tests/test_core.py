@@ -109,6 +109,20 @@ def test_odd_part_is_exact():
     assert np.allclose(w + 0.5 * (u + reflect(u)), u, rtol=0.0, atol=1e-15)
 
 
+def test_block_projection_matches_rows():
+    # integrate projects the (2, N) block of (u, v) samples in one call
+    rng = np.random.default_rng(6)
+    block = rng.standard_normal((2, 64))
+    odd = odd_part(block)
+    for k in range(2):
+        assert np.array_equal(reflect(block)[k], reflect(block[k]))
+        assert np.array_equal(odd[k], odd_part(block[k]))
+    mixed = np.stack([odd[0], block[1]])
+    for b in (block, odd, mixed):
+        assert is_odd(b) == all(is_odd(row) for row in b)
+    assert is_odd(odd) and not is_odd(mixed)
+
+
 @pytest.mark.parametrize("length", [4.0, 7.0, 12.0])
 def test_initial_state_rejects_non_multiple_domain(length):
     n = 128
@@ -146,6 +160,13 @@ def test_validate_params_defaults_clean():
         ("probes", (-0.5,), "probe"),
         ("probes", (8.0,), "probe"),
         ("probes", (2.0, 6.0, 2.0), "distinct"),
+        ("t_end", math.inf, "t_end must be finite"),
+        ("t_end", math.nan, "t_end must be finite"),
+        ("snapshot_every", math.inf, "snapshot_every must be finite"),
+        ("snapshot_every", math.nan, "snapshot_every must be finite"),
+        ("dt", math.inf, "dt must be finite"),
+        ("amplitude", -math.inf, "amplitude must be finite"),
+        ("stage_tol", math.nan, "stage_tol must be finite"),
     ],
 )
 def test_validate_params_flags_each_violation(field, value, word):

@@ -177,7 +177,7 @@ def test_stage_solver_returns_stage_blocks(stages):
     g = make_grid(p.grid_points, p.domain_length)
     s0 = initial_state(p, g)
     stage_u, stage_v, nl, report = StageSolver(p, g).solve(
-        dft_forward(s0.u), dft_forward(s0.v), 0.0
+        np.stack([dft_forward(s0.u), dft_forward(s0.v)]), 0.0
     )
     for block in (stage_u, stage_v, nl):
         assert block.shape == (stages, g.n // 2 + 1)
