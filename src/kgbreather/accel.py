@@ -3,10 +3,10 @@
 __all__ = ["stage_matvec"]
 
 
-def stage_matvec(minv, rhs):
-    """minv: (n, d, d) real, rhs: (n, d) complex -> (n, d) complex."""
+def stage_matvec(mat, x):
+    """mat[m] @ x[:, m] for each mode m; mat: (n, s, s) real, x: (s, n) complex -> (s, n) complex."""
     # Fixed left-to-right accumulation over j.
-    acc = minv[:, :, 0] * rhs[:, 0, None]
-    for j in range(1, rhs.shape[1]):
-        acc = acc + minv[:, :, j] * rhs[:, j, None]
+    acc = mat[:, :, 0].T * x[0]
+    for j in range(1, x.shape[0]):
+        acc = acc + mat[:, :, j].T * x[j]
     return acc

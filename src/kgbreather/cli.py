@@ -174,15 +174,16 @@ def _parse_amplitudes(raw):
 
 def cmd_sweep(args):
     base = _load_params(args)
-    amplitudes = _parse_amplitudes(args.amplitudes)
+    members = [dataclasses.replace(base, amplitude=a) for a in _parse_amplitudes(args.amplitudes)]
+    # every member is checked before the first one runs or writes anything
+    violations = [v for params in members for v in validate_params(params)]
+    if violations:
+        raise InvalidParams(violations)
     os.makedirs(args.out, exist_ok=True)
     entries = []
     succeeded = 0
-    for amp in amplitudes:
-        params = dataclasses.replace(base, amplitude=amp)
-        violations = validate_params(params)
-        if violations:
-            raise InvalidParams(violations)
+    for params in members:
+        amp = params.amplitude
         sub_dir = os.path.join(args.out, f"A_{fmt(amp)}")
         entry = {
             "A": amp,

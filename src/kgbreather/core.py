@@ -1,6 +1,7 @@
 """Configuration, grid construction, and the state/record types shared by all modules."""
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -46,15 +47,26 @@ class SimParams:
 def _is_integer_multiple(value, unit):
     """value / unit is an integer to relative tolerance; unit must be positive."""
     ratio = value / unit
-    return abs(ratio - round(ratio)) <= _REL_TOL * max(1.0, abs(ratio))
+    return math.isfinite(ratio) and abs(ratio - round(ratio)) <= _REL_TOL * max(1.0, abs(ratio))
+
+
+def _is_number(value, kind=numbers.Real):
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def validate_params(params):
     """Return the list of invariant violations; empty means valid. Never raises."""
     v = []
     for f in fields(SimParams):
-        if f.type is float and not math.isfinite(getattr(params, f.name)):
-            v.append(f"{f.name} must be finite, got {getattr(params, f.name)}")
+        value = getattr(params, f.name)
+        if f.type is float and not _is_number(value):
+            v.append(f"{f.name} must be a number, got {value!r}")
+        elif f.type is int and not _is_number(value, numbers.Integral):
+            v.append(f"{f.name} must be an integer, got {value!r}")
+        elif f.type is float and not math.isfinite(value):
+            v.append(f"{f.name} must be finite, got {value}")
+    if not isinstance(params.probes, tuple) or not all(map(_is_number, params.probes)):
+        v.append(f"probes must be a tuple of numbers, got {params.probes!r}")
     if v:  # the checks below do arithmetic with these values
         return v
     if not params.alpha > 0:

@@ -68,11 +68,11 @@ def _cube_hat_pad2x(c):
     """
     h = c.shape[-1] - 1
     m = 4 * h
-    cpad = np.zeros(c.shape[:-1] + (2 * h + 1,), dtype=np.complex128)
-    cpad[..., :h] = c[..., :h]
-    cpad[..., h] = 0.5 * c[..., h]
-    w = np.fft.rfft(_cube_samples(np.fft.irfft(cpad) * m)) / m
-    out = w[..., : h + 1].copy()
+    c = c.copy()
+    c[..., h] *= 0.5
+    # irfft to m points zero-pads the half-spectrum to 2h + 1 coefficients
+    w = np.fft.rfft(_cube_samples(np.fft.irfft(c, m) * m)) / m
+    out = w[..., : h + 1]
     out[..., h] = 2.0 * w[..., h].real
     return out
 

@@ -1,20 +1,23 @@
 """Gauss-Legendre implicit Runge-Kutta stepping in Fourier space.
 
-Per mode of the half-spectrum (spectral.py) the linear part of the
-first-order system is L_m = [[0, 1], [lambda_m, 0]] with lambda_m =
-mu - sigma*alpha*k_m^2 (dynamics.linear_symbol), so the stage equations split
-into N/2 + 1 independent 2s x 2s real linear solves coupled only through the
-cubic term (dynamics.nonlinear_hat). Each step runs linearly implicit sweeps:
-the cubic is lagged, the linear stage system is solved exactly with a cached
-batched inverse, and the sweep repeats until the true stage residual (which
-equals -dt*(A ox I)*(N_new - N_old) and is measured in the physical max norm)
-falls below stage_tol.
+Per mode of the half-spectrum (spectral.py) the field equation reads
+u'' = lambda_m u + N_m with lambda_m = mu - sigma*alpha*k_m^2
+(dynamics.linear_symbol) and N the cubic term (dynamics.nonlinear_hat).
+Putting the v stages V = v 1 + dt A (lambda_m U + N) into U = u 1 + dt A V
+leaves, per mode, the real s x s system (I - dt^2 lambda_m A^2) U =
+u 1 + dt v c + dt^2 A^2 N in the u stages alone, coupled across modes only
+through N. Each step runs linearly implicit sweeps: the cubic is lagged, the
+stage system is solved exactly with the cached K = (I - dt^2 lambda_m A^2)^-1
+and G = dt^2 K A^2, and the sweep repeats until the true stage residual
+(which equals -dt*A*(N_new - N_old) and is measured in the physical max norm)
+falls below stage_tol. One stage force F = lambda_m U + N, from the last
+sweep's cube, serves both updates: u + dt v + dt^2 (bA) F and v + dt b F.
 
 The state carried from step to step is one (2, N/2 + 1) coefficient block
 c = (uhat, vhat), and integrate builds a FieldState from its (2, N) sample
-block w = (u, v) only for snapshots and the final state. The stages of u, of
-v and of the cubic are each held as one (s, N/2 + 1) block, so a sweep makes
-one batched cube of all stages and one batched synthesis of the residual.
+block w = (u, v) only for snapshots and the final state. The stages of u and
+of the cubic are each held as one (s, N/2 + 1) block, so a sweep makes one
+batched cube of all stages and one batched synthesis of the residual.
 """
 
 import math
@@ -90,48 +93,38 @@ class StepReport:
 
 
 class StageSolver:
-    """Caches the batched inverse of the per-mode linear stage matrices.
-
-    Valid for one (params, grid) combination; integrate builds one and reuses
-    it for every step.
-    """
+    """Per-mode reduced stage matrices for one (params, grid); integrate reuses one for every step."""
 
     def __init__(self, params, grid):
         self.params = params
         self.dt = params.dt
         self.tableau = gauss_tableau(params.irk_stages)
         self.lam = linear_symbol(params, grid)
-        s = self.tableau.stages
-        # per mode, rows and columns interleave (u_i, v_i): I - dt*(A ox L_m)
-        da = self.dt * self.tableau.a
-        m = np.zeros((self.lam.size, 2 * s, 2 * s))
-        m[:, np.arange(2 * s), np.arange(2 * s)] = 1.0
-        m[:, 0::2, 1::2] -= da
-        m[:, 1::2, 0::2] -= da * self.lam[:, None, None]
-        self.minv = np.linalg.inv(m)
+        a = self.tableau.a
+        a2 = self.dt**2 * (a @ a)
+        self.k = np.linalg.inv(np.eye(self.tableau.stages) - self.lam[:, None, None] * a2)
+        self.g = self.k @ a2
 
     def solve(self, c, t):
-        """(stage_u, stage_v, nl, StepReport) from the block c = (uhat, vhat); stages are (s, N/2+1) blocks."""
+        """(stage_u, nl, StepReport) from the block c = (uhat, vhat); stages are (s, N/2+1) blocks."""
         uhat, vhat = c
         s = self.tableau.stages
         a = self.tableau.a
         tol = self.params.stage_tol
-        rhs = np.empty((uhat.size, 2 * s), dtype=np.complex128)
-        rhs[:, 0::2] = uhat[:, None]
+        # K (u 1 + dt v c), the part of every sweep that the cube does not change
+        base = accel.stage_matvec(self.k, uhat + self.dt * self.tableau.c[:, None] * vhat)
         # every stage starts from uhat, so its cube serves all of them
         nl_old = np.broadcast_to(nonlinear_hat(uhat, self.params), (s, uhat.size))
         prev_res = math.inf
         stall = 0
         for it in range(1, self.params.stage_max_iter + 1):
-            rhs[:, 1::2] = (vhat + self.dt * (a @ nl_old)).T
-            g = accel.stage_matvec(self.minv, rhs)
-            stage_u, stage_v = g[:, 0::2].T, g[:, 1::2].T
+            stage_u = base + accel.stage_matvec(self.g, nl_old)
             nl_new = nonlinear_hat(stage_u, self.params)
             # physical max norm of the only nonzero residual component
             res = float(np.max(np.abs(dft_inverse(self.dt * (a @ (nl_new - nl_old))))))
             nl_old = nl_new
             if res <= tol:
-                return stage_u, stage_v, nl_new, StepReport(it, res, True)
+                return stage_u, nl_new, StepReport(it, res, True)
             if res >= prev_res:
                 stall += 1
                 if stall >= _STALL_LIMIT:
@@ -148,9 +141,11 @@ class StageSolver:
 
     def step(self, c, t):
         """The (2, N/2+1) block c = (uhat, vhat) one step of dt after t, and the StepReport."""
-        stage_u, stage_v, nl, report = self.solve(c, t)
-        b = self.tableau.b
-        return c + self.dt * np.stack([b @ stage_v, b @ (self.lam * stage_u + nl)]), report
+        stage_u, nl, report = self.solve(c, t)
+        f = self.lam * stage_u + nl  # one stage force serves both updates
+        (uhat, vhat), b, dt = c, self.tableau.b, self.dt
+        u_next = uhat + dt * vhat + dt**2 * ((b @ self.tableau.a) @ f)
+        return np.stack([u_next, vhat + dt * (b @ f)]), report
 
 
 def irk_step(state, params, grid, solver=None):

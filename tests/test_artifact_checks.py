@@ -37,6 +37,16 @@ def test_simulate_passes_every_check(tmp_path, capsys):
     assert expected is not None
 
 
+def test_three_stage_simulate_passes_every_check(tmp_path, capsys):
+    # every benchmark workload uses two stages; this covers the s = 3 scheme
+    out = tmp_path / "run"
+    cfg = config(tmp_path, "irk_stages = 3\nt_end = 64\n")
+    run_cli(capsys, "simulate", "--config", cfg, "--out", out)
+    run, drift, _ = checks.check_run(str(out))
+    assert run.steps == 512
+    assert drift <= checks.DRIFT_LIMIT
+
+
 def test_sweep_members_pass_every_check(tmp_path, capsys):
     out = tmp_path / "sweep"
     cfg = config(tmp_path, "t_end = 64\n")

@@ -188,7 +188,7 @@ def test_classify_and_plot_reject_a_manifest_without_params(finished_run):
     "edit,message",
     [
         ({"bogus": 1}, "unknown parameter keys: ['bogus']"),
-        ({"snapshot_every": "16"}, "has unusable params"),
+        ({"snapshot_every": "16"}, "has unusable params: snapshot_every must be a number"),
         ({"domain_length": 0}, "domain_length must be > 0"),
     ],
     ids=["unknown_key", "string_snapshot_every", "zero_domain_length"],
@@ -286,6 +286,15 @@ def test_sweep_rejects_non_increasing_amplitudes(tmp_path, cfg64):
     assert "strictly increasing" in res.stderr
     res = run_cli("sweep", "--config", cfg64, "--out", str(tmp_path / "s"), "--amplitudes", " , ")
     assert res.returncode == 1
+
+
+def test_sweep_rejects_an_invalid_member_before_running_any(tmp_path, cfg64):
+    out = tmp_path / "sweep"
+    res = run_cli("sweep", "--config", cfg64, "--out", str(out), "--amplitudes", "0.01,nan")
+    assert res.returncode == 2
+    assert "amplitude must be finite, got nan" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not out.exists()
 
 
 def test_sweep_all_failures_exits_2_with_placeholder_rows(tmp_path):

@@ -167,6 +167,14 @@ def test_validate_params_defaults_clean():
         ("dt", math.inf, "dt must be finite"),
         ("amplitude", -math.inf, "amplitude must be finite"),
         ("stage_tol", math.nan, "stage_tol must be finite"),
+        ("snapshot_every", "16", "snapshot_every must be a number, got '16'"),
+        ("alpha", True, "alpha must be a number, got True"),
+        ("grid_points", "128", "grid_points must be an integer, got '128'"),
+        ("grid_points", 128.0, "grid_points must be an integer, got 128.0"),
+        ("irk_stages", True, "irk_stages must be an integer, got True"),
+        ("stage_max_iter", None, "stage_max_iter must be an integer, got None"),
+        ("probes", 5, "probes must be a tuple of numbers"),
+        ("probes", ("2",), "probes must be a tuple of numbers"),
     ],
 )
 def test_validate_params_flags_each_violation(field, value, word):
@@ -174,6 +182,11 @@ def test_validate_params_flags_each_violation(field, value, word):
     violations = validate_params(p)
     assert violations, f"expected a violation for {field}={value}"
     assert any(word in v for v in violations)
+
+
+def test_validate_params_reports_a_step_count_beyond_float_range():
+    p = dataclasses.replace(SimParams(), dt=1e-10, t_end=1e300, snapshot_every=1e300)
+    assert any("t_end = 1e+300 is not an integer multiple" in v for v in validate_params(p))
 
 
 def test_validate_params_probe_on_node_is_fine():

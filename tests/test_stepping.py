@@ -12,6 +12,7 @@ from kgbreather import (
     StageSolveDiverged,
     UnsupportedStageCount,
     dft_forward,
+    dft_inverse,
     gauss_tableau,
     initial_state,
     integrate,
@@ -176,12 +177,29 @@ def test_stage_solver_returns_stage_blocks(stages):
     p = SimParams(irk_stages=stages)
     g = make_grid(p.grid_points, p.domain_length)
     s0 = initial_state(p, g)
-    stage_u, stage_v, nl, report = StageSolver(p, g).solve(
+    stage_u, nl, report = StageSolver(p, g).solve(
         np.stack([dft_forward(s0.u), dft_forward(s0.v)]), 0.0
     )
-    for block in (stage_u, stage_v, nl):
+    for block in (stage_u, nl):
         assert block.shape == (stages, g.n // 2 + 1)
     assert report.converged
+
+
+@pytest.mark.parametrize("stages", [1, 2, 3])
+def test_reduced_stage_system_solves_the_first_order_stages(stages):
+    # with V = v 1 + dt A (lam U + N), the Gauss stage equation U = u 1 + dt A V
+    # holds up to dt A applied to the last sweep's residual (<= stage_tol)
+    p = SimParams(irk_stages=stages, amplitude=0.12)
+    g = make_grid(p.grid_points, p.domain_length)
+    s0 = initial_state(p, g)
+    c = np.stack([dft_forward(s0.u), dft_forward(0.01 * np.sin(np.pi * g.nodes / 4.0))])
+    solver = StageSolver(p, g)
+    stage_u, nl, report = solver.solve(c, 0.0)
+    a = solver.tableau.a
+    stage_v = c[1] + p.dt * (a @ (solver.lam * stage_u + nl))
+    defect = dft_inverse(stage_u - c[0] - p.dt * (a @ stage_v))
+    assert report.converged
+    assert np.max(np.abs(defect)) <= p.dt * p.stage_tol
 
 
 def test_stage_solver_reports_divergence_with_time():
@@ -283,6 +301,13 @@ def test_sweep_counters_accumulate():
     summary, _, _, _ = integrate(p)
     assert summary.total_sweeps >= summary.steps
     assert 0.0 < summary.max_residual <= p.stage_tol
+
+
+def test_three_stage_run_conserves_energy_to_roundoff():
+    # both updates use the same stage force lam U + N(U), so the s = 3
+    # scheme's energy error stays at roundoff over 512 steps
+    summary, _, _, _ = integrate(SimParams(irk_stages=3, t_end=64.0))
+    assert summary.max_abs_drift <= 1e-12
 
 
 def test_default_run_stays_exactly_odd():
