@@ -20,7 +20,6 @@ from .errors import (
     CenterOnLoop,
     CenterOnTrack,
     ConfigParseError,
-    ConfigValidationError,
     DegenerateLoop,
     IncompatibleDomain,
     InsufficientData,

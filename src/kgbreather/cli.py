@@ -84,13 +84,7 @@ def build_parser():
 
 
 def _load_params(args):
-    if args.config:
-        return parse_config(args.config)
-    params = SimParams()
-    violations = validate_params(params)
-    if violations:  # unreachable with stock defaults; guards future edits
-        raise InvalidParams(violations)
-    return params
+    return parse_config(args.config) if args.config else SimParams()
 
 
 def _grid_entry(grid):

@@ -3,13 +3,13 @@
 Keys match the parameter names; values are plain numbers except probes, which
 is a comma separated list of grid locations (may be empty). Parsing errors
 carry the 1-based line number; a syntactically valid file whose values break a
-model invariant raises the validation error with every violation listed.
+model invariant raises InvalidParams with every violation listed.
 """
 
 from dataclasses import fields
 
 from .core import SimParams, validate_params
-from .errors import ConfigParseError, ConfigValidationError
+from .errors import ConfigParseError, InvalidParams
 
 # each key's kind is its SimParams annotation: float, int, str, or tuple (probes)
 _KINDS = {f.name: f.type for f in fields(SimParams)}
@@ -55,7 +55,7 @@ def parse_config_text(text):
     params = SimParams(**assigned)
     violations = validate_params(params)
     if violations:
-        raise ConfigValidationError(violations)
+        raise InvalidParams(violations)
     return params
 
 

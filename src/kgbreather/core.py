@@ -17,6 +17,10 @@ DRIFT_GUARD = 1e-30
 
 _REL_TOL = 1e-12
 
+# Largest grid whose node indices are exact as floats; the probe check does
+# float arithmetic with N, which for a far larger integer would overflow.
+_MAX_GRID_POINTS = 2**53
+
 
 @dataclass(frozen=True)
 class SimParams:
@@ -82,8 +86,8 @@ def validate_params(params):
     if params.t_end < 0:
         v.append(f"t_end must be >= 0, got {params.t_end}")
     n = params.grid_points
-    if n % 2 != 0 or n < 8:
-        v.append(f"grid_points must be even and >= 8, got {n}")
+    if n % 2 != 0 or not 8 <= n <= _MAX_GRID_POINTS:
+        v.append(f"grid_points must be even and in [8, 2**53], got {n}")
     if params.snapshot_every <= 0:
         v.append(f"snapshot_every must be positive, got {params.snapshot_every}")
     elif params.dt > 0 and not _is_integer_multiple(params.snapshot_every, params.dt):
@@ -111,7 +115,7 @@ def validate_params(params):
         if not (0 <= x < length):
             v.append(f"probe {x} outside [0, {length})")
             continue
-        if length > 0 and n > 0:
+        if length > 0 and 0 < n <= _MAX_GRID_POINTS:
             r = x * n / length
             if abs(r - round(r)) > _REL_TOL * max(1.0, abs(r)):
                 v.append(f"probe {x} not on a grid node (x*N/L = {r})")

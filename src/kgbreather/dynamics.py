@@ -6,7 +6,8 @@ part acts on mode m as lambda_m = mu - sigma*alpha*k_m^2 (linear_symbol) and
 the cubic is dealiased (nonlinear_hat); the stage solver integrates exactly
 these two terms and rhs assembles them. sigma = +1 ("standard_wave") keeps
 the usual wave operator; the equation as written with a +alpha*u_xx term
-moved to the other side flips it.
+moved to the other side flips it. energy and momentum act along the last
+axis, so one call gives the value of every row of a stacked (S, N) block.
 """
 
 import math
@@ -39,27 +40,26 @@ def rhs(state_u, state_v, params, grid):
     return du, dv
 
 
-def energy(state, params, grid):
-    """Discrete energy dx * sum(v^2/2 + sigma*alpha*(Du)^2/2 - mu*u^2/2 + beta*u^4/4)."""
-    du = first_derivative(state.u, grid)
+def energy(u, v, params, grid):
+    """Discrete energy dx * sum(v^2/2 + sigma*alpha*(Du)^2/2 - mu*u^2/2 + beta*u^4/4) of each row."""
+    du = first_derivative(u, grid)
     dens = (
-        0.5 * state.v ** 2
+        0.5 * v ** 2
         + 0.5 * params.sigma * params.alpha * du ** 2
-        - 0.5 * params.mu * state.u ** 2
-        + 0.25 * params.beta * state.u ** 4
+        - 0.5 * params.mu * u ** 2
+        + 0.25 * params.beta * u ** 4
     )
-    val = grid.dx * float(np.sum(dens))
-    if not math.isfinite(val):
-        raise NonFinite(f"energy non-finite at t={state.t}")
+    val = grid.dx * np.sum(dens, axis=-1)
+    if not np.all(np.isfinite(val)):
+        raise NonFinite("energy non-finite")
     return val
 
 
-def momentum(state, params, grid):
-    """Discrete field momentum dx * sum(v * Du); quadratic, so Gauss steps preserve it."""
-    du = first_derivative(state.u, grid)
-    val = grid.dx * float(np.sum(state.v * du))
-    if not math.isfinite(val):
-        raise NonFinite(f"momentum non-finite at t={state.t}")
+def momentum(u, v, params, grid):
+    """Discrete field momentum dx * sum(v * Du) of each row; quadratic, so Gauss steps preserve it."""
+    val = grid.dx * np.sum(v * first_derivative(u, grid), axis=-1)
+    if not np.all(np.isfinite(val)):
+        raise NonFinite("momentum non-finite")
     return val
 
 

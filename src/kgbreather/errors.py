@@ -73,13 +73,5 @@ class ConfigParseError(KgError):
         super().__init__(message)
 
 
-class ConfigValidationError(KgError):
-    """Parsed config failed parameter validation."""
-
-    def __init__(self, violations):
-        self.violations = list(violations)
-        super().__init__("; ".join(self.violations))
-
-
 class MissingSnapshot(KgError):
     """Requested plot time is not present in the run output."""

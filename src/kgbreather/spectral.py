@@ -5,10 +5,10 @@ its half-spectrum c = rfft(u)/N, the N/2 + 1 coefficients of the modes
 exp(i k_m x) with k_m = 2*pi*m/L, m = 0..N/2. The m = 0 and Nyquist
 coefficients are real, and the negative modes c[-m] = conj(c[m]) are implied,
 so u = N * irfft(c) and every coefficient array stands for a real field.
-dft_inverse and cube_hat act along the last axis, so one call serves a stack
-of half-spectra, such as the (s, N/2 + 1) stage block of the stepper;
-dft_forward takes one sample vector. This module is the only one that calls
-a transform.
+Every function here acts along the last axis, so one call serves a stack of
+fields, such as the (s, N/2 + 1) stage block of the stepper or the (S, N)
+snapshot samples of a run. This module is the only one that calls a
+transform.
 """
 
 import numpy as np
@@ -17,13 +17,13 @@ from .errors import LengthMismatch, NonFinite
 
 
 def dft_forward(u):
-    """Half-spectrum rfft(u)/N of a real sample vector."""
+    """Half-spectra rfft(u)/N of the real N-point sample vectors along u's last axis."""
     u = np.asarray(u, dtype=np.float64)
-    if u.ndim != 1 or u.size == 0:
-        raise LengthMismatch(f"expected a nonempty 1-d array, got shape {u.shape}")
+    if u.ndim < 1 or u.shape[-1] == 0:
+        raise LengthMismatch(f"expected samples along a nonempty last axis, got shape {u.shape}")
     if not np.all(np.isfinite(u)):
         raise NonFinite("samples have non-finite entries")
-    return np.fft.rfft(u) / u.size
+    return np.fft.rfft(u) / u.shape[-1]
 
 
 def dft_inverse(c):

@@ -17,7 +17,9 @@ The state carried from step to step is one (2, N/2 + 1) coefficient block
 c = (uhat, vhat), and integrate builds a FieldState from its (2, N) sample
 block w = (u, v) only for snapshots and the final state. The stages of u and
 of the cubic are each held as one (s, N/2 + 1) block, so a sweep makes one
-batched cube of all stages and one batched synthesis of the residual.
+batched cube of all stages and one batched synthesis of the residual. After
+the last step the snapshot samples are stacked into (S, N) blocks of u and v,
+so each diagnostics column comes from one call over all S snapshots.
 """
 
 import math
@@ -152,7 +154,7 @@ def irk_step(state, params, grid, solver=None):
     """Advance one step of size params.dt; returns (state, report)."""
     if solver is None:
         solver = StageSolver(params, grid)
-    c, report = solver.step(np.stack([dft_forward(state.u), dft_forward(state.v)]), state.t)
+    c, report = solver.step(dft_forward(np.stack([state.u, state.v])), state.t)
     u, v = dft_inverse(c)
     return FieldState(t=state.t + solver.dt, u=u, v=v), report
 
@@ -167,14 +169,15 @@ class RunSummary:
 
 
 def integrate(params, grid=None, state=None):
-    """March from the given (or default) state to t_end with fixed steps.
+    """March from the given (or default) state with round(t_end/dt) fixed steps of dt.
 
+    The run starts at the state's t and ends at t + round(t_end/dt)*dt.
     Returns (RunSummary, snapshots, diagnostics, tracks): snapshots is a list
-    of FieldState at t = 0, snapshot_every, ...; diagnostics one DiagnosticsRow
-    per snapshot time; tracks one per-step TracerTrack per probe. A start
-    that is exactly odd (u(L - x) = -u(x), likewise v) stays exactly odd at
-    every step. Solver failures and non-finite states propagate with a ``t``
-    attribute attached.
+    of FieldState at the start and every snapshot_every after it; diagnostics
+    one DiagnosticsRow per snapshot; tracks one per-step TracerTrack per
+    probe. A start that is exactly odd (u(L - x) = -u(x), likewise v) stays
+    exactly odd at every step. Solver failures and non-finite states
+    propagate with a ``t`` attribute attached.
     """
     if grid is None:
         grid = make_grid(params.grid_points, params.domain_length)
@@ -200,38 +203,35 @@ def integrate(params, grid=None, state=None):
             return (0.0, 0.0)
         return fps.minus if u0 < 0 else fps.plus
 
-    # tracer samples of (u, v) at every step: trk[0] is u, trk[1] is v
-    trk_t = np.arange(steps + 1) * params.dt
-    trk_t[0] = state.t
+    # one time axis: tracers sample every step of it, snapshots every sps-th;
+    # trk[0] holds the tracer samples of u and trk[1] those of v
+    t_axis = state.t + np.arange(steps + 1) * params.dt
     trk = np.empty((2, len(idx), steps + 1))
     trk[:, :, 0] = w[:, idx]
     snapshots = [state]
     max_residual = 0.0
     total_sweeps = 0
-    t = state.t
-    c = np.stack([dft_forward(state.u), dft_forward(state.v)])
+    c = dft_forward(w)
     for i in range(1, steps + 1):
-        t_next = i * params.dt
         try:
-            c, report = solver.step(c, t)
+            c, report = solver.step(c, float(t_axis[i - 1]))
             if keep_odd:  # odd fields have purely imaginary coefficients
                 c = 1j * c.imag
             w = dft_inverse(c)
             if keep_odd:  # irfft of those is odd only to roundoff
                 w = odd_part(w)
             if not np.all(np.isfinite(w)):
-                raise NonFinite(f"non-finite field entries at t={t_next}")
+                raise NonFinite(f"non-finite field entries at t={t_axis[i]}")
         except (StageSolveDiverged, NonFinite) as exc:
             if getattr(exc, "t", None) is None:
-                exc.t = t_next
+                exc.t = float(t_axis[i])
             raise
-        t = t_next
         max_residual = max(max_residual, report.residual)
         total_sweeps += report.iterations
         trk[:, :, i] = w[:, idx]
         if i % sps == 0:
-            snapshots.append(FieldState(t=t, u=w[0], v=w[1]))
-    state = snapshots[-1] if steps % sps == 0 else FieldState(t=t, u=w[0], v=w[1])
+            snapshots.append(FieldState(t=float(t_axis[i]), u=w[0], v=w[1]))
+    state = snapshots[-1] if steps % sps == 0 else FieldState(t=float(t_axis[-1]), u=w[0], v=w[1])
 
     # turns of the first probe about the origin and of each of the first two
     # probes about the vacuum on its starting side, at every snapshot
@@ -241,34 +241,25 @@ def integrate(params, grid=None, state=None):
         rot_left = _turns(trk[0, 0], trk[1, 0], nearest_fp(trk[0, 0, 0]))[::sps]
     if len(idx) > 1:
         rot_right = _turns(trk[0, 1], trk[1, 1], nearest_fp(trk[0, 1, 0]))[::sps]
-    e0 = energy(snapshots[0], params, grid)
-    diagnostics = []
-    for k, st in enumerate(snapshots):
-        e = energy(st, params, grid)
-        diagnostics.append(
-            DiagnosticsRow(
-                t=st.t,
-                energy=e,
-                momentum=momentum(st, params, grid),
-                energy_drift=energy_drift(e, e0),
-                u_min_left=float(np.min(st.u[mask_left])),
-                u_max_left=float(np.max(st.u[mask_left])),
-                u_min_right=float(np.min(st.u[mask_right])),
-                u_max_right=float(np.max(st.u[mask_right])),
-                rot_origin=float(rot_origin[k]),
-                rot_left=float(rot_left[k]),
-                rot_right=float(rot_right[k]),
-            )
-        )
-    max_drift = max(abs(row.energy_drift) for row in diagnostics)
+    u = np.stack([st.u for st in snapshots])
+    v = np.stack([st.v for st in snapshots])
+    e = energy(u, v, params, grid)
+    drift = energy_drift(e, e[0])
+    table = np.column_stack(
+        [t_axis[::sps], e, momentum(u, v, params, grid), drift]
+        + [u[:, mask_left].min(axis=1), u[:, mask_left].max(axis=1)]
+        + [u[:, mask_right].min(axis=1), u[:, mask_right].max(axis=1)]
+        + [rot_origin, rot_left, rot_right]
+    )
+    diagnostics = [DiagnosticsRow(*row) for row in table.tolist()]
     tracks = [
-        TracerTrack(probe_x=params.probes[p], t=trk_t, u=trk[0, p], v=trk[1, p])
+        TracerTrack(probe_x=params.probes[p], t=t_axis, u=trk[0, p], v=trk[1, p])
         for p in range(len(idx))
     ]
     summary = RunSummary(
         final_state=state,
         steps=steps,
-        max_abs_drift=max_drift,
+        max_abs_drift=float(np.max(np.abs(drift))),
         max_residual=max_residual,
         total_sweeps=total_sweeps,
     )

@@ -11,6 +11,7 @@ Tests section gives the numbers.
 
 import math
 import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -257,19 +258,19 @@ def test_criterion_9_determinism_and_io(tmp_path):
     recovered = params_from_dict(read_manifest(os.path.join(dir_a, "manifest.json"))["params"])
     run_and_write(recovered, dir_b)
     byte_identical = all(
-        open(os.path.join(dir_a, name), "rb").read() == open(os.path.join(dir_b, name), "rb").read()
+        pathlib.Path(dir_a, name).read_bytes() == pathlib.Path(dir_b, name).read_bytes()
         for name in ("snapshots.csv", "diagnostics.csv", "tracers.csv")
     )
 
     # replotting must reproduce identical svg bytes
     assert cli_main(["plot", "--out", dir_a]) == 0
     svg_first = {
-        name: open(os.path.join(dir_a, name), "rb").read()
+        name: pathlib.Path(dir_a, name).read_bytes()
         for name in ("waveform.svg", "phase.svg")
     }
     assert cli_main(["plot", "--out", dir_a]) == 0
     svg_stable = all(
-        open(os.path.join(dir_a, name), "rb").read() == svg_first[name] for name in svg_first
+        pathlib.Path(dir_a, name).read_bytes() == svg_first[name] for name in svg_first
     )
 
     ok = lossless and byte_identical and svg_stable

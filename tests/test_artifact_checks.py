@@ -66,3 +66,18 @@ def test_record_run_passes_every_check(tmp_path, capsys):
     run, _, expected = checks.check_run(str(out))
     assert run.snap_t.size == 257
     checks.check_classify_output(run_cli(capsys, "classify", "--out", out), expected, str(out))
+
+
+def test_snapshot_cadence_that_does_not_divide_t_end(tmp_path, capsys):
+    # snapshot_every need not divide t_end: snapshots stop at the last
+    # multiple of it (64), while the tracers and the final state reach 72
+    out = tmp_path / "run"
+    cfg = config(tmp_path, "t_end = 72\nsnapshot_every = 16\n")
+    run_cli(capsys, "simulate", "--config", cfg, "--out", out)
+    run, _, expected = checks.check_run(str(out))
+    assert run.steps == 576
+    assert run.snap_t.tolist() == [0.0, 16.0, 32.0, 48.0, 64.0]
+    assert run.trk_u.shape == (2, 577)
+    printed = run_cli(capsys, "classify", "--out", out)
+    checks.check_classify_output(printed, expected, str(out))
+    assert "final_t=64.0" in printed

@@ -2,6 +2,7 @@
 
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -93,6 +94,15 @@ def test_simulate_infinite_t_end_exits_2(tmp_path):
     assert "Traceback" not in res.stderr
 
 
+def test_simulate_grid_points_beyond_float_range_exits_2(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"grid_points = {10**400}\n", encoding="utf-8")
+    res = run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "run"))
+    assert res.returncode == 2
+    assert "grid_points must be even and in [8, 2**53]" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_simulate_missing_config_exits_3(tmp_path):
     res = run_cli("simulate", "--config", str(tmp_path / "absent.cfg"), "--out", str(tmp_path / "x"))
     assert res.returncode == 3
@@ -124,7 +134,7 @@ def test_unknown_subcommand_exits_1():
 
 
 def test_classify_matches_manifest_label(finished_run):
-    manifest = json.loads(open(os.path.join(finished_run, "manifest.json")).read())
+    manifest = json.loads(pathlib.Path(finished_run, "manifest.json").read_text())
     res = run_cli("classify", "--out", finished_run)
     assert res.returncode == 0, res.stderr
     lines = res.stdout.strip().splitlines()
@@ -143,7 +153,7 @@ def test_classify_truncated_diagnostics_exits_2(finished_run):
 
 def test_classify_rejects_an_edited_rot_left_cell(finished_run):
     path = os.path.join(finished_run, "diagnostics.csv")
-    lines = open(path).read().splitlines(keepends=True)
+    lines = pathlib.Path(path).read_text().splitlines(keepends=True)
     cells = lines[-1].rstrip("\n").split(",")
     col = lines[0].rstrip("\n").split(",").index("rot_left")
     digit = cells[col][-1]
@@ -159,7 +169,7 @@ def test_classify_rejects_an_edited_rot_left_cell(finished_run):
 
 def edit_manifest(run_dir, change):
     path = os.path.join(run_dir, "manifest.json")
-    manifest = json.loads(open(path).read())
+    manifest = json.loads(pathlib.Path(path).read_text())
     change(manifest)
     with open(path, "w") as fh:
         json.dump(manifest, fh)
@@ -205,7 +215,7 @@ def test_classify_and_plot_reject_unusable_params(finished_run, edit, message):
 def test_classify_rejects_a_manifest_without_file_digests(finished_run):
     edit_manifest(finished_run, lambda m: m.pop("files"))
     path = os.path.join(finished_run, "diagnostics.csv")
-    lines = open(path).read().splitlines(keepends=True)
+    lines = pathlib.Path(path).read_text().splitlines(keepends=True)
     last = lines[-1].rstrip("\n")
     lines[-1] = last[:-1] + str((int(last[-1]) + 1) % 10) + "\n"
     with open(path, "w") as fh:
@@ -224,8 +234,8 @@ def test_classify_missing_run_exits_3(tmp_path):
 def test_plot_writes_both_views(finished_run):
     res = run_cli("plot", "--out", finished_run)
     assert res.returncode == 0, res.stderr
-    wave = open(os.path.join(finished_run, "waveform.svg")).read()
-    phase = open(os.path.join(finished_run, "phase.svg")).read()
+    wave = pathlib.Path(finished_run, "waveform.svg").read_text()
+    phase = pathlib.Path(finished_run, "phase.svg").read_text()
     assert wave.startswith("<svg ")
     assert phase.startswith("<svg ")
     assert "t = 64" in wave
@@ -241,7 +251,7 @@ def test_plot_kind_selects_one_view(finished_run):
 def test_plot_specific_time_and_miss(finished_run):
     res = run_cli("plot", "--out", finished_run, "--time", "16", "--kind", "waveform")
     assert res.returncode == 0, res.stderr
-    assert "t = 16" in open(os.path.join(finished_run, "waveform.svg")).read()
+    assert "t = 16" in pathlib.Path(finished_run, "waveform.svg").read_text()
     res = run_cli("plot", "--out", finished_run, "--time", "17")
     assert res.returncode == 2
     assert "no snapshot" in res.stderr
@@ -249,7 +259,7 @@ def test_plot_specific_time_and_miss(finished_run):
 
 def test_plot_rejects_an_edited_snapshots_file(finished_run):
     path = os.path.join(finished_run, "snapshots.csv")
-    text = open(path).read()
+    text = pathlib.Path(path).read_text()
     with open(path, "w") as fh:
         fh.write(text.replace("\n64.0,", "\n64.5,", 1))
     os.remove(os.path.join(finished_run, "tracers.csv"))
@@ -262,9 +272,9 @@ def test_plot_rejects_an_edited_snapshots_file(finished_run):
 
 def test_plot_is_byte_deterministic(finished_run):
     run_cli("plot", "--out", finished_run)
-    first = open(os.path.join(finished_run, "phase.svg"), "rb").read()
+    first = pathlib.Path(finished_run, "phase.svg").read_bytes()
     run_cli("plot", "--out", finished_run)
-    second = open(os.path.join(finished_run, "phase.svg"), "rb").read()
+    second = pathlib.Path(finished_run, "phase.svg").read_bytes()
     assert first == second
 
 

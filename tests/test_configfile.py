@@ -4,7 +4,7 @@ import pytest
 
 from kgbreather import (
     ConfigParseError,
-    ConfigValidationError,
+    InvalidParams,
     SimParams,
     parse_config,
     parse_config_text,
@@ -84,7 +84,7 @@ def test_bad_probes_rejected():
 
 
 def test_repeated_probes_rejected():
-    with pytest.raises(ConfigValidationError) as err:
+    with pytest.raises(InvalidParams) as err:
         parse_config_text("probes = 2, 2\n")
     assert any("distinct" in viol for viol in err.value.violations)
 
@@ -98,13 +98,13 @@ def test_int_keys_reject_floats():
 
 
 def test_validation_failure_names_the_field():
-    with pytest.raises(ConfigValidationError) as err:
+    with pytest.raises(InvalidParams) as err:
         parse_config_text("dt = -1\n")
     assert any("dt" in viol for viol in err.value.violations)
 
 
 def test_validation_failure_collects_every_violation():
-    with pytest.raises(ConfigValidationError) as err:
+    with pytest.raises(InvalidParams) as err:
         parse_config_text("dt = -1\nbeta = 0\nirk_stages = 9\n")
     assert len(err.value.violations) >= 3
 

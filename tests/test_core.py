@@ -175,6 +175,7 @@ def test_validate_params_defaults_clean():
         ("stage_max_iter", None, "stage_max_iter must be an integer, got None"),
         ("probes", 5, "probes must be a tuple of numbers"),
         ("probes", ("2",), "probes must be a tuple of numbers"),
+        pytest.param("grid_points", 10**400, "grid_points must be even and in", id="huge_grid_points"),
     ],
 )
 def test_validate_params_flags_each_violation(field, value, word):

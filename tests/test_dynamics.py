@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from kgbreather import (
-    FieldState,
     InvalidParams,
     NonFinite,
     SimParams,
@@ -89,12 +88,12 @@ def test_rhs_rejects_nonfinite_output(setup):
 
 def test_energy_zero_state(setup):
     p, g = setup
-    assert energy(FieldState(t=0.0, u=np.zeros(g.n), v=np.zeros(g.n)), p, g) == 0.0
+    assert energy(np.zeros(g.n), np.zeros(g.n), p, g) == 0.0
 
 
 def test_energy_vacuum_value(setup):
     p, g = setup
-    e = energy(FieldState(t=0.0, u=np.full(g.n, U_STAR), v=np.zeros(g.n)), p, g)
+    e = energy(np.full(g.n, U_STAR), np.zeros(g.n), p, g)
     want = -2.0 * p.mu ** 2  # L * (-mu^2/(4 beta)) with L = 8, beta = 1
     assert e == pytest.approx(want, rel=1e-12)
     assert want == pytest.approx(-1.8605e-5, abs=1e-9)
@@ -102,7 +101,8 @@ def test_energy_vacuum_value(setup):
 
 def test_energy_matches_fine_trapezoid_oracle(setup):
     p, g = setup
-    e = energy(initial_state(p, g), p, g)
+    s = initial_state(p, g)
+    e = energy(s.u, s.v, p, g)
     m = 4096
     x = np.arange(m) * (p.domain_length / m)
     u = p.amplitude * np.sin(np.pi * x / 4.0)
@@ -114,14 +114,15 @@ def test_energy_matches_fine_trapezoid_oracle(setup):
 
 def test_momentum_zero_velocity(setup):
     p, g = setup
-    assert momentum(initial_state(p, g), p, g) == 0.0
+    s = initial_state(p, g)
+    assert momentum(s.u, s.v, p, g) == 0.0
 
 
 def test_momentum_sine_cosine_pair(setup):
     p, g = setup
     k = 2 * np.pi / 8.0
-    s = FieldState(t=0.0, u=np.sin(k * g.nodes), v=np.cos(k * g.nodes))
-    assert momentum(s, p, g) == pytest.approx(math.pi, rel=1e-12)
+    u, v = np.sin(k * g.nodes), np.cos(k * g.nodes)
+    assert momentum(u, v, p, g) == pytest.approx(math.pi, rel=1e-12)
 
 
 def test_energy_momentum_cyclic_shift_invariance(setup):
@@ -129,12 +130,11 @@ def test_energy_momentum_cyclic_shift_invariance(setup):
     rng = np.random.default_rng(17)
     u = _bandlimited(rng, g, g.n // 3)
     v = _bandlimited(rng, g, g.n // 3)
-    s0 = FieldState(t=0.0, u=u, v=v)
-    e0, p0 = energy(s0, p, g), momentum(s0, p, g)
+    e0, p0 = energy(u, v, p, g), momentum(u, v, p, g)
     for shift in (1, 7, 64):
-        s = FieldState(t=0.0, u=np.roll(u, shift), v=np.roll(v, shift))
-        assert energy(s, p, g) == pytest.approx(e0, rel=1e-12)
-        assert momentum(s, p, g) == pytest.approx(p0, rel=1e-12, abs=1e-14)
+        us, vs = np.roll(u, shift), np.roll(v, shift)
+        assert energy(us, vs, p, g) == pytest.approx(e0, rel=1e-12)
+        assert momentum(us, vs, p, g) == pytest.approx(p0, rel=1e-12, abs=1e-14)
 
 
 def test_discrete_gradient_consistency(setup):
@@ -151,8 +151,8 @@ def test_discrete_gradient_consistency(setup):
         pairing = g.dx * (float(np.dot(v0, dv_dir)) - float(np.dot(dv, du_dir)))
         errs = []
         for eps in (1e-4, 1e-5):
-            ep = energy(FieldState(t=0.0, u=u0 + eps * du_dir, v=v0 + eps * dv_dir), p, g)
-            em = energy(FieldState(t=0.0, u=u0 - eps * du_dir, v=v0 - eps * dv_dir), p, g)
+            ep = energy(u0 + eps * du_dir, v0 + eps * dv_dir, p, g)
+            em = energy(u0 - eps * du_dir, v0 - eps * dv_dir, p, g)
             errs.append(abs((ep - em) / (2 * eps) - pairing))
         assert errs[1] <= 1e-9
         # O(eps^2): tenfold smaller eps shrinks the error about a hundredfold

@@ -10,9 +10,11 @@ from kgbreather import (
     SimParams,
     dft_forward,
     dft_inverse,
+    energy,
     first_derivative,
     initial_state,
     make_grid,
+    momentum,
     rhs,
 )
 from kgbreather.dynamics import linear_symbol
@@ -87,10 +89,9 @@ def test_parseval_identity():
 
 
 def test_forward_rejects_bad_shapes():
-    with pytest.raises(LengthMismatch):
-        dft_forward(np.zeros((4, 4)))
-    with pytest.raises(LengthMismatch):
-        dft_forward(np.zeros(0))
+    for shape in (0, (3, 0)):
+        with pytest.raises(LengthMismatch):
+            dft_forward(np.zeros(shape))
 
 
 def test_first_derivative_of_sine():
@@ -204,14 +205,25 @@ def test_cube_hermitian_output_round_trips():
 
 @pytest.mark.parametrize("mode", ["none", "pad2x"])
 def test_stacked_half_spectra_act_row_by_row(mode):
-    # the stepper cubes and synthesizes its (s, N/2 + 1) stage block in one call
+    # the stepper cubes and synthesizes its (s, N/2 + 1) stage block in one
+    # call, and integrate takes every diagnostic of its (S, N) snapshots in one
+    p = SimParams()
     g = make_grid(64, 8.0)
     rng = np.random.default_rng(11)
-    c = np.stack([dft_forward(0.05 * rng.standard_normal(g.n)) for _ in range(3)])
+    u = 0.05 * rng.standard_normal((3, g.n))
+    v = 0.05 * rng.standard_normal((3, g.n))
+    c = dft_forward(u)
     cubes = cube_hat(c, mode)
     samples = dft_inverse(c)
-    assert cubes.shape == c.shape
-    assert samples.shape == (3, g.n)
+    du = first_derivative(u, g)
+    e, mom = energy(u, v, p, g), momentum(u, v, p, g)
+    assert cubes.shape == c.shape == (3, g.n // 2 + 1)
+    assert samples.shape == du.shape == (3, g.n)
+    assert e.shape == mom.shape == (3,)
     for row in range(3):
+        assert np.array_equal(c[row], dft_forward(u[row]))
         assert np.array_equal(cubes[row], cube_hat(c[row], mode))
         assert np.array_equal(samples[row], dft_inverse(c[row]))
+        assert np.array_equal(du[row], first_derivative(u[row], g))
+        assert e[row] == energy(u[row], v[row], p, g)
+        assert mom[row] == momentum(u[row], v[row], p, g)

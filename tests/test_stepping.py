@@ -13,11 +13,14 @@ from kgbreather import (
     UnsupportedStageCount,
     dft_forward,
     dft_inverse,
+    energy,
+    energy_drift,
     gauss_tableau,
     initial_state,
     integrate,
     irk_step,
     make_grid,
+    momentum,
 )
 from kgbreather.core import reflect
 from kgbreather.errors import NonFinite
@@ -268,6 +271,53 @@ def test_integrate_zero_length_run():
     assert diagnostics[0].t == 0.0
     assert diagnostics[0].energy_drift == 0.0
     assert all(len(trk.t) == 1 for trk in tracks)
+
+
+def test_integrate_runs_from_the_start_state_time():
+    # snapshots, tracers and the final state share the start's time axis
+    p = SimParams(t_end=1.0, snapshot_every=0.5)
+    g = make_grid(p.grid_points, p.domain_length)
+    s0 = initial_state(p, g)
+    st = FieldState(t=5.0, u=s0.u, v=s0.v)
+    summary, snapshots, diagnostics, tracks = integrate(p, g, st)
+    solver = StageSolver(p, g)
+    times = [st.t]
+    for _ in range(summary.steps):
+        st, _ = irk_step(st, p, g, solver)
+        times.append(st.t)
+    assert times[-1] == 6.0
+    assert [s.t for s in snapshots] == times[::4]
+    assert [row.t for row in diagnostics] == times[::4]
+    assert all(trk.t.tolist() == times for trk in tracks)
+    assert summary.final_state.t == times[-1]
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        {"amplitude": 0.1195, "t_end": 8.0, "snapshot_every": 0.125},
+        {"t_end": 16.0, "snapshot_every": 1.0, "offset": 1e-3},
+    ],
+    ids=["record_shaped", "non_odd_start"],
+)
+def test_diagnostics_rows_match_the_functionals_of_their_snapshots(case):
+    # integrate takes energy and momentum of all snapshots in one stacked call;
+    # each row must equal the 1-d functional of its own snapshot bit for bit
+    case = dict(case)
+    offset = case.pop("offset", 0.0)
+    p = SimParams(**case)
+    g = make_grid(p.grid_points, p.domain_length)
+    s0 = initial_state(p, g)
+    start = FieldState(t=0.0, u=s0.u + offset * np.cos(np.pi * g.nodes / 4.0), v=s0.v)
+    _, snapshots, diagnostics, _ = integrate(p, g, start)
+    assert len(diagnostics) == len(snapshots) == int(p.t_end / p.snapshot_every) + 1
+    e0 = energy(snapshots[0].u, snapshots[0].v, p, g)
+    for st, row in zip(snapshots, diagnostics):
+        e = energy(st.u, st.v, p, g)
+        assert row.t == st.t
+        assert row.energy == e
+        assert row.momentum == momentum(st.u, st.v, p, g)
+        assert row.energy_drift == energy_drift(e, e0)
 
 
 def test_integrate_snapshot_cadence_and_tracks():
