@@ -37,11 +37,9 @@ from .geometry import (
     ClassifyResult,
     CrossingSet,
     ModeLabel,
-    PhaseLoop,
     TracerTrack,
     classify_mode,
     cumulative_rotation,
-    phase_loop,
     self_intersections,
     winding_number,
 )

@@ -11,7 +11,7 @@ import sys
 import time
 
 from .configfile import parse_config
-from .core import SimParams, make_grid, params_from_dict, params_to_dict, validate_params
+from .core import FieldState, SimParams, make_grid, params_from_dict, params_to_dict, validate_params
 from .dynamics import fixed_points
 from .errors import (
     InsufficientData,
@@ -21,7 +21,7 @@ from .errors import (
     NonFinite,
     StageSolveDiverged,
 )
-from .geometry import classify_mode, phase_loop
+from .geometry import classify_mode
 from .runio import (
     DIAGNOSTICS_FILE,
     MANIFEST_FILE,
@@ -259,25 +259,24 @@ def cmd_plot(args):
     names = [SNAPSHOTS_FILE, TRACERS_FILE] if draw_phase else [SNAPSHOTS_FILE]
     params = _read_verified_manifest(args.out, names)
     nodes, states = read_snapshots(os.path.join(args.out, SNAPSHOTS_FILE))
-    if args.time is None:
-        sel = len(states) - 1
-    else:
-        matches = [i for i, s in enumerate(states) if abs(s.t - args.time) <= 1e-9]
+    times = states.t.tolist()
+    sel = len(times) - 1
+    if args.time is not None:
+        matches = [k for k, t in enumerate(times) if abs(t - args.time) <= 1e-9]
         if not matches:
-            have = ", ".join(fmt(s.t) for s in states[:8])
+            have = ", ".join(fmt(t) for t in times[:8])
             raise MissingSnapshot(f"no snapshot at t={args.time}; run starts {have} ...")
         sel = matches[0]
-    state = states[sel]
+    state = FieldState(t=times[sel], u=states.u[sel], v=states.v[sel])
     written = []
     if args.kind in ("waveform", "both"):
-        prev = states[sel - 1] if sel > 0 else None
         wave = waveform_svg(
             nodes,
             params.domain_length,
             state.u,
             state.t,
-            u_prev=None if prev is None else prev.u,
-            t_prev=None if prev is None else prev.t,
+            u_prev=states.u[sel - 1] if sel > 0 else None,
+            t_prev=times[sel - 1] if sel > 0 else None,
         )
         path = os.path.join(args.out, WAVEFORM_SVG)
         atomic_write_text(path, wave)
@@ -289,9 +288,7 @@ def cmd_plot(args):
             keep = tracks[0].t <= state.t + 1e-9
             trail_u = tracks[0].u[keep]
             trail_v = tracks[0].v[keep]
-        phase = phase_svg(
-            phase_loop(state), fixed_points(params).as_list(), trail_u=trail_u, trail_v=trail_v
-        )
+        phase = phase_svg(state, fixed_points(params).as_list(), trail_u=trail_u, trail_v=trail_v)
         path = os.path.join(args.out, PHASE_SVG)
         atomic_write_text(path, phase)
         written.append(path)

@@ -2,6 +2,7 @@
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -58,19 +59,27 @@ def _is_number(value, kind=numbers.Real):
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
+def _show(value):
+    """repr of value, or a placeholder where an integer has too many digits to print."""
+    try:
+        return repr(value)
+    except ValueError:  # int-to-str refuses past sys.get_int_max_str_digits()
+        return f"<{type(value).__name__} too long to print>"
+
+
 def validate_params(params):
     """Return the list of invariant violations; empty means valid. Never raises."""
     v = []
     for f in fields(SimParams):
         value = getattr(params, f.name)
         if f.type is float and not _is_number(value):
-            v.append(f"{f.name} must be a number, got {value!r}")
+            v.append(f"{f.name} must be a number, got {_show(value)}")
         elif f.type is int and not _is_number(value, numbers.Integral):
-            v.append(f"{f.name} must be an integer, got {value!r}")
-        elif f.type is float and not math.isfinite(value):
-            v.append(f"{f.name} must be finite, got {value}")
+            v.append(f"{f.name} must be an integer, got {_show(value)}")
+        elif f.type is float and not abs(value) <= sys.float_info.max:  # nan, inf, huge ints
+            v.append(f"{f.name} must be finite, got {_show(value)}")
     if not isinstance(params.probes, tuple) or not all(map(_is_number, params.probes)):
-        v.append(f"probes must be a tuple of numbers, got {params.probes!r}")
+        v.append(f"probes must be a tuple of numbers, got {_show(params.probes)}")
     if v:  # the checks below do arithmetic with these values
         return v
     if not params.alpha > 0:
@@ -87,7 +96,7 @@ def validate_params(params):
         v.append(f"t_end must be >= 0, got {params.t_end}")
     n = params.grid_points
     if n % 2 != 0 or not 8 <= n <= _MAX_GRID_POINTS:
-        v.append(f"grid_points must be even and in [8, 2**53], got {n}")
+        v.append(f"grid_points must be even and in [8, 2**53], got {_show(n)}")
     if params.snapshot_every <= 0:
         v.append(f"snapshot_every must be positive, got {params.snapshot_every}")
     elif params.dt > 0 and not _is_integer_multiple(params.snapshot_every, params.dt):
@@ -103,17 +112,17 @@ def validate_params(params):
     if params.dealias not in DEALIAS_MODES:
         v.append(f"dealias must be one of {DEALIAS_MODES}, got {params.dealias!r}")
     if params.irk_stages not in (1, 2, 3):
-        v.append(f"irk_stages must be 1, 2, or 3, got {params.irk_stages}")
+        v.append(f"irk_stages must be 1, 2, or 3, got {_show(params.irk_stages)}")
     if not params.stage_tol > 0:
         v.append(f"stage_tol must be > 0, got {params.stage_tol}")
     if params.stage_max_iter < 1:
-        v.append(f"stage_max_iter must be >= 1, got {params.stage_max_iter}")
+        v.append(f"stage_max_iter must be >= 1, got {_show(params.stage_max_iter)}")
     if len(set(params.probes)) != len(params.probes):
-        v.append(f"probes must be distinct, got {params.probes}")
+        v.append(f"probes must be distinct, got {_show(params.probes)}")
     length = params.domain_length
     for x in params.probes:
         if not (0 <= x < length):
-            v.append(f"probe {x} outside [0, {length})")
+            v.append(f"probe {_show(x)} outside [0, {length})")
             continue
         if length > 0 and 0 < n <= _MAX_GRID_POINTS:
             r = x * n / length
@@ -168,23 +177,38 @@ def make_grid(n, length):
     return Grid(n=int(n), length=float(length), nodes=nodes, wavenumbers=wavenumbers)
 
 
+def clean_pair(u, v, what):
+    """Read-only float64 copies of u and v, checked to share one shape and be finite."""
+    u = np.array(u, dtype=np.float64)
+    v = np.array(v, dtype=np.float64)
+    if u.ndim == 0 or u.shape != v.shape:
+        raise LengthMismatch(f"{what} u and v must share one shape, got {u.shape} and {v.shape}")
+    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
+        raise NonFinite(f"non-finite {what} entries")
+    u.setflags(write=False)
+    v.setflags(write=False)
+    return u, v
+
+
 @dataclass(frozen=True)
 class FieldState:
-    """Time t plus collocated samples of u and v = du/dt on the periodic grid."""
+    """Collocated samples of u and v = du/dt on the periodic grid, by the last-axis rule.
+
+    One state has (N,) samples at a float t; a stack of S states has (S, N)
+    samples, row k at t[k] of a read-only (S,) float64 array.
+    """
 
     t: float
     u: np.ndarray = field(repr=False)
     v: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        u = np.array(self.u, dtype=np.float64)
-        v = np.array(self.v, dtype=np.float64)
-        if u.ndim != 1 or v.ndim != 1 or u.shape != v.shape:
-            raise LengthMismatch(f"u and v must be equal-length 1-d arrays, got {u.shape} and {v.shape}")
-        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
-            raise NonFinite(f"non-finite field entries at t={self.t}")
-        u.setflags(write=False)
-        v.setflags(write=False)
+        u, v = clean_pair(self.u, self.v, "field")
+        t = np.array(self.t, dtype=np.float64)
+        if t.shape != u.shape[:-1]:
+            raise LengthMismatch(f"t has shape {t.shape}, the states {u.shape[:-1]}")
+        t.setflags(write=False)
+        object.__setattr__(self, "t", float(t) if t.ndim == 0 else t)
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
 

@@ -1,8 +1,9 @@
 """Phase-plane geometry: loops, winding numbers, rotation counts, crossings.
 
 At a fixed time the field traces the closed curve x -> (u(x), v(x)) over one
-period; a tracer at a fixed x traces an open track t -> (u(t), v(t)). Both are
-treated as polylines. Winding numbers come from summed principal-value angle
+period, so the loop of a one-state FieldState is its own (u, v); a tracer at
+a fixed x traces an open track t -> (u(t), v(t)). Both are treated as
+polylines. Winding numbers come from summed principal-value angle
 increments; crossings from exact segment-pair intersection with a tolerance
 scaled to the loop diameter.
 """
@@ -13,13 +14,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .core import clean_pair
 from .errors import (
     CenterOnLoop,
     CenterOnTrack,
     DegenerateLoop,
     InsufficientData,
     LengthMismatch,
-    NonFinite,
     NonIntegerWinding,
 )
 
@@ -29,35 +30,6 @@ CENTER_EPS = 1e-12
 WINDING_GUARD = 1e-6
 # Crossing tolerance as a fraction of the loop diameter.
 CROSSING_REL_EPS = 1e-12
-
-
-def _clean_pair(u, v, what):
-    u = np.array(u, dtype=np.float64)
-    v = np.array(v, dtype=np.float64)
-    if u.ndim != 1 or v.ndim != 1 or u.shape != v.shape:
-        raise LengthMismatch(f"{what} coordinate arrays must be equal-length 1-d")
-    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
-        raise NonFinite(f"non-finite {what} coordinates")
-    u.setflags(write=False)
-    v.setflags(write=False)
-    return u, v
-
-
-@dataclass(frozen=True)
-class PhaseLoop:
-    """Closed (u, v) polyline; the edge from the last vertex back to the first is implicit."""
-
-    u: np.ndarray = field(repr=False)
-    v: np.ndarray = field(repr=False)
-    t: float = 0.0
-
-    def __post_init__(self):
-        u, v = _clean_pair(self.u, self.v, "loop")
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
-
-    def __len__(self):
-        return self.u.size
 
 
 @dataclass(frozen=True)
@@ -70,10 +42,10 @@ class TracerTrack:
     v: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        u, v = _clean_pair(self.u, self.v, "track")
+        u, v = clean_pair(self.u, self.v, "track")
         t = np.array(self.t, dtype=np.float64)
-        if t.shape != u.shape:
-            raise LengthMismatch("track time array length differs from coordinates")
+        if u.ndim != 1 or t.shape != u.shape:
+            raise LengthMismatch(f"track t, u and v must share one 1-d shape, got {t.shape}, {u.shape}")
         t.setflags(write=False)
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "u", u)
@@ -83,13 +55,11 @@ class TracerTrack:
         return self.u.size
 
 
-def phase_loop(state):
-    """The instantaneous phase-plane loop of a field state."""
-    return PhaseLoop(u=state.u, v=state.v, t=state.t)
-
-
-def _dedup_closed(u, v):
-    """Drop consecutive duplicates and a duplicated closing vertex."""
+def _dedup_closed(state):
+    """Vertices of a one-state FieldState's loop, less consecutive and closing duplicates."""
+    if state.u.ndim != 1:
+        raise LengthMismatch(f"a loop is one state, got a stack of shape {state.u.shape}")
+    u, v = state.u, state.v
     if u.size == 0:
         return u, v
     keep = np.ones(u.size, dtype=bool)
@@ -120,15 +90,15 @@ def _turns(u, v, center):
     return cum[np.maximum(last, 0)]
 
 
-def winding_number(loop, center):
-    """Signed integer turns of the closed loop about center.
+def winding_number(state, center):
+    """Signed integer turns about center of the closed loop of a one-state FieldState.
 
     Raises CenterOnLoop when a vertex sits within CENTER_EPS of the center,
     DegenerateLoop for loops with fewer than 3 distinct consecutive vertices,
     and NonIntegerWinding when the angle sum is not an integer number of turns.
     """
     cu, cv = float(center[0]), float(center[1])
-    u, v = _dedup_closed(loop.u, loop.v)
+    u, v = _dedup_closed(state)
     if u.size < 3:
         raise DegenerateLoop(f"loop reduces to {u.size} vertices")
     if float(np.min(np.hypot(u - cu, v - cv))) < CENTER_EPS:
@@ -197,27 +167,18 @@ def _segment_hits(px, py, eps):
     return i[hit].astype(np.int64), j[hit].astype(np.int64), ta[hit], tb[hit]
 
 
-def self_intersections(loop):
-    """All crossings between non-adjacent edges of the closed loop.
+def self_intersections(state):
+    """All crossings between non-adjacent edges of the closed loop of a one-state FieldState.
 
     Touch tolerance is CROSSING_REL_EPS times the loop's max pairwise diameter,
     applied per segment in parameter space. Exactly parallel segment pairs are
     skipped. Results are ordered lexicographically by (seg_a, seg_b).
     """
-    u, v = _dedup_closed(loop.u, loop.v)
+    u, v = _dedup_closed(state)
     m = u.size
     # after deduplication two surviving vertices can never coincide
     if m < 2:
         raise DegenerateLoop("all loop points coincide")
-    if m < 4:
-        z = np.empty(0)
-        return CrossingSet(
-            seg_a=z.astype(np.int64),
-            seg_b=z.astype(np.int64),
-            ta=z.copy(),
-            tb=z.copy(),
-            points=np.empty((0, 2)),
-        )
     diam = float(np.max(np.hypot(u[:, None] - u[None, :], v[:, None] - v[None, :])))
     eps = CROSSING_REL_EPS * diam
     i, j, ta, tb = _segment_hits(u, v, eps)

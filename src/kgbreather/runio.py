@@ -6,7 +6,8 @@ and publish it with os.replace, so a crash never leaves a half-written file.
 Every CSV ends with a newline; the readers reject one that does not, since
 it was cut inside its last cell. The numeric readers collect a file into one
 float64 table, and a snapshot or a tracer track is a run of equal values in
-its key column (t or probe_x).
+its key column (t or probe_x). Snapshots travel as one stacked FieldState
+both ways.
 """
 
 import csv
@@ -50,7 +51,9 @@ def atomic_write_text(path, text):
             mask = os.umask(0)
             os.umask(mask)
             os.fchmod(fh.fileno(), 0o666 & ~mask)
-            fh.write(text)
+            # in slices: encoding the whole text at once would add a full copy as bytes
+            for i in range(0, len(text), 1 << 16):
+                fh.write(text[i : i + (1 << 16)])
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -121,27 +124,31 @@ def _runs(key):
 
 
 def write_snapshots(path, snapshots, grid):
-    rows = (
-        (fmt(s.t), fmt(x), fmt(u), fmt(v))
-        for s in snapshots
-        for x, u, v in zip(grid.nodes, s.u, s.v)
-    )
-    atomic_write_text(path, _csv_text(("t", "x", "u", "v"), rows))
+    """Write a stacked FieldState as t,x,u,v rows, one run of grid.n rows per state.
+
+    One chunk per state goes into one buffer, which keeps the peak near twice the file's size.
+    """
+    buf = io.StringIO()
+    buf.write("t,x,u,v\n")
+    xs = [fmt(x) for x in grid.nodes.tolist()]
+    for t, u, v in zip(map(fmt, snapshots.t.tolist()), snapshots.u, snapshots.v):
+        buf.write("".join(f"{t},{x},{a!r},{b!r}\n" for x, a, b in zip(xs, u.tolist(), v.tolist())))
+    atomic_write_text(path, buf.getvalue())
 
 
 def read_snapshots(path):
-    """Returns (node array, list of FieldState), one state per run of equal t."""
+    """Returns (node array, stacked FieldState), one state per run of equal t."""
     t, x, u, v = _read_table(path, ("t", "x", "u", "v")).T
     if not len(t):
         raise InsufficientData(f"{path} has no data rows")
     runs = _runs(t)
     nodes = x[slice(*runs[0])].copy()
-    states = []
     for a, b in runs:
         if not np.array_equal(x[a:b], nodes):
             raise InsufficientData(f"{path}: snapshot at t={float(t[a])} has inconsistent nodes")
-        states.append(FieldState(t=float(t[a]), u=u[a:b], v=v[a:b]))
-    return nodes, states
+    # every run holds the nodes, so the rows split into states of nodes.size
+    n = nodes.size
+    return nodes, FieldState(t=t[::n], u=u.reshape(-1, n), v=v.reshape(-1, n))
 
 
 def write_diagnostics(path, rows):

@@ -14,12 +14,12 @@ falls below stage_tol. One stage force F = lambda_m U + N, from the last
 sweep's cube, serves both updates: u + dt v + dt^2 (bA) F and v + dt b F.
 
 The state carried from step to step is one (2, N/2 + 1) coefficient block
-c = (uhat, vhat), and integrate builds a FieldState from its (2, N) sample
-block w = (u, v) only for snapshots and the final state. The stages of u and
+c = (uhat, vhat) and its (2, N) sample block w = (u, v). The stages of u and
 of the cubic are each held as one (s, N/2 + 1) block, so a sweep makes one
-batched cube of all stages and one batched synthesis of the residual. After
-the last step the snapshot samples are stacked into (S, N) blocks of u and v,
-so each diagnostics column comes from one call over all S snapshots.
+batched cube of all stages and one batched synthesis of the residual. Each
+snapshot's w is written into one preallocated (2, S, N) block, which becomes
+one stacked FieldState, so each diagnostics column comes from one call over
+all S snapshots.
 """
 
 import math
@@ -39,7 +39,7 @@ from .core import (
     probe_indices,
 )
 from .dynamics import energy, energy_drift, fixed_points, linear_symbol, momentum, nonlinear_hat
-from .errors import InvalidParams, NonFinite, StageSolveDiverged, UnsupportedStageCount
+from .errors import InvalidParams, LengthMismatch, NonFinite, StageSolveDiverged, UnsupportedStageCount
 from .geometry import TracerTrack, _turns
 from .spectral import dft_forward, dft_inverse
 
@@ -150,8 +150,14 @@ class StageSolver:
         return np.stack([u_next, vhat + dt * (b @ f)]), report
 
 
+def _check_start(state, grid):
+    if state.u.shape != (grid.n,):
+        raise LengthMismatch(f"a start is one {grid.n}-point state, got shape {state.u.shape}")
+
+
 def irk_step(state, params, grid, solver=None):
-    """Advance one step of size params.dt; returns (state, report)."""
+    """Advance one grid.n-point state one step of size params.dt; returns (state, report)."""
+    _check_start(state, grid)
     if solver is None:
         solver = StageSolver(params, grid)
     c, report = solver.step(dft_forward(np.stack([state.u, state.v])), state.t)
@@ -172,17 +178,19 @@ def integrate(params, grid=None, state=None):
     """March from the given (or default) state with round(t_end/dt) fixed steps of dt.
 
     The run starts at the state's t and ends at t + round(t_end/dt)*dt.
-    Returns (RunSummary, snapshots, diagnostics, tracks): snapshots is a list
-    of FieldState at the start and every snapshot_every after it; diagnostics
-    one DiagnosticsRow per snapshot; tracks one per-step TracerTrack per
-    probe. A start that is exactly odd (u(L - x) = -u(x), likewise v) stays
-    exactly odd at every step. Solver failures and non-finite states
-    propagate with a ``t`` attribute attached.
+    Returns (RunSummary, snapshots, diagnostics, tracks): snapshots is one
+    stacked FieldState of the start and every snapshot_every after it, row k
+    at time snapshots.t[k]; diagnostics one DiagnosticsRow per snapshot;
+    tracks one per-step TracerTrack per probe. The start must be one
+    grid.n-point state, else LengthMismatch. A start that is exactly odd
+    (u(L - x) = -u(x), likewise v) stays exactly odd at every step. Solver
+    failures and non-finite states propagate with a ``t`` attribute attached.
     """
     if grid is None:
         grid = make_grid(params.grid_points, params.domain_length)
     if state is None:
         state = initial_state(params, grid)
+    _check_start(state, grid)
     steps = int(round(params.t_end / params.dt))
     sps = int(round(params.snapshot_every / params.dt))
     solver = StageSolver(params, grid)
@@ -204,11 +212,12 @@ def integrate(params, grid=None, state=None):
         return fps.minus if u0 < 0 else fps.plus
 
     # one time axis: tracers sample every step of it, snapshots every sps-th;
-    # trk[0] holds the tracer samples of u and trk[1] those of v
+    # trk[0] holds the tracer samples of u and trk[1] those of v, likewise snap
     t_axis = state.t + np.arange(steps + 1) * params.dt
     trk = np.empty((2, len(idx), steps + 1))
     trk[:, :, 0] = w[:, idx]
-    snapshots = [state]
+    snap = np.empty((2, steps // sps + 1, grid.n))
+    snap[:, 0] = w
     max_residual = 0.0
     total_sweeps = 0
     c = dft_forward(w)
@@ -230,23 +239,23 @@ def integrate(params, grid=None, state=None):
         total_sweeps += report.iterations
         trk[:, :, i] = w[:, idx]
         if i % sps == 0:
-            snapshots.append(FieldState(t=float(t_axis[i]), u=w[0], v=w[1]))
-    state = snapshots[-1] if steps % sps == 0 else FieldState(t=float(t_axis[-1]), u=w[0], v=w[1])
+            snap[:, i // sps] = w
+    state = FieldState(t=float(t_axis[-1]), u=w[0], v=w[1])
+    snapshots = FieldState(t=t_axis[::sps], u=snap[0], v=snap[1])
 
     # turns of the first probe about the origin and of each of the first two
     # probes about the vacuum on its starting side, at every snapshot
-    rot_origin = rot_left = rot_right = np.zeros(len(snapshots))
+    rot_origin = rot_left = rot_right = np.zeros(snapshots.t.size)
     if idx:
         rot_origin = _turns(trk[0, 0], trk[1, 0], (0.0, 0.0))[::sps]
         rot_left = _turns(trk[0, 0], trk[1, 0], nearest_fp(trk[0, 0, 0]))[::sps]
     if len(idx) > 1:
         rot_right = _turns(trk[0, 1], trk[1, 1], nearest_fp(trk[0, 1, 0]))[::sps]
-    u = np.stack([st.u for st in snapshots])
-    v = np.stack([st.v for st in snapshots])
+    u, v = snapshots.u, snapshots.v
     e = energy(u, v, params, grid)
     drift = energy_drift(e, e[0])
     table = np.column_stack(
-        [t_axis[::sps], e, momentum(u, v, params, grid), drift]
+        [snapshots.t, e, momentum(u, v, params, grid), drift]
         + [u[:, mask_left].min(axis=1), u[:, mask_left].max(axis=1)]
         + [u[:, mask_right].min(axis=1), u[:, mask_right].max(axis=1)]
         + [rot_origin, rot_left, rot_right]

@@ -115,10 +115,10 @@ def waveform_svg(nodes, length, u_now, t_now, u_prev=None, t_prev=None):
     return "".join(parts)
 
 
-def phase_svg(loop, fixed_pts, trail_u=None, trail_v=None, max_trail=512):
-    """The closed (u, v) loop, the three equilibria, and an optional tracer trail."""
-    us = [np.asarray(loop.u), np.array([p[0] for p in fixed_pts])]
-    vs = [np.asarray(loop.v), np.array([p[1] for p in fixed_pts])]
+def phase_svg(state, fixed_pts, trail_u=None, trail_v=None, max_trail=512):
+    """The closed (u, v) loop of a one-state FieldState, the equilibria, and an optional tracer trail."""
+    us = [state.u, np.array([p[0] for p in fixed_pts])]
+    vs = [state.v, np.array([p[1] for p in fixed_pts])]
     if trail_u is not None:
         us.append(np.asarray(trail_u))
         vs.append(np.asarray(trail_v))
@@ -126,7 +126,7 @@ def phase_svg(loop, fixed_pts, trail_u=None, trail_v=None, max_trail=512):
     span_v = float(np.max(np.abs(np.concatenate(vs))))
     span = max(span_u, span_v, 1e-12) * 1.15
     fr = _Frame(480, 480, -span, span, -span, span)
-    parts = [fr.open_tag(f"phase plane at t = {loop.t:g}")]
+    parts = [fr.open_tag(f"phase plane at t = {state.t:g}")]
     parts.append(
         f'<line x1="{_num(fr.px(-span))}" y1="{_num(fr.py(0.0))}" '
         f'x2="{_num(fr.px(span))}" y2="{_num(fr.py(0.0))}" stroke="#dddddd" stroke-width="1"/>\n'
@@ -141,8 +141,8 @@ def phase_svg(loop, fixed_pts, trail_u=None, trail_v=None, max_trail=512):
                 f'<circle cx="{_num(fr.px(a))}" cy="{_num(fr.py(b))}" r="1" '
                 f'fill="#c08030" fill-opacity="0.55"/>\n'
             )
-    lu = np.concatenate([loop.u, loop.u[:1]])
-    lv = np.concatenate([loop.v, loop.v[:1]])
+    lu = np.concatenate([state.u, state.u[:1]])
+    lv = np.concatenate([state.v, state.v[:1]])
     parts.append(
         _poly(
             [fr.px(a) for a in lu],

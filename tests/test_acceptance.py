@@ -19,7 +19,6 @@ import pytest
 from kgbreather import (
     FieldState,
     ModeLabel,
-    PhaseLoop,
     SimParams,
     classify_mode,
     cumulative_rotation,
@@ -166,6 +165,23 @@ def test_criterion_6_coexisting_rotations(default_run):
     )
 
 
+def test_criterion_6_evidence_tracer_stays_below_the_vacuum(default_run):
+    # the README's account of why criterion 6 fails: the x = 2 tracer stays in
+    # u in [0.010667, 0.04], below the one-mode bound sqrt(8 lambda_1/(3 beta))
+    # with lambda_1 = mu - alpha (pi/4)^2, itself below the vacuum u*, so it
+    # hardly turns about (+u*, 0)
+    p = default_run.params
+    track = default_run.tracks[0]
+    assert track.probe_x == 2.0
+    lam1 = p.mu - p.alpha * (math.pi / 4.0) ** 2
+    bound = math.sqrt(8.0 * lam1 / (3.0 * p.beta))
+    assert float(np.min(track.u)) == pytest.approx(0.010667, abs=1e-6)
+    assert float(np.max(track.u)) == pytest.approx(0.04, abs=1e-6)
+    assert bound == pytest.approx(0.041326, abs=1e-6)
+    assert float(np.max(track.u)) < bound < U_STAR
+    assert cumulative_rotation(track, (U_STAR, 0.0)) == pytest.approx(0.00095, abs=1e-5)
+
+
 def test_criterion_7_time_reversibility():
     p = SimParams(t_end=256.0, snapshot_every=256.0)
     g = make_grid(p.grid_points, p.domain_length)
@@ -196,7 +212,7 @@ def test_criterion_8_geometry_oracles():
     checked = 0
     for _ in range(200):
         m = int(rng.integers(3, 12))
-        loop = PhaseLoop(u=rng.standard_normal(m), v=rng.standard_normal(m))
+        loop = FieldState(t=0.0, u=rng.standard_normal(m), v=rng.standard_normal(m))
         center = tuple(0.5 * rng.standard_normal(2))
         try:
             w = winding_number(loop, center)
@@ -206,13 +222,13 @@ def test_criterion_8_geometry_oracles():
         if abs(w) % 2 != ray_parity(loop.u, loop.v, *center):
             mismatches += 1
 
-    bow = PhaseLoop(u=np.array([0.0, 1.0, 1.0, 0.0]), v=np.array([0.0, 1.0, 0.0, 1.0]))
+    bow = FieldState(t=0.0, u=np.array([0.0, 1.0, 1.0, 0.0]), v=np.array([0.0, 1.0, 0.0, 1.0]))
     cb = self_intersections(bow)
     bow_ok = cb.count == 1 and cb.points.tolist() == [[0.5, 0.5]]
 
     n = 400
     t = (np.arange(n) + 0.5) * 2.0 * np.pi / n
-    eight = PhaseLoop(u=np.cos(t), v=np.sin(t) * np.cos(t))
+    eight = FieldState(t=0.0, u=np.cos(t), v=np.sin(t) * np.cos(t))
     ce = self_intersections(eight)
     spacing = 2.0 * np.pi / n
     eight_ok = ce.count == 1 and float(np.hypot(*ce.points[0])) <= 2.0 * spacing
@@ -240,10 +256,9 @@ def test_criterion_9_determinism_and_io(tmp_path):
     nodes, back_states = read_snapshots(rt / "snapshots.csv")
     lossless = (
         np.array_equal(nodes, g.nodes)
-        and all(
-            np.array_equal(a.u, b.u) and np.array_equal(a.v, b.v) and a.t == b.t
-            for a, b in zip(snapshots, back_states)
-        )
+        and np.array_equal(back_states.u, snapshots.u)
+        and np.array_equal(back_states.v, snapshots.v)
+        and np.array_equal(back_states.t, snapshots.t)
         and read_diagnostics(rt / "diagnostics.csv") == diagnostics
         and all(
             np.array_equal(a.u, b.u) and np.array_equal(a.v, b.v) and np.array_equal(a.t, b.t)

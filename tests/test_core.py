@@ -176,6 +176,13 @@ def test_validate_params_defaults_clean():
         ("probes", 5, "probes must be a tuple of numbers"),
         ("probes", ("2",), "probes must be a tuple of numbers"),
         pytest.param("grid_points", 10**400, "grid_points must be even and in", id="huge_grid_points"),
+        pytest.param(
+            "grid_points", 10**5000, "grid_points must be even and in", id="grid_points_5000_digits"
+        ),
+        pytest.param(
+            "stage_max_iter", -(10**5000), "stage_max_iter must be >= 1", id="stage_max_iter_5000_digits"
+        ),
+        pytest.param("alpha", 10**400, "alpha must be finite", id="alpha_int_beyond_float_range"),
     ],
 )
 def test_validate_params_flags_each_violation(field, value, word):
@@ -230,6 +237,29 @@ def test_field_state_is_immutable_and_checked():
         FieldState(t=0.0, u=np.array([np.nan] * 8), v=np.zeros(8))
     with pytest.raises(NonFinite):
         FieldState(t=0.0, u=np.zeros(8), v=np.array([np.inf] * 8))
+
+
+def test_field_state_holds_a_stack_along_the_leading_axis():
+    t = np.array([0.0, 16.0, 32.0])
+    s = FieldState(t=t, u=np.zeros((3, 8)), v=np.ones((3, 8)))
+    t[0] = 5.0
+    assert s.t.tolist() == [0.0, 16.0, 32.0]
+    assert s.t.dtype == np.float64
+    with pytest.raises(ValueError):
+        s.t[0] = 1.0
+    with pytest.raises(ValueError):
+        s.v[0, 0] = 1.0
+    assert isinstance(FieldState(t=np.float64(2.0), u=np.zeros(8), v=np.zeros(8)).t, float)
+    # t takes the shape of the leading axes, no other
+    for bad_t in (0.0, [0.0, 1.0], np.zeros((3, 1))):
+        with pytest.raises(LengthMismatch):
+            FieldState(t=bad_t, u=np.zeros((3, 8)), v=np.zeros((3, 8)))
+    with pytest.raises(LengthMismatch):
+        FieldState(t=[0.0], u=np.zeros(8), v=np.zeros(8))
+    with pytest.raises(LengthMismatch):
+        FieldState(t=0.0, u=np.float64(1.0), v=np.float64(1.0))
+    with pytest.raises(NonFinite):
+        FieldState(t=t, u=np.zeros((3, 8)), v=np.full((3, 8), np.nan))
 
 
 def test_field_state_copies_input():

@@ -10,11 +10,11 @@ from kgbreather import (
     CenterOnTrack,
     DegenerateLoop,
     DiagnosticsRow,
+    FieldState,
     InsufficientData,
     LengthMismatch,
     ModeLabel,
     NonFinite,
-    PhaseLoop,
     SimParams,
     TracerTrack,
     classify_mode,
@@ -22,7 +22,6 @@ from kgbreather import (
     initial_state,
     integrate,
     make_grid,
-    phase_loop,
     self_intersections,
     winding_number,
 )
@@ -34,20 +33,20 @@ U_STAR = math.sqrt(0.00305)
 def circle_loop(m=64, radius=1.0, cu=0.0, cv=0.0):
     # offset sampling keeps vertices off the axes
     th = (np.arange(m) + 0.5) * 2.0 * np.pi / m
-    return PhaseLoop(u=cu + radius * np.cos(th), v=cv + radius * np.sin(th))
+    return FieldState(t=0.0, u=cu + radius * np.cos(th), v=cv + radius * np.sin(th))
 
 
 def figure_eight(m=400):
     """Gerono lemniscate; the two lobes cross transversally at the origin."""
     t = (np.arange(m) + 0.5) * 2.0 * np.pi / m
-    return PhaseLoop(u=np.cos(t), v=np.sin(t) * np.cos(t))
+    return FieldState(t=0.0, u=np.cos(t), v=np.sin(t) * np.cos(t))
 
 
 def two_petal_rose(m=400):
     """r = sin 2theta; the two petals touch at the origin without crossing."""
     th = (np.arange(m) + 0.5) * np.pi / m
     r = np.sin(2.0 * th)
-    return PhaseLoop(u=r * np.cos(th), v=r * np.sin(th))
+    return FieldState(t=0.0, u=r * np.cos(th), v=r * np.sin(th))
 
 
 def circle_track(turns, m=256, radius=1.0, cu=0.0, cv=0.0, start=0.0):
@@ -74,23 +73,28 @@ def ray_parity(u, v, cu, cv):
 
 
 def test_phase_loop_preserves_the_field_state():
+    # the loop of a one-state FieldState is its own (u, v); a row of a stack,
+    # as plot takes one, is such a state
     p = SimParams()
     g = make_grid(p.grid_points, p.domain_length)
     s = initial_state(p, g)
-    loop = phase_loop(s)
+    stack = FieldState(t=[s.t, 16.0], u=np.stack([s.u, -s.u]), v=np.stack([s.v, s.v]))
+    loop = FieldState(t=stack.t[0], u=stack.u[0], v=stack.v[0])
     assert loop.t == 0.0
     assert np.array_equal(loop.u, s.u)
     assert np.array_equal(loop.v, s.v)
-    assert len(loop) == g.n
+    assert loop.u.size == g.n
     assert float(np.max(loop.u)) == pytest.approx(p.amplitude, abs=1e-15)
     assert float(np.min(loop.u)) == pytest.approx(-p.amplitude, abs=1e-15)
+    # the start is at rest, so its loop lies on the u axis and winds about nothing
+    assert winding_number(loop, (U_STAR, 0.0)) == 0
 
 
 def test_loop_construction_rejects_bad_input():
     with pytest.raises(NonFinite):
-        PhaseLoop(u=np.array([0.0, np.inf, 1.0]), v=np.zeros(3))
+        FieldState(t=0.0, u=np.array([0.0, np.inf, 1.0]), v=np.zeros(3))
     with pytest.raises(LengthMismatch):
-        PhaseLoop(u=np.zeros(4), v=np.zeros(3))
+        FieldState(t=0.0, u=np.zeros(4), v=np.zeros(3))
     with pytest.raises(LengthMismatch):
         TracerTrack(probe_x=2.0, t=np.zeros(3), u=np.zeros(4), v=np.zeros(4))
 
@@ -117,14 +121,14 @@ def test_winding_full_circle_sums_to_exactly_one_turn():
 
 def test_winding_negates_under_reversal():
     loop = circle_loop()
-    rev = PhaseLoop(u=loop.u[::-1], v=loop.v[::-1])
+    rev = FieldState(t=0.0, u=loop.u[::-1], v=loop.v[::-1])
     assert winding_number(rev, (0.0, 0.0)) == -1
 
 
 @pytest.mark.parametrize("shift", [1, 7, 31])
 def test_winding_invariant_under_cyclic_shift(shift):
     loop = circle_loop()
-    rolled = PhaseLoop(u=np.roll(loop.u, shift), v=np.roll(loop.v, shift))
+    rolled = FieldState(t=0.0, u=np.roll(loop.u, shift), v=np.roll(loop.v, shift))
     assert winding_number(rolled, (0.0, 0.0)) == 1
 
 
@@ -132,7 +136,7 @@ def test_winding_ignores_duplicate_vertices():
     loop = circle_loop(m=32)
     u = np.concatenate([loop.u[:10], loop.u[9:], loop.u[:1]])
     v = np.concatenate([loop.v[:10], loop.v[9:], loop.v[:1]])
-    messy = PhaseLoop(u=u, v=v)
+    messy = FieldState(t=0.0, u=u, v=v)
     assert winding_number(messy, (0.0, 0.0)) == 1
 
 
@@ -144,9 +148,19 @@ def test_winding_center_on_loop_raises():
 
 def test_winding_degenerate_loops_raise():
     with pytest.raises(DegenerateLoop):
-        winding_number(PhaseLoop(u=np.array([0.0, 1.0]), v=np.array([0.0, 0.0])), (5.0, 5.0))
+        winding_number(FieldState(t=0.0, u=np.array([0.0, 1.0]), v=np.array([0.0, 0.0])), (5.0, 5.0))
     with pytest.raises(DegenerateLoop):
-        winding_number(PhaseLoop(u=np.ones(6), v=np.full(6, 2.0)), (5.0, 5.0))
+        winding_number(FieldState(t=0.0, u=np.ones(6), v=np.full(6, 2.0)), (5.0, 5.0))
+
+
+def stacked_loops():
+    loop = circle_loop()
+    return FieldState(t=[0.0, 1.0], u=np.stack([loop.u, loop.u]), v=np.stack([loop.v, loop.v]))
+
+
+def test_winding_rejects_a_stacked_state():
+    with pytest.raises(LengthMismatch):
+        winding_number(stacked_loops(), (0.0, 0.0))
 
 
 def test_figure_eight_lobes_wind_oppositely():
@@ -171,7 +185,7 @@ def test_winding_matches_ray_parity_on_random_polygons():
     checked = 0
     for _ in range(200):
         m = int(rng.integers(3, 12))
-        loop = PhaseLoop(u=rng.standard_normal(m), v=rng.standard_normal(m))
+        loop = FieldState(t=0.0, u=rng.standard_normal(m), v=rng.standard_normal(m))
         center = tuple(0.5 * rng.standard_normal(2))
         try:
             w = winding_number(loop, center)
@@ -251,10 +265,16 @@ def test_convex_loop_has_no_crossings():
     assert cs.count == 0
     assert len(cs) == 0
     assert cs.points.shape == (0, 2)
+    # two or three vertices have no pair of non-adjacent edges
+    for u, v in (([0.0, 1.0], [0.0, 0.0]), ([0.0, 1.0, 0.5], [0.0, 0.0, 1.0])):
+        cs = self_intersections(FieldState(t=0.0, u=u, v=v))
+        assert cs.count == 0
+        assert cs.seg_a.dtype == np.int64
+        assert cs.points.shape == (0, 2)
 
 
 def test_bowtie_crossing_exact():
-    bow = PhaseLoop(u=np.array([0.0, 1.0, 1.0, 0.0]), v=np.array([0.0, 1.0, 0.0, 1.0]))
+    bow = FieldState(t=0.0, u=np.array([0.0, 1.0, 1.0, 0.0]), v=np.array([0.0, 1.0, 0.0, 1.0]))
     cs = self_intersections(bow)
     assert cs.count == 1
     assert cs.seg_a.tolist() == [0]
@@ -281,8 +301,8 @@ def test_rose_petals_touch_but_do_not_cross():
 def test_crossings_invariant_under_shift_and_reversal(shift):
     base = figure_eight(120)
     variants = [
-        PhaseLoop(u=np.roll(base.u, shift), v=np.roll(base.v, shift)),
-        PhaseLoop(u=np.roll(base.u, shift)[::-1], v=np.roll(base.v, shift)[::-1]),
+        FieldState(t=0.0, u=np.roll(base.u, shift), v=np.roll(base.v, shift)),
+        FieldState(t=0.0, u=np.roll(base.u, shift)[::-1], v=np.roll(base.v, shift)[::-1]),
     ]
     want = self_intersections(base).points
     for loop in variants:
@@ -295,7 +315,12 @@ def test_crossings_invariant_under_shift_and_reversal(shift):
 
 def test_crossings_reject_coincident_points():
     with pytest.raises(DegenerateLoop):
-        self_intersections(PhaseLoop(u=np.full(8, 0.3), v=np.full(8, -0.7)))
+        self_intersections(FieldState(t=0.0, u=np.full(8, 0.3), v=np.full(8, -0.7)))
+
+
+def test_crossings_reject_a_stacked_state():
+    with pytest.raises(LengthMismatch):
+        self_intersections(stacked_loops())
 
 
 def axis_pieces(loop):
@@ -325,7 +350,8 @@ def axis_pieces(loop):
         qu, last, _ = cuts[(a + 1) % len(cuts)]
         arc = (first + np.arange((last - first) % m + 1)) % m
         pieces.append(
-            PhaseLoop(
+            FieldState(
+                t=0.0,
                 u=np.concatenate([[pu], u[arc], [qu]]),
                 v=np.concatenate([[0.0], v[arc], [0.0]]),
             )
@@ -345,9 +371,10 @@ def test_axis_decomposition_on_a_circle():
 def test_axis_decomposition_on_a_simulated_loop(default_run):
     # t = 256 snapshot: the exactly odd loop crosses the u axis twice, at the
     # on-axis vertices x = 0 and x = L/2, both of which sit on the origin
-    loop = phase_loop(default_run.snapshots[16])
+    snaps = default_run.snapshots
+    loop = FieldState(t=snaps.t[16], u=snaps.u[16], v=snaps.v[16])
     assert loop.t == 256.0
-    assert loop.v[0] == 0.0 and loop.v[len(loop) // 2] == 0.0
+    assert loop.v[0] == 0.0 and loop.v[loop.u.size // 2] == 0.0
     pieces = axis_pieces(loop)
     assert len(pieces) == 2
     for center in ((U_STAR, 0.0), (-U_STAR, 0.0), (0.1, 0.02)):

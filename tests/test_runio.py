@@ -42,12 +42,16 @@ def test_fmt_round_trips_awkward_floats():
     assert fmt(float("nan")) == "nan"
 
 
+def random_states(rng, count, grid, dt):
+    """A stack of count random states at times 0, dt, 2 dt, ..."""
+    u, v = np.array(
+        [(rng.standard_normal(grid.n), rng.standard_normal(grid.n)) for _ in range(count)]
+    ).transpose(1, 0, 2)
+    return FieldState(t=dt * np.arange(count), u=u, v=v)
+
+
 def sample_states(grid):
-    rng = np.random.default_rng(11)
-    return [
-        FieldState(t=16.0 * i, u=rng.standard_normal(grid.n), v=rng.standard_normal(grid.n))
-        for i in range(3)
-    ]
+    return random_states(np.random.default_rng(11), 3, grid, 16.0)
 
 
 def test_snapshots_round_trip_exactly(tmp_path):
@@ -57,11 +61,10 @@ def test_snapshots_round_trip_exactly(tmp_path):
     write_snapshots(path, states, grid)
     nodes, back = read_snapshots(path)
     assert np.array_equal(nodes, grid.nodes)
-    assert len(back) == 3
-    for orig, got in zip(states, back):
-        assert got.t == orig.t
-        assert np.array_equal(got.u, orig.u)
-        assert np.array_equal(got.v, orig.v)
+    assert back.u.shape == (3, grid.n)
+    assert back.t.tolist() == states.t.tolist() == [0.0, 16.0, 32.0]
+    assert np.array_equal(back.u, states.u)
+    assert np.array_equal(back.v, states.v)
 
 
 def test_snapshots_reject_wrong_header(tmp_path):
@@ -103,11 +106,7 @@ def test_snapshots_reject_inconsistent_nodes(tmp_path):
 
 def test_snapshots_read_peaks_below_three_tables(tmp_path):
     grid = make_grid(128, 8.0)
-    rng = np.random.default_rng(5)
-    states = [
-        FieldState(t=0.125 * i, u=rng.standard_normal(grid.n), v=rng.standard_normal(grid.n))
-        for i in range(256)
-    ]
+    states = random_states(np.random.default_rng(5), 256, grid, 0.125)
     path = tmp_path / "snapshots.csv"
     write_snapshots(path, states, grid)
     del states
@@ -118,8 +117,24 @@ def test_snapshots_read_peaks_below_three_tables(tmp_path):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(back) == 256
+    assert back.u.shape == (256, grid.n)
     assert peak < 3 * table_bytes, f"peak {peak / table_bytes:.2f} tables"
+
+
+def test_snapshots_write_peaks_below_two_and_a_half_files(tmp_path):
+    # one state's rows at a time are formatted into one buffer, so the peak
+    # stays near twice the file's size (2.02 times, measured)
+    grid = make_grid(128, 8.0)
+    states = random_states(np.random.default_rng(5), 256, grid, 0.125)
+    path = tmp_path / "snapshots.csv"
+    tracemalloc.start()
+    try:
+        write_snapshots(path, states, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert peak < 2.5 * size, f"peak {peak / size:.2f} times the file's size"
 
 
 def cut_inside_last_row(path):
@@ -134,7 +149,7 @@ def test_snapshots_cut_mid_row_are_rejected(tmp_path):
     p = SimParams(grid_points=16)
     g = make_grid(p.grid_points, p.domain_length)
     path = tmp_path / "snapshots.csv"
-    write_snapshots(path, [FieldState(t=0.0, u=np.sin(g.nodes), v=np.cos(g.nodes))], g)
+    write_snapshots(path, FieldState(t=[0.0], u=[np.sin(g.nodes)], v=[np.cos(g.nodes)]), g)
     cut_inside_last_row(path)
     with pytest.raises(InsufficientData, match="line 17"):
         read_snapshots(path)

@@ -23,7 +23,7 @@ from kgbreather import (
     momentum,
 )
 from kgbreather.core import reflect
-from kgbreather.errors import NonFinite
+from kgbreather.errors import LengthMismatch, NonFinite
 from kgbreather.stepping import StageSolver
 
 U_STAR = math.sqrt(0.00305)
@@ -215,6 +215,29 @@ def test_stage_solver_reports_divergence_with_time():
     assert "1 sweeps" in str(err.value)
 
 
+def not_one_grid_state(grid):
+    """Starts that are not one grid.n-point state: too few points, and a stack."""
+    s64 = initial_state(SimParams(grid_points=64), make_grid(64, grid.length))
+    s0 = initial_state(SimParams(), grid)
+    return [s64, FieldState(t=[0.0, 0.0], u=np.stack([s0.u, s0.u]), v=np.stack([s0.v, s0.v]))]
+
+
+def test_integrate_rejects_a_start_that_is_not_one_grid_state():
+    p = SimParams(t_end=1.0)
+    g = make_grid(128, 8.0)
+    for start in not_one_grid_state(g):
+        with pytest.raises(LengthMismatch):
+            integrate(p, g, start)
+
+
+def test_irk_step_rejects_a_start_that_is_not_one_grid_state():
+    p = SimParams()
+    g = make_grid(128, 8.0)
+    for start in not_one_grid_state(g):
+        with pytest.raises(LengthMismatch):
+            irk_step(start, p, g)
+
+
 def test_integrate_tags_failure_time():
     # flipped laplacian sign with order-one alpha blows up almost immediately
     p = SimParams(laplacian_sign="as_written", alpha=1.0, t_end=64.0)
@@ -257,7 +280,7 @@ def test_integrate_is_deterministic():
     b, snaps_b, diags_b, _ = integrate(p)
     assert np.array_equal(a.final_state.u, b.final_state.u)
     assert np.array_equal(a.final_state.v, b.final_state.v)
-    assert len(snaps_a) == len(snaps_b)
+    assert snaps_a.u.shape == snaps_b.u.shape
     assert diags_a == diags_b
 
 
@@ -266,7 +289,7 @@ def test_integrate_zero_length_run():
     summary, snapshots, diagnostics, tracks = integrate(p)
     assert summary.steps == 0
     assert summary.max_abs_drift == 0.0
-    assert len(snapshots) == 1
+    assert snapshots.u.shape == (1, summary.final_state.u.size)
     assert len(diagnostics) == 1
     assert diagnostics[0].t == 0.0
     assert diagnostics[0].energy_drift == 0.0
@@ -286,7 +309,7 @@ def test_integrate_runs_from_the_start_state_time():
         st, _ = irk_step(st, p, g, solver)
         times.append(st.t)
     assert times[-1] == 6.0
-    assert [s.t for s in snapshots] == times[::4]
+    assert snapshots.t.tolist() == times[::4]
     assert [row.t for row in diagnostics] == times[::4]
     assert all(trk.t.tolist() == times for trk in tracks)
     assert summary.final_state.t == times[-1]
@@ -310,13 +333,13 @@ def test_diagnostics_rows_match_the_functionals_of_their_snapshots(case):
     s0 = initial_state(p, g)
     start = FieldState(t=0.0, u=s0.u + offset * np.cos(np.pi * g.nodes / 4.0), v=s0.v)
     _, snapshots, diagnostics, _ = integrate(p, g, start)
-    assert len(diagnostics) == len(snapshots) == int(p.t_end / p.snapshot_every) + 1
-    e0 = energy(snapshots[0].u, snapshots[0].v, p, g)
-    for st, row in zip(snapshots, diagnostics):
-        e = energy(st.u, st.v, p, g)
-        assert row.t == st.t
+    assert len(diagnostics) == snapshots.t.size == int(p.t_end / p.snapshot_every) + 1
+    e0 = energy(snapshots.u[0], snapshots.v[0], p, g)
+    for t, u, v, row in zip(snapshots.t, snapshots.u, snapshots.v, diagnostics):
+        e = energy(u, v, p, g)
+        assert row.t == t
         assert row.energy == e
-        assert row.momentum == momentum(st.u, st.v, p, g)
+        assert row.momentum == momentum(u, v, p, g)
         assert row.energy_drift == energy_drift(e, e0)
 
 
@@ -324,8 +347,8 @@ def test_integrate_snapshot_cadence_and_tracks():
     p = SimParams(t_end=64.0)
     summary, snapshots, diagnostics, tracks = integrate(p)
     assert summary.steps == 512
-    assert len(snapshots) == 5
-    assert [s.t for s in snapshots] == [0.0, 16.0, 32.0, 48.0, 64.0]
+    assert snapshots.t.size == 5
+    assert snapshots.t.tolist() == [0.0, 16.0, 32.0, 48.0, 64.0]
     assert [row.t for row in diagnostics] == [0.0, 16.0, 32.0, 48.0, 64.0]
     assert len(tracks) == 2
     assert tracks[0].probe_x == 2.0
@@ -365,10 +388,10 @@ def test_default_run_stays_exactly_odd():
     # the run keeps u(L - x) = -u(x) and v(L - x) = -v(x) bit for bit
     p = SimParams(t_end=128.0, snapshot_every=8.0)
     _, snapshots, _, tracks = integrate(p)
-    assert len(snapshots) == 17
-    for st in snapshots:
-        assert np.array_equal(reflect(st.u), -st.u)
-        assert np.array_equal(reflect(st.v), -st.v)
+    assert snapshots.t.size == 17
+    # reflect acts row by row, so one comparison covers every snapshot
+    assert np.array_equal(reflect(snapshots.u), -snapshots.u)
+    assert np.array_equal(reflect(snapshots.v), -snapshots.v)
     # the probes at x = 2 and x = 6 are mirror images of each other
     assert np.array_equal(tracks[1].u, -tracks[0].u)
     assert np.array_equal(tracks[1].v, -tracks[0].v)
@@ -392,8 +415,8 @@ def test_even_perturbation_grows_at_the_instability_rate(resolution):
     s0 = initial_state(p, g)
     start = FieldState(t=0.0, u=s0.u + 1e-10, v=s0.v)
     _, snapshots, _, _ = integrate(p, g, start)
-    t = np.array([st.t for st in snapshots])
-    defect = np.array([np.max(np.abs(st.u + reflect(st.u))) for st in snapshots])
+    t = snapshots.t
+    defect = np.max(np.abs(snapshots.u + reflect(snapshots.u)), axis=1)
     assert defect[0] == pytest.approx(2e-10, rel=1e-6)
     fit = (t >= 64.0) & (t <= 384.0)
     rate = float(np.polyfit(t[fit], np.log(defect[fit]), 1)[0])

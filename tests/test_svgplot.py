@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from kgbreather import PhaseLoop, SimParams, fixed_points, initial_state, make_grid
+from kgbreather import FieldState, SimParams, fixed_points, initial_state, make_grid
 from kgbreather.svgplot import phase_svg, waveform_svg
 
 
@@ -49,8 +49,7 @@ def test_waveform_flat_field_still_renders():
 def test_phase_markup_shape():
     p, g, s = default_setup()
     fps = fixed_points(p)
-    loop = PhaseLoop(u=s.u, v=s.v, t=s.t)
-    svg = phase_svg(loop, [fps.minus, fps.center, fps.plus])
+    svg = phase_svg(s, [fps.minus, fps.center, fps.plus])
     assert svg.startswith("<svg ")
     assert svg.endswith("</svg>\n")
     # loop polyline plus one ring per equilibrium
@@ -60,7 +59,7 @@ def test_phase_markup_shape():
 
 
 def test_phase_loop_polyline_is_closed():
-    loop = PhaseLoop(u=np.array([1.0, 0.0, -1.0, 0.0]), v=np.array([0.0, 1.0, 0.0, -1.0]))
+    loop = FieldState(t=0.0, u=np.array([1.0, 0.0, -1.0, 0.0]), v=np.array([0.0, 1.0, 0.0, -1.0]))
     svg = phase_svg(loop, [(0.0, 0.0)])
     line = next(part for part in svg.split("\n") if "<polyline" in part)
     pts = line.split('points="')[1].split('"')[0].split()
@@ -69,7 +68,7 @@ def test_phase_loop_polyline_is_closed():
 
 
 def test_phase_trail_is_thinned_to_max_trail():
-    loop = PhaseLoop(u=np.cos(np.linspace(0.0, 6.0, 30)), v=np.sin(np.linspace(0.0, 6.0, 30)))
+    loop = FieldState(t=0.0, u=np.cos(np.linspace(0.0, 6.0, 30)), v=np.sin(np.linspace(0.0, 6.0, 30)))
     n = 5000
     ang = np.linspace(0.0, 20.0 * math.pi, n)
     svg = phase_svg(
@@ -87,6 +86,5 @@ def test_phase_trail_is_thinned_to_max_trail():
 def test_phase_is_byte_deterministic():
     p, g, s = default_setup()
     fps = fixed_points(p)
-    loop = PhaseLoop(u=s.u, v=s.v, t=s.t)
-    args = (loop, [fps.minus, fps.center, fps.plus])
+    args = (s, [fps.minus, fps.center, fps.plus])
     assert phase_svg(*args) == phase_svg(*args)
