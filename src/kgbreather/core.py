@@ -50,9 +50,13 @@ class SimParams:
 
 
 def _is_integer_multiple(value, unit):
-    """value / unit is an integer to relative tolerance; unit must be positive."""
+    """value / unit is a positive integer to relative tolerance; unit must be positive."""
     ratio = value / unit
-    return math.isfinite(ratio) and abs(ratio - round(ratio)) <= _REL_TOL * max(1.0, abs(ratio))
+    return (
+        math.isfinite(ratio)
+        and round(ratio) >= 1
+        and abs(ratio - round(ratio)) <= _REL_TOL * max(1.0, abs(ratio))
+    )
 
 
 def _is_number(value, kind=numbers.Real):
@@ -90,6 +94,10 @@ def validate_params(params):
         v.append(f"mu must be > 0, got {params.mu}")
     if not params.domain_length > 0:
         v.append(f"domain_length must be > 0, got {params.domain_length}")
+    elif not _is_integer_multiple(params.domain_length, 8.0):
+        v.append(
+            f"domain_length must be a multiple of 8 for the sine profile, got {params.domain_length}"
+        )
     if not params.dt > 0:
         v.append(f"dt must be > 0, got {params.dt}")
     if params.t_end < 0:
@@ -101,10 +109,11 @@ def validate_params(params):
         v.append(f"snapshot_every must be positive, got {params.snapshot_every}")
     elif params.dt > 0 and not _is_integer_multiple(params.snapshot_every, params.dt):
         v.append(
-            f"snapshot_every = {params.snapshot_every} is not an integer multiple of dt = {params.dt}"
+            f"snapshot_every = {params.snapshot_every} is not a positive integer multiple"
+            f" of dt = {params.dt}"
         )
     if params.dt > 0 and params.t_end > 0 and not _is_integer_multiple(params.t_end, params.dt):
-        v.append(f"t_end = {params.t_end} is not an integer multiple of dt = {params.dt}")
+        v.append(f"t_end = {params.t_end} is not a positive integer multiple of dt = {params.dt}")
     if params.laplacian_sign not in LAPLACIAN_SIGNS:
         v.append(
             f"laplacian_sign must be one of {LAPLACIAN_SIGNS}, got {params.laplacian_sign!r}"

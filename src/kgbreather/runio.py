@@ -3,19 +3,21 @@
 Floats are written as their shortest round-tripping decimal so every file
 reloads to the exact binary value. All writers build the whole payload first
 and publish it with os.replace, so a crash never leaves a half-written file.
-Every CSV ends with a newline; the readers reject one that does not, since
-it was cut inside its last cell. The numeric readers collect a file into one
-float64 table, and a snapshot or a tracer track is a run of equal values in
-its key column (t or probe_x). Snapshots travel as one stacked FieldState
-both ways.
+Writers join cells with bare commas and never quote. One parser,
+numpy.loadtxt in _read_table, reads each CSV into one table and rejects a
+wrong header, a row with too few or too many cells, a cell that is not a
+plain number (a quoted one included), and a file without a final newline,
+which was cut inside its last cell. A snapshot or a tracer track is a run of
+equal values in its key column (t or probe_x); snapshots travel as one
+stacked FieldState both ways.
 """
 
-import csv
 import hashlib
 import io
 import json
 import os
 import tempfile
+import warnings
 
 import numpy as np
 
@@ -63,10 +65,10 @@ def atomic_write_text(path, text):
 
 
 def _csv_text(header, rows):
+    """Comma-joined lines; no cell a writer emits holds a comma, quote or newline."""
     buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    w.writerows(rows)
+    buf.write(",".join(header) + "\n")
+    buf.writelines(",".join(row) + "\n" for row in rows)
     return buf.getvalue()
 
 
@@ -76,43 +78,34 @@ def _ends_with_newline(path):
         return fh.read(1) == b"\n"
 
 
-def _read_csv(path, expect_header, text_columns=()):
-    """Yield data rows as lists of floats; cells of the columns named in text_columns stay text.
+def _read_table(path, header, dtype=np.float64):
+    """Data rows as one (rows, columns) array of dtype, or as (rows,) records if dtype is structured.
 
-    The final-newline check runs once the rows are exhausted; every reader
-    consumes all of them, so none skips it.
+    The body parses into one field per header name, so loadtxt names the
+    row that has too few or too many cells.
     """
-    kinds = [str if name in text_columns else float for name in expect_header]
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InsufficientData(f"{path} is empty") from None
-        if tuple(header) != tuple(expect_header):
-            raise InsufficientData(f"{path} has header {header}, expected {list(expect_header)}")
-        for row in reader:
-            if len(row) != len(header):
-                if not row:
-                    continue
-                raise InsufficientData(
-                    f"{path}, line {reader.line_num}: {len(row)} cells, expected {len(header)}"
-                )
+    records = np.dtype(dtype).names is not None
+    fields = dtype if records else [(name, dtype) for name in header]
+    with open(path, "r", encoding="utf-8") as fh:
+        first = fh.readline()
+        if not first:
+            raise InsufficientData(f"{path} is empty")
+        names = first.rstrip("\n").split(",")
+        if names != list(header):
+            raise InsufficientData(f"{path} has header {names}, expected {list(header)}")
+        with warnings.catch_warnings():
+            # a header-only file is an empty table, not a warning
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
             try:
-                yield [kind(cell) for kind, cell in zip(kinds, row)]
+                table = np.loadtxt(fh, fields, delimiter=",", comments=None, ndmin=1)
             except ValueError as exc:
-                raise InsufficientData(
-                    f"{path}, line {reader.line_num}: non-numeric cell ({exc})"
-                ) from None
+                raise InsufficientData(f"{path}: {exc}") from None
     if not _ends_with_newline(path):
+        # no writer leaves a blank line, so the last row is on line 1 + rows
         raise InsufficientData(
-            f"{path}, line {reader.line_num}: no final newline, cut inside its last cell"
+            f"{path}, line {1 + len(table)}: no final newline, cut inside its last cell"
         )
-
-
-def _read_table(path, header):
-    """Data rows as one (rows, columns) float64 array."""
-    return np.fromiter(_read_csv(path, header), dtype=np.dtype((np.float64, len(header))))
+    return table if records else table.view(dtype).reshape(-1, len(header))
 
 
 def _runs(key):
@@ -189,10 +182,8 @@ def write_sweep(path, entries):
 
 
 def read_sweep(path):
-    return [
-        dict(zip(SWEEP_COLUMNS, row))
-        for row in _read_csv(path, SWEEP_COLUMNS, text_columns=("label",))
-    ]
+    dtype = [(name, object if name == "label" else np.float64) for name in SWEEP_COLUMNS]
+    return [dict(zip(SWEEP_COLUMNS, row)) for row in _read_table(path, SWEEP_COLUMNS, dtype).tolist()]
 
 
 def file_digest(path):

@@ -68,11 +68,21 @@ def test_simulate_zero_t_end_writes_one_snapshot(tmp_path):
 
 
 def test_simulate_bad_config_value_exits_2(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("dt = -1\n", encoding="utf-8")
-    res = run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "run"))
-    assert res.returncode == 2
-    assert "dt" in res.stderr
+    cases = [
+        ("dt = -1\n", "dt"),
+        # rounds to zero steps between snapshots
+        ("snapshot_every = 1e-14\n", "snapshot_every = 1e-14 is not a positive integer multiple"),
+        ("domain_length = 12\nprobes = 3\n", "domain_length must be a multiple of 8"),
+    ]
+    for i, (text, message) in enumerate(cases):
+        cfg = tmp_path / f"run{i}.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        out = tmp_path / f"run{i}"
+        res = run_cli("simulate", "--config", str(cfg), "--out", str(out))
+        assert res.returncode == 2, text
+        assert message in res.stderr
+        assert "Traceback" not in res.stderr
+        assert not out.exists()
 
 
 def test_simulate_repeated_probe_exits_2(tmp_path):
@@ -304,6 +314,12 @@ def test_sweep_rejects_an_invalid_member_before_running_any(tmp_path, cfg64):
     assert res.returncode == 2
     assert "amplitude must be finite, got nan" in res.stderr
     assert "Traceback" not in res.stderr
+    assert not out.exists()
+    cfg = tmp_path / "l12.cfg"
+    cfg.write_text("domain_length = 12\nprobes = 3\nt_end = 64\n", encoding="utf-8")
+    res = run_cli("sweep", "--config", str(cfg), "--out", str(out), "--amplitudes", "0.01")
+    assert res.returncode == 2
+    assert "domain_length must be a multiple of 8" in res.stderr
     assert not out.exists()
 
 

@@ -183,6 +183,10 @@ def test_validate_params_defaults_clean():
             "stage_max_iter", -(10**5000), "stage_max_iter must be >= 1", id="stage_max_iter_5000_digits"
         ),
         pytest.param("alpha", 10**400, "alpha must be finite", id="alpha_int_beyond_float_range"),
+        ("snapshot_every", 1e-14, "snapshot_every = 1e-14 is not a positive integer multiple"),
+        ("t_end", 1e-14, "t_end = 1e-14 is not a positive integer multiple"),
+        ("domain_length", 12.0, "domain_length must be a multiple of 8"),
+        ("domain_length", 1e-14, "domain_length must be a multiple of 8"),
     ],
 )
 def test_validate_params_flags_each_violation(field, value, word):
@@ -194,7 +198,7 @@ def test_validate_params_flags_each_violation(field, value, word):
 
 def test_validate_params_reports_a_step_count_beyond_float_range():
     p = dataclasses.replace(SimParams(), dt=1e-10, t_end=1e300, snapshot_every=1e300)
-    assert any("t_end = 1e+300 is not an integer multiple" in v for v in validate_params(p))
+    assert any("t_end = 1e+300 is not a positive integer multiple" in v for v in validate_params(p))
 
 
 def test_validate_params_probe_on_node_is_fine():

@@ -1,13 +1,16 @@
 """CSV round trips, digests, manifests, and atomic publication."""
 
+import dataclasses
 import math
 import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from kgbreather import (
+    DIAGNOSTICS_COLUMNS,
     DiagnosticsRow,
     FieldState,
     InsufficientData,
@@ -16,6 +19,7 @@ from kgbreather import (
     make_grid,
 )
 from kgbreather.runio import (
+    SWEEP_COLUMNS,
     atomic_write_text,
     file_digest,
     fmt,
@@ -42,6 +46,16 @@ def test_fmt_round_trips_awkward_floats():
     assert fmt(float("nan")) == "nan"
 
 
+# floats that stress a text round trip: the smallest subnormal, negative zero,
+# the largest finite float and one ulp of 1
+AWKWARD = (5e-324, -0.0, 1.7976931348623157e308, 2.0 ** -52)
+
+
+def bits(values):
+    """Raw float64 bytes, so -0.0 and 0.0 (and nan payloads) count as different."""
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
 def random_states(rng, count, grid, dt):
     """A stack of count random states at times 0, dt, 2 dt, ..."""
     u, v = np.array(
@@ -51,7 +65,11 @@ def random_states(rng, count, grid, dt):
 
 
 def sample_states(grid):
-    return random_states(np.random.default_rng(11), 3, grid, 16.0)
+    states = random_states(np.random.default_rng(11), 3, grid, 16.0)
+    u, v = states.u.copy(), states.v.copy()
+    u[1, : len(AWKWARD)] = AWKWARD
+    v[2, -len(AWKWARD) :] = AWKWARD
+    return FieldState(t=states.t, u=u, v=v)
 
 
 def test_snapshots_round_trip_exactly(tmp_path):
@@ -63,8 +81,8 @@ def test_snapshots_round_trip_exactly(tmp_path):
     assert np.array_equal(nodes, grid.nodes)
     assert back.u.shape == (3, grid.n)
     assert back.t.tolist() == states.t.tolist() == [0.0, 16.0, 32.0]
-    assert np.array_equal(back.u, states.u)
-    assert np.array_equal(back.v, states.v)
+    assert bits(back.u) == bits(states.u)
+    assert bits(back.v) == bits(states.v)
 
 
 def test_snapshots_reject_wrong_header(tmp_path):
@@ -89,6 +107,34 @@ def test_snapshots_reject_non_numeric_cell(tmp_path):
     path.write_text("t,x,u,v\n0.0,0.0,oops,0.0\n", encoding="utf-8")
     with pytest.raises(InsufficientData):
         read_snapshots(path)
+
+
+def test_quoted_cell_is_rejected(tmp_path):
+    # no writer quotes, so a quoted number is not unquoted as a csv reader would
+    cases = [
+        (read_snapshots, "snapshots.csv", "t,x,u,v", '0.0,0.0,"3",0.0'),
+        (read_diagnostics, "diagnostics.csv", ",".join(DIAGNOSTICS_COLUMNS), ",".join(['"3"'] * 11)),
+        (read_tracers, "tracers.csv", "probe_x,t,u,v", '2.0,0.0,"3",0.0'),
+        (read_sweep, "sweep.csv", ",".join(SWEEP_COLUMNS), '"3",breather,1,1,1,1,1'),
+    ]
+    for reader, name, header, row in cases:
+        path = tmp_path / name
+        path.write_text(f"{header}\n{row}\n", encoding="utf-8")
+        with pytest.raises(InsufficientData, match=f"{name}: could not convert string '\"3\"'"):
+            reader(path)
+
+
+def test_header_only_diagnostics_and_tracers_read_back_empty(tmp_path):
+    diagnostics = tmp_path / "diagnostics.csv"
+    write_diagnostics(diagnostics, [])
+    tracers = tmp_path / "tracers.csv"
+    write_tracers(tracers, [])
+    assert diagnostics.read_text(encoding="utf-8").count("\n") == 1
+    assert tracers.read_text(encoding="utf-8") == "probe_x,t,u,v\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy warns on a file with no data rows
+        assert read_diagnostics(diagnostics) == []
+        assert read_tracers(tracers) == []
 
 
 def test_snapshots_reject_inconsistent_nodes(tmp_path):
@@ -151,7 +197,7 @@ def test_snapshots_cut_mid_row_are_rejected(tmp_path):
     path = tmp_path / "snapshots.csv"
     write_snapshots(path, FieldState(t=[0.0], u=[np.sin(g.nodes)], v=[np.cos(g.nodes)]), g)
     cut_inside_last_row(path)
-    with pytest.raises(InsufficientData, match="line 17"):
+    with pytest.raises(InsufficientData, match="requires 4 columns but 2 were found at row 16;"):
         read_snapshots(path)
 
 
@@ -160,7 +206,7 @@ def test_tracers_cut_mid_row_are_rejected(tmp_path):
     path = tmp_path / "tracers.csv"
     write_tracers(path, [track])
     cut_inside_last_row(path)
-    with pytest.raises(InsufficientData, match="tracers.csv, line 10"):
+    with pytest.raises(InsufficientData, match="tracers.csv: .* but 2 were found at row 9;"):
         read_tracers(path)
 
 
@@ -197,10 +243,12 @@ def sample_rows():
 
 
 def test_diagnostics_round_trip_exactly(tmp_path):
-    rows = sample_rows()
+    rows = [*sample_rows(), DiagnosticsRow(80.0, *AWKWARD, *AWKWARD, *AWKWARD[:2])]
     path = tmp_path / "diagnostics.csv"
     write_diagnostics(path, rows)
-    assert read_diagnostics(path) == rows
+    back = read_diagnostics(path)
+    assert back == rows
+    assert bits([dataclasses.astuple(r) for r in back]) == bits([dataclasses.astuple(r) for r in rows])
 
 
 def test_tracers_round_trip_exactly(tmp_path):
@@ -209,20 +257,22 @@ def test_tracers_round_trip_exactly(tmp_path):
         TracerTrack(probe_x=px, t=np.arange(9.0), u=rng.standard_normal(9), v=rng.standard_normal(9))
         for px in (2.0, 6.0)
     ]
+    tracks[0] = dataclasses.replace(tracks[0], u=np.r_[AWKWARD, tracks[0].u[len(AWKWARD) :]])
+    tracks[1] = dataclasses.replace(tracks[1], v=np.r_[tracks[1].v[: -len(AWKWARD)], AWKWARD])
     path = tmp_path / "tracers.csv"
     write_tracers(path, tracks)
     back = read_tracers(path)
     assert [trk.probe_x for trk in back] == [2.0, 6.0]
     for orig, got in zip(tracks, back):
-        assert np.array_equal(got.t, orig.t)
-        assert np.array_equal(got.u, orig.u)
-        assert np.array_equal(got.v, orig.v)
+        assert bits(got.t) == bits(orig.t)
+        assert bits(got.u) == bits(orig.u)
+        assert bits(got.v) == bits(orig.v)
 
 
 def test_sweep_round_trip(tmp_path):
     entries = [
-        {"A": 0.02, "label": "breather", "m_left": 0.01, "m_right": -0.01,
-         "rot_left": 1.5, "rot_origin": 0.1, "max_drift": 3e-11},
+        {"A": 0.02, "label": "breather", "m_left": 5e-324, "m_right": -0.0,
+         "rot_left": 1.7976931348623157e308, "rot_origin": 2.0 ** -52, "max_drift": 3e-11},
         {"A": 0.08, "label": "indeterminate", "m_left": float("nan"),
          "m_right": float("nan"), "rot_left": float("nan"),
          "rot_origin": float("nan"), "max_drift": float("nan")},
@@ -232,9 +282,11 @@ def test_sweep_round_trip(tmp_path):
     back = read_sweep(path)
     assert len(back) == 2
     assert back[0]["label"] == "breather"
-    assert back[0]["A"] == 0.02
     assert back[1]["label"] == "indeterminate"
     assert math.isnan(back[1]["m_left"])
+    numeric = [c for c in SWEEP_COLUMNS if c != "label"]
+    for orig, got in zip(entries, back):
+        assert bits([got[c] for c in numeric]) == bits([orig[c] for c in numeric])
 
 
 def sweep_file(tmp_path):
@@ -258,7 +310,7 @@ def test_sweep_cut_inside_last_cell_is_rejected(tmp_path):
 def test_sweep_row_short_of_cells_is_rejected(tmp_path):
     path, text = sweep_file(tmp_path)
     path.write_text(text[: text.rindex(",")] + "\n", encoding="utf-8")
-    with pytest.raises(InsufficientData, match="sweep.csv, line 3: 6 cells, expected 7"):
+    with pytest.raises(InsufficientData, match="sweep.csv: .* requires 7 columns but 6 were found at row 2;"):
         read_sweep(path)
 
 
