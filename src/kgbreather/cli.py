@@ -137,6 +137,7 @@ def run_and_write(params, out_dir):
             "max_abs_energy_drift": summary.max_abs_drift,
             "max_stage_residual": summary.max_residual,
             "total_stage_sweeps": summary.total_sweeps,
+            "stage_sweep_counts": list(summary.sweep_counts),
             "classification": result.label.value if result else None,
             "files": inventory_digests(out_dir, [SNAPSHOTS_FILE, DIAGNOSTICS_FILE, TRACERS_FILE]),
         }

@@ -78,14 +78,38 @@ def _ends_with_newline(path):
         return fh.read(1) == b"\n"
 
 
+def _bad_line_error(path, fh, width, parse, exc):
+    """InsufficientData naming the file line of the first body row that parse rejects.
+
+    numpy's own row numbers count neither from the header nor alike for
+    every fault, so the body is parsed again one line at a time.
+    """
+    fh.seek(0)
+    fh.readline()
+    for k, line in enumerate(fh, 2):
+        try:
+            parse([line])
+        except ValueError as line_exc:
+            cells = line.rstrip("\n").count(",") + 1
+            if cells != width:
+                return InsufficientData(f"{path}, line {k}: {cells} cells, expected {width}")
+            return InsufficientData(f"{path}, line {k}: {str(line_exc).replace(' at row 0,', ' in')}")
+    return InsufficientData(f"{path}: {exc}")
+
+
 def _read_table(path, header, dtype=np.float64):
     """Data rows as one (rows, columns) array of dtype, or as (rows,) records if dtype is structured.
 
-    The body parses into one field per header name, so loadtxt names the
-    row that has too few or too many cells.
+    The body parses into one field per header name, so a row with too few
+    or too many cells fails. A failure names the file line of the first row
+    that does not parse, counting the header as line 1.
     """
     records = np.dtype(dtype).names is not None
     fields = dtype if records else [(name, dtype) for name in header]
+
+    def parse(lines):
+        return np.loadtxt(lines, fields, delimiter=",", comments=None, ndmin=1)
+
     with open(path, "r", encoding="utf-8") as fh:
         first = fh.readline()
         if not first:
@@ -97,9 +121,9 @@ def _read_table(path, header, dtype=np.float64):
             # a header-only file is an empty table, not a warning
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
             try:
-                table = np.loadtxt(fh, fields, delimiter=",", comments=None, ndmin=1)
+                table = parse(fh)
             except ValueError as exc:
-                raise InsufficientData(f"{path}: {exc}") from None
+                raise _bad_line_error(path, fh, len(header), parse, exc) from None
     if not _ends_with_newline(path):
         # no writer leaves a blank line, so the last row is on line 1 + rows
         raise InsufficientData(

@@ -55,6 +55,10 @@ def test_simulate_writes_all_artifacts(tmp_path, cfg64):
     assert sorted(manifest["files"]) == ["diagnostics.csv", "snapshots.csv", "tracers.csv"]
     assert manifest["params"]["t_end"] == 64.0
     assert manifest["grid"]["n"] == 64
+    # stage_sweep_counts[k - 1] steps took k sweeps
+    counts = manifest["stage_sweep_counts"]
+    assert sum(counts) == manifest["steps"]
+    assert sum(k * n for k, n in enumerate(counts, 1)) == manifest["total_stage_sweeps"]
 
 
 def test_simulate_zero_t_end_writes_one_snapshot(tmp_path):

@@ -120,8 +120,23 @@ def test_quoted_cell_is_rejected(tmp_path):
     for reader, name, header, row in cases:
         path = tmp_path / name
         path.write_text(f"{header}\n{row}\n", encoding="utf-8")
-        with pytest.raises(InsufficientData, match=f"{name}: could not convert string '\"3\"'"):
+        match = f"{name}, line 2: could not convert string '\"3\"' to float64 in column"
+        with pytest.raises(InsufficientData, match=match):
             reader(path)
+
+
+@pytest.mark.parametrize(
+    "row, detail",
+    [("2.0,1.0,0.5", "3 cells, expected 4$"), ("2.0,1.0,x,0.5", "could not convert string 'x'")],
+    ids=["short_row", "bad_cell"],
+)
+def test_a_bad_row_inside_the_body_is_named_by_its_file_line(tmp_path, row, detail):
+    # header on line 1, so the fourth data row is on line 5 for either fault
+    path = tmp_path / "tracers.csv"
+    rows = ["2.0,0.0,0.1,0.2"] * 3 + [row] + ["2.0,2.0,0.1,0.2"] * 2
+    path.write_text("probe_x,t,u,v\n" + "".join(r + "\n" for r in rows), encoding="utf-8")
+    with pytest.raises(InsufficientData, match=f"tracers.csv, line 5: {detail}"):
+        read_tracers(path)
 
 
 def test_header_only_diagnostics_and_tracers_read_back_empty(tmp_path):
@@ -197,7 +212,7 @@ def test_snapshots_cut_mid_row_are_rejected(tmp_path):
     path = tmp_path / "snapshots.csv"
     write_snapshots(path, FieldState(t=[0.0], u=[np.sin(g.nodes)], v=[np.cos(g.nodes)]), g)
     cut_inside_last_row(path)
-    with pytest.raises(InsufficientData, match="requires 4 columns but 2 were found at row 16;"):
+    with pytest.raises(InsufficientData, match="snapshots.csv, line 17: 2 cells, expected 4$"):
         read_snapshots(path)
 
 
@@ -206,7 +221,7 @@ def test_tracers_cut_mid_row_are_rejected(tmp_path):
     path = tmp_path / "tracers.csv"
     write_tracers(path, [track])
     cut_inside_last_row(path)
-    with pytest.raises(InsufficientData, match="tracers.csv: .* but 2 were found at row 9;"):
+    with pytest.raises(InsufficientData, match="tracers.csv, line 10: 2 cells, expected 4$"):
         read_tracers(path)
 
 
@@ -310,7 +325,7 @@ def test_sweep_cut_inside_last_cell_is_rejected(tmp_path):
 def test_sweep_row_short_of_cells_is_rejected(tmp_path):
     path, text = sweep_file(tmp_path)
     path.write_text(text[: text.rindex(",")] + "\n", encoding="utf-8")
-    with pytest.raises(InsufficientData, match="sweep.csv: .* requires 7 columns but 6 were found at row 2;"):
+    with pytest.raises(InsufficientData, match="sweep.csv, line 3: 6 cells, expected 7$"):
         read_sweep(path)
 
 

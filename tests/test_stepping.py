@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+import kgbreather.dynamics
+import kgbreather.spectral
 from kgbreather import (
     FieldState,
     SimParams,
@@ -173,6 +175,37 @@ def test_integrate_and_chained_irk_steps_agree(stages, dealias):
     assert st.t == summary.final_state.t
     assert np.max(np.abs(st.u - summary.final_state.u)) <= 1e-12
     assert np.max(np.abs(st.v - summary.final_state.v)) <= 1e-12
+
+
+@pytest.mark.parametrize("stages", [1, 2, 3])
+def test_stage_extrapolation_reproduces_polynomials_of_degree_s(stages):
+    # the s + 1 nodes (0, c_1..c_s) fix every polynomial of degree <= s, so
+    # the extrapolation to 1 + c_j is exact for all of them
+    p = SimParams(irk_stages=stages)
+    solver = StageSolver(p, make_grid(p.grid_points, p.domain_length))
+    c = solver.tableau.c
+    nodes = np.concatenate([[0.0], c])
+    assert solver.extrap.shape == (stages, stages + 1)
+    assert np.max(np.abs(solver.extrap.sum(axis=1) - 1.0)) <= 1e-13
+    for degree in range(stages + 1):
+        coef = np.linspace(1.0, -0.5, degree + 1)
+        got = solver.extrap @ np.polyval(coef, nodes)
+        assert np.max(np.abs(got - np.polyval(coef, 1.0 + c))) <= 1e-13
+
+
+@pytest.mark.parametrize("stages", [1, 2, 3])
+def test_integrate_first_step_matches_irk_step_bit_for_bit(stages):
+    # integrate's first step has no previous stages, so it starts from uhat as irk_step does
+    p = SimParams(t_end=0.125, snapshot_every=0.125, irk_stages=stages)
+    g = make_grid(p.grid_points, p.domain_length)
+    s0 = initial_state(p, g)
+    start = FieldState(t=0.0, u=s0.u + 1e-10, v=s0.v)  # not odd, so left unprojected
+    summary, _, _, _ = integrate(p, g, start)
+    s1, report = irk_step(start, p, g)
+    assert summary.steps == 1
+    assert summary.total_sweeps == report.iterations
+    assert np.array_equal(summary.final_state.u, s1.u)
+    assert np.array_equal(summary.final_state.v, s1.v)
 
 
 @pytest.mark.parametrize("stages", [1, 2, 3])
@@ -374,6 +407,36 @@ def test_sweep_counters_accumulate():
     summary, _, _, _ = integrate(p)
     assert summary.total_sweeps >= summary.steps
     assert 0.0 < summary.max_residual <= p.stage_tol
+    # sweep_counts[k - 1] steps took k sweeps
+    assert sum(summary.sweep_counts) == summary.steps
+    assert sum(k * n for k, n in enumerate(summary.sweep_counts, 1)) == summary.total_sweeps
+
+
+def test_each_step_makes_one_starting_cube_plus_one_per_sweep(monkeypatch):
+    # counts, not timings, so host noise cannot move them
+    calls = []
+    cube_hat = kgbreather.spectral.cube_hat
+
+    def counted(c, mode):
+        calls.append(mode)
+        return cube_hat(c, mode)
+
+    monkeypatch.setattr(kgbreather.spectral, "cube_hat", counted)
+    monkeypatch.setattr(kgbreather.dynamics, "cube_hat", counted)
+    summary, _, _, _ = integrate(SimParams(t_end=16.0))
+    assert len(calls) == summary.steps + summary.total_sweeps
+
+
+@pytest.mark.parametrize(
+    "case, bound",
+    [({}, 1.40), ({"irk_stages": 3}, 1.05), ({"amplitude": 0.12}, 2.10)],
+    ids=["default", "irk_stages_3", "amplitude_0.12"],
+)
+def test_stage_sweeps_per_step_stay_low(case, bound):
+    # measured 1.334, 1.002 and 2.002 with the extrapolated stage start;
+    # every step starting from uhat took 2.000, 2.000 and 2.850
+    summary, _, _, _ = integrate(SimParams(t_end=64.0, **case))
+    assert summary.total_sweeps / summary.steps <= bound
 
 
 def test_three_stage_run_conserves_energy_to_roundoff():
