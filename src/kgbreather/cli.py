@@ -11,7 +11,15 @@ import sys
 import time
 
 from .configfile import parse_config
-from .core import FieldState, SimParams, make_grid, params_from_dict, params_to_dict, validate_params
+from .core import (
+    FieldState,
+    SimParams,
+    initial_state,
+    make_grid,
+    params_from_dict,
+    params_to_dict,
+    validate_params,
+)
 from .dynamics import fixed_points
 from .errors import (
     InsufficientData,
@@ -91,10 +99,13 @@ def _grid_entry(grid):
     return {"n": grid.n, "length": grid.length, "dx": grid.dx}
 
 
-def run_and_write(params, out_dir):
-    """Integrate, write all artifacts into out_dir, return (manifest, classify result)."""
+def write_run(params, grid, out_dir, outcome, wall):
+    """Write one run's artifacts into out_dir and return (manifest, classify result).
+
+    outcome is what integrate gives for the run: its results, or the
+    exception it failed with, which gets a failure manifest and no result.
+    """
     os.makedirs(out_dir, exist_ok=True)
-    grid = make_grid(params.grid_points, params.domain_length)
     from . import __version__
 
     manifest = {
@@ -102,26 +113,23 @@ def run_and_write(params, out_dir):
         "tool_version": __version__,
         "params": params_to_dict(params),
         "grid": _grid_entry(grid),
+        "wall_clock_seconds": wall,
     }
-    start = time.monotonic()
-    try:
-        summary, snapshots, diagnostics, tracks = integrate(params, grid)
-    except (StageSolveDiverged, NonFinite) as exc:
+    if isinstance(outcome, Exception):
         manifest.update(
             {
-                "wall_clock_seconds": time.monotonic() - start,
                 "status": "failed",
                 "failure": {
-                    "t": getattr(exc, "t", None),
-                    "error": type(exc).__name__,
-                    "message": str(exc),
+                    "t": getattr(outcome, "t", None),
+                    "error": type(outcome).__name__,
+                    "message": str(outcome),
                 },
                 "files": {},
             }
         )
         write_manifest(os.path.join(out_dir, MANIFEST_FILE), manifest)
-        raise
-    wall = time.monotonic() - start
+        return manifest, None
+    summary, snapshots, diagnostics, tracks = outcome
     write_snapshots(os.path.join(out_dir, SNAPSHOTS_FILE), snapshots, grid)
     write_diagnostics(os.path.join(out_dir, DIAGNOSTICS_FILE), diagnostics)
     write_tracers(os.path.join(out_dir, TRACERS_FILE), tracks)
@@ -131,7 +139,6 @@ def run_and_write(params, out_dir):
         result = None
     manifest.update(
         {
-            "wall_clock_seconds": wall,
             "status": "ok",
             "steps": summary.steps,
             "max_abs_energy_drift": summary.max_abs_drift,
@@ -144,6 +151,21 @@ def run_and_write(params, out_dir):
     )
     write_manifest(os.path.join(out_dir, MANIFEST_FILE), manifest)
     return manifest, result
+
+
+def run_and_write(params, out_dir):
+    """Integrate, write all artifacts into out_dir, return (manifest, classify result).
+
+    A run that fails writes its failure manifest and raises.
+    """
+    grid = make_grid(params.grid_points, params.domain_length)
+    start = time.monotonic()
+    try:
+        outcome = integrate(params, grid)
+    except (StageSolveDiverged, NonFinite) as exc:
+        write_run(params, grid, out_dir, exc, time.monotonic() - start)
+        raise
+    return write_run(params, grid, out_dir, outcome, time.monotonic() - start)
 
 
 def cmd_simulate(args):
@@ -175,11 +197,18 @@ def cmd_sweep(args):
     if violations:
         raise InvalidParams(violations)
     os.makedirs(args.out, exist_ok=True)
+    # the members differ only in their starts, so one integrate runs them all
+    grid = make_grid(base.grid_points, base.domain_length)
+    start = time.monotonic()
+    starts = [initial_state(params, grid) for params in members]
+    stack = FieldState(t=[s.t for s in starts], u=[s.u for s in starts], v=[s.v for s in starts])
+    outcomes = integrate(members[0], grid, stack)
+    wall = time.monotonic() - start  # every member reports the wall of the shared run
     entries = []
     succeeded = 0
-    for params in members:
+    for params, outcome in zip(members, outcomes):
         amp = params.amplitude
-        sub_dir = os.path.join(args.out, f"A_{fmt(amp)}")
+        manifest, result = write_run(params, grid, os.path.join(args.out, f"A_{fmt(amp)}"), outcome, wall)
         entry = {
             "A": amp,
             "label": "indeterminate",
@@ -189,12 +218,10 @@ def cmd_sweep(args):
             "rot_origin": float("nan"),
             "max_drift": float("nan"),
         }
-        try:
-            manifest, result = run_and_write(params, sub_dir)
-        except (StageSolveDiverged, NonFinite) as exc:
+        if manifest["status"] == "failed":
             # failed run keeps its default row; the subdirectory manifest
             # carries the failure detail
-            print(f"A={fmt(amp)}: failed ({exc})", file=sys.stderr)
+            print(f"A={fmt(amp)}: failed ({outcome})", file=sys.stderr)
         else:
             succeeded += 1
             entry["max_drift"] = manifest["max_abs_energy_drift"]

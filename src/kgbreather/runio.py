@@ -5,9 +5,9 @@ reloads to the exact binary value. All writers build the whole payload first
 and publish it with os.replace, so a crash never leaves a half-written file.
 Writers join cells with bare commas and never quote. One parser,
 numpy.loadtxt in _read_table, reads each CSV into one table and rejects a
-wrong header, a row with too few or too many cells, a cell that is not a
-plain number (a quoted one included), and a file without a final newline,
-which was cut inside its last cell. A snapshot or a tracer track is a run of
+wrong header, a row with too few or too many cells, a blank line, a cell
+that is not a plain number (a quoted one included), and a file without a
+final newline, which was cut inside its last cell. A snapshot or a tracer track is a run of
 equal values in its key column (t or probe_x); snapshots travel as one
 stacked FieldState both ways.
 """
@@ -72,10 +72,15 @@ def _csv_text(header, rows):
     return buf.getvalue()
 
 
-def _ends_with_newline(path):
-    with open(path, "rb") as fh:
-        fh.seek(-1, os.SEEK_END)
-        return fh.read(1) == b"\n"
+def _line_count(fh):
+    """(lines from fh's position to its end, the last one counted even without a newline, and
+    whether it has one)."""
+    count = 0
+    last = "\n"
+    for block in iter(lambda: fh.read(1 << 16), ""):
+        count += block.count("\n")
+        last = block[-1]
+    return count + (last != "\n"), last == "\n"
 
 
 def _bad_line_error(path, fh, width, parse, exc):
@@ -101,8 +106,9 @@ def _read_table(path, header, dtype=np.float64):
     """Data rows as one (rows, columns) array of dtype, or as (rows,) records if dtype is structured.
 
     The body parses into one field per header name, so a row with too few
-    or too many cells fails. A failure names the file line of the first row
-    that does not parse, counting the header as line 1.
+    or too many cells fails, and so does a blank line. A failure names the
+    file line of the first row that does not parse, counting the header as
+    line 1.
     """
     records = np.dtype(dtype).names is not None
     fields = dtype if records else [(name, dtype) for name in header]
@@ -124,11 +130,14 @@ def _read_table(path, header, dtype=np.float64):
                 table = parse(fh)
             except ValueError as exc:
                 raise _bad_line_error(path, fh, len(header), parse, exc) from None
-    if not _ends_with_newline(path):
-        # no writer leaves a blank line, so the last row is on line 1 + rows
-        raise InsufficientData(
-            f"{path}, line {1 + len(table)}: no final newline, cut inside its last cell"
-        )
+        fh.seek(0)
+        lines, newline_at_end = _line_count(fh)
+        if not newline_at_end:
+            raise InsufficientData(f"{path}, line {lines}: no final newline, cut inside its last cell")
+        if lines != 1 + len(table):  # np.loadtxt skips a blank line without a word
+            fh.seek(0)
+            k = next(k for k, line in enumerate(fh, 1) if line == "\n")
+            raise InsufficientData(f"{path}, line {k}: blank line")
     return table if records else table.view(dtype).reshape(-1, len(header))
 
 

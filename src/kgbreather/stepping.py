@@ -21,13 +21,23 @@ block. At the defaults this cuts the sweeps per step from 2 to
 about 1.24. A step without a previous one (the first step of integrate, and
 every irk_step) starts all stages from uhat, so one cube serves them all.
 
-The state carried from step to step is one (2, N/2 + 1) coefficient block
-c = (uhat, vhat) and its (2, N) sample block w = (u, v). The stages of u and
-of the cubic are each held as one (s, N/2 + 1) block, so a sweep makes one
-batched cube of all stages and one batched synthesis of the residual. Each
-snapshot's w is written into one preallocated (2, S, N) block, which becomes
-one stacked FieldState, so each diagnostics column comes from one call over
-all S snapshots.
+The state carried from step to step is one (M, 2, N/2 + 1) coefficient
+block c = (uhat, vhat) of M members and its (M, 2, N) sample block
+w = (u, v); a single run is M = 1 through the same loop. The members of an
+amplitude sweep differ only in their starts, so they share K, G, lambda and
+the extrapolation matrix. The stages of u and of the cubic are each held as
+one (M, s, N/2 + 1) block, so a sweep makes one batched cube of all stages
+of all members and one batched synthesis of the residual. Every operation
+acts on each member's rows alone, so a member's numbers are bit for bit
+those of its solo run. Each member keeps its own residual and stall count
+and stops sweeping once its residual is at most stage_tol; the blocks are
+cut down to the members still sweeping only once one member finishes
+before the rest.
+A member whose solve fails or whose state turns non-finite drops out of the
+loop with its exception and its own t, and the others march on. Each
+snapshot's w is written into one preallocated (M, 2, S, N) block, and each
+member's rows become one stacked FieldState, so each diagnostics column
+comes from one call over all S snapshots.
 """
 
 import math
@@ -103,7 +113,10 @@ class StepReport:
 
 
 class StageSolver:
-    """Per-mode reduced stage matrices for one (params, grid); integrate reuses one for every step."""
+    """Per-mode reduced stage matrices for one (params, grid); integrate reuses one for every step.
+
+    The members of a stack share them, since they differ only in their states.
+    """
 
     def __init__(self, params, grid):
         self.params = params
@@ -124,63 +137,115 @@ class StageSolver:
             ]
         )
 
-    def solve(self, c, t, start=None):
-        """(stage_u, nl, StepReport) from the block c = (uhat, vhat); stages are (s, N/2+1) blocks.
+    def _cube(self, x):
+        """(nonlinear_hat of each member's rows of x, {member: NonFinite} for those whose cube overflowed)."""
+        try:  # on the rows as one 2-d block, where numpy indexes fastest
+            return nonlinear_hat(x.reshape(-1, x.shape[-1]), self.params).reshape(x.shape), {}
+        except NonFinite:
+            out, errors = np.zeros(x.shape, dtype=np.complex128), {}
+            for j, rows in enumerate(x):
+                try:
+                    out[j] = nonlinear_hat(rows, self.params)
+                except NonFinite as exc:
+                    errors[j] = exc
+            return out, errors
 
-        start is the (s, N/2+1) block of stage guesses; without one every stage starts from uhat.
+    def solve(self, c, t, start=None):
+        """(stage_u, nl, outcome) from c = (uhat, vhat); stages are (..., s, N/2+1) blocks.
+
+        c is one (2, N/2+1) block at time t, or an (M, 2, N/2+1) stack of
+        members at the (M,) times t. start holds the stage guesses, shaped
+        like the stages; without it every stage starts from uhat. Each member
+        sweeps until its own residual is at most stage_tol and then stops, so
+        it takes the sweeps it would take alone. For one block the outcome is
+        a StepReport and a failure raises. For a stack it is one StepReport
+        or exception per member, and a failed member's stage rows are zero.
         """
-        uhat, vhat = c
-        s = self.tableau.stages
-        a = self.tableau.a
-        tol = self.params.stage_tol
+        single = c.ndim == 2
+        if single:
+            c, t = c[None], [t]
+            start = None if start is None else start[None]
+        m, a = len(c), self.tableau.a
+        tol, max_iter = self.params.stage_tol, self.params.stage_max_iter
+        uhat, vhat = c[:, :1], c[:, 1:]
         # K (u 1 + dt v c), the part of every sweep that the cube does not change
         base = accel.stage_matvec(self.k, uhat + self.dt * self.tableau.c[:, None] * vhat)
         if start is None:  # every stage starts from uhat, so its cube serves all of them
-            nl_old = np.broadcast_to(nonlinear_hat(uhat, self.params), (s, uhat.size))
+            nl_old, lost = self._cube(uhat)
+            nl_old = np.broadcast_to(nl_old, base.shape)
         else:
-            nl_old = nonlinear_hat(start, self.params)
-        prev_res = math.inf
-        stall = 0
-        for it in range(1, self.params.stage_max_iter + 1):
+            nl_old, lost = self._cube(start)
+        outcomes = [None] * m
+        live = list(range(m))  # the members still sweeping, one per row of base
+        prev_res, stall = [math.inf] * m, [0] * m
+        stage_out = nl_out = None
+        for it in range(1, max_iter + 1):
             stage_u = base + accel.stage_matvec(self.g, nl_old)
-            nl_new = nonlinear_hat(stage_u, self.params)
-            # physical max norm of the only nonzero residual component
-            res = float(np.max(np.abs(dft_inverse(self.dt * (a @ (nl_new - nl_old))))))
+            nl_new, errors = self._cube(stage_u)
+            errors.update(lost)  # a member whose starting cube overflowed fails here
+            lost = {}
+            # physical max norm of the only nonzero residual component, per member
+            res = np.abs(dft_inverse(self.dt * (a @ (nl_new - nl_old))))
+            res = res.reshape(len(res), -1).max(axis=1).tolist()
             nl_old = nl_new
-            if res <= tol:
-                return stage_u, nl_new, StepReport(it, res, True)
-            if res >= prev_res:
-                stall += 1
-                if stall >= _STALL_LIMIT:
-                    raise StageSolveDiverged(
-                        f"stage residual stalled at {res:.3e} after {it} sweeps", t=t
-                    )
-            else:
-                stall = 0
-            prev_res = res
-        raise StageSolveDiverged(
-            f"stage residual {res:.3e} above {tol:.1e} after {self.params.stage_max_iter} sweeps",
-            t=t,
-        )
+            good, left = [], set()  # rows that converged, rows that leave
+            for j, r in enumerate(res):
+                k = live[j]
+                if j in errors:
+                    outcomes[k] = errors[j]
+                elif r <= tol:
+                    outcomes[k] = StepReport(it, r, True)
+                    good.append(j)
+                else:
+                    stall[j] = stall[j] + 1 if r >= prev_res[j] else 0
+                    prev_res[j] = r
+                    if stall[j] >= _STALL_LIMIT:
+                        message = f"stage residual stalled at {r:.3e} after {it} sweeps"
+                    elif it == max_iter:
+                        message = f"stage residual {r:.3e} above {tol:.1e} after {max_iter} sweeps"
+                    else:
+                        continue
+                    outcomes[k] = StageSolveDiverged(message, t=float(t[k]))
+                left.add(j)
+            if not left:
+                continue
+            if stage_out is None and len(good) == m:
+                # every member converged together: no copies
+                stage_out, nl_out = stage_u, nl_new
+                break
+            if stage_out is None:
+                stage_out = np.zeros((m, *base.shape[1:]), dtype=np.complex128)
+                nl_out = np.zeros_like(stage_out)
+            rows = [live[j] for j in good]
+            stage_out[rows] = stage_u[good]
+            nl_out[rows] = nl_new[good]
+            keep = [j for j in range(len(live)) if j not in left]
+            if not keep:
+                break
+            # only now that a member left before the others are the blocks indexed
+            base, nl_old = base[keep], nl_old[keep]
+            live, prev_res, stall = ([x[j] for j in keep] for x in (live, prev_res, stall))
+        if single:
+            if not isinstance(outcomes[0], StepReport):
+                raise outcomes[0]
+            return stage_out[0], nl_out[0], outcomes[0]
+        return stage_out, nl_out, outcomes
 
     def step(self, c, t, start=None):
-        """(block, StepReport, start) for the (2, N/2+1) block c = (uhat, vhat) one step of dt after t.
+        """(block, outcome, start) for c = (uhat, vhat) one step of dt after t.
 
-        The returned start is the next step's stage guess: this step's
-        collocation polynomial for u, through (0, uhat) and (c_i, U_i),
-        extrapolated to 1 + c_j.
+        c is one (2, N/2+1) block or an (M, 2, N/2+1) stack, as in solve, and
+        the outcome is solve's. The returned start is the next step's stage
+        guess: this step's collocation polynomial for u, through (0, uhat)
+        and (c_i, U_i), extrapolated to 1 + c_j.
         """
-        stage_u, nl, report = self.solve(c, t, start)
+        stage_u, nl, outcome = self.solve(c, t, start)
         f = self.lam * stage_u + nl  # one stage force serves both updates
-        (uhat, vhat), b, dt = c, self.tableau.b, self.dt
+        uhat, vhat = c[..., 0, :], c[..., 1, :]
+        b, dt = self.tableau.b, self.dt
         u_next = uhat + dt * vhat + dt**2 * ((b @ self.tableau.a) @ f)
-        guess = self.extrap[:, :1] * uhat + self.extrap[:, 1:] @ stage_u
-        return np.stack([u_next, vhat + dt * (b @ f)]), report, guess
-
-
-def _check_start(state, grid):
-    if state.u.shape != (grid.n,):
-        raise LengthMismatch(f"a start is one {grid.n}-point state, got shape {state.u.shape}")
+        guess = self.extrap[:, :1] * uhat[..., None, :] + self.extrap[:, 1:] @ stage_u
+        return np.stack([u_next, vhat + dt * (b @ f)], axis=-2), outcome, guess
 
 
 def irk_step(state, params, grid, solver=None):
@@ -189,7 +254,8 @@ def irk_step(state, params, grid, solver=None):
     With no previous step to extrapolate from, every stage starts from uhat,
     as the first step of integrate does.
     """
-    _check_start(state, grid)
+    if state.u.shape != (grid.n,):
+        raise LengthMismatch(f"a start is one {grid.n}-point state, got shape {state.u.shape}")
     if solver is None:
         solver = StageSolver(params, grid)
     c, report, _ = solver.step(dft_forward(np.stack([state.u, state.v])), state.t)
@@ -215,26 +281,35 @@ def integrate(params, grid=None, state=None):
     Returns (RunSummary, snapshots, diagnostics, tracks): snapshots is one
     stacked FieldState of the start and every snapshot_every after it, row k
     at time snapshots.t[k]; diagnostics one DiagnosticsRow per snapshot;
-    tracks one per-step TracerTrack per probe. The start must be one
-    grid.n-point state, else LengthMismatch. A start that is exactly odd
+    tracks one per-step TracerTrack per probe. A start that is exactly odd
     (u(L - x) = -u(x), likewise v) stays exactly odd at every step. Every
     step after the first starts its stages from the extrapolation of the
     step before (see the module docstring). Solver failures and non-finite
     states propagate with a ``t`` attribute attached.
+
+    The start is one grid.n-point state, or a stack of M of them (u and v
+    (M, N), t (M,)), else LengthMismatch. A stack runs as M members through
+    one step loop and returns a list of M outcomes: each is the tuple that
+    member returns alone, bit for bit, or the exception it raises alone. A
+    member that fails is frozen at its own t and the others march on.
     """
     if grid is None:
         grid = make_grid(params.grid_points, params.domain_length)
     if state is None:
         state = initial_state(params, grid)
-    _check_start(state, grid)
+    if state.u.ndim > 2 or state.u.shape[-1] != grid.n:
+        raise LengthMismatch(
+            f"a start is one {grid.n}-point state or a stack of them, got shape {state.u.shape}"
+        )
     steps = int(round(params.t_end / params.dt))
     sps = int(round(params.snapshot_every / params.dt))
     solver = StageSolver(params, grid)
+    w = np.stack([state.u, state.v], axis=-2).reshape(-1, 2, grid.n)  # (M, 2, N)
+    m = len(w)
     # The exact flow and the scheme both commute with x -> L - x, so an odd
     # start stays odd; projecting each step keeps FFT roundoff from seeding
     # the even perturbations that the confined state amplifies.
-    w = np.stack([state.u, state.v])
-    keep_odd = is_odd(w)
+    keep_odd = np.array([is_odd(x) for x in w])[:, None, None]
     mask_left, mask_right = half_domain_masks(grid)
     idx = probe_indices(params, grid)
     try:
@@ -247,67 +322,94 @@ def integrate(params, grid=None, state=None):
             return (0.0, 0.0)
         return fps.minus if u0 < 0 else fps.plus
 
-    # one time axis: tracers sample every step of it, snapshots every sps-th;
-    # trk[0] holds the tracer samples of u and trk[1] those of v, likewise snap
-    t_axis = state.t + np.arange(steps + 1) * params.dt
-    trk = np.empty((2, len(idx), steps + 1))
-    trk[:, :, 0] = w[:, idx]
-    snap = np.empty((2, steps // sps + 1, grid.n))
-    snap[:, 0] = w
-    max_residual = 0.0
-    sweeps = np.zeros(steps, dtype=np.int64)
+    # one time axis per member: tracers sample every step of it, snapshots
+    # every sps-th; trk[k, 0] holds member k's tracer samples of u and
+    # trk[k, 1] those of v, likewise snap
+    t_axis = np.reshape(state.t, (m, 1)) + np.arange(steps + 1) * params.dt
+    trk = np.empty((m, 2, len(idx), steps + 1))
+    trk[..., 0] = w[:, :, idx]
+    snap = np.empty((m, 2, steps // sps + 1, grid.n))
+    snap[:, :, 0] = w
+    # per member: the sweeps and the last residual of each step
+    sweeps, resid = [[] for _ in range(m)], [[] for _ in range(m)]
+    errors = {}
+    ids = list(range(m))  # the members still marching, one per row of c and w
+    live = slice(None)  # indexes their rows of the record blocks; a slice until one fails
     c = dft_forward(w)
     start = None  # the first step starts from uhat, as irk_step does
     for i in range(1, steps + 1):
-        try:
-            c, report, start = solver.step(c, float(t_axis[i - 1]), start)
-            if keep_odd:  # odd fields have purely imaginary coefficients
-                c = 1j * c.imag
+        c, reports, start = solver.step(c, t_axis[live, i - 1], start)
+        if keep_odd.all():  # odd fields have purely imaginary coefficients
+            c = 1j * c.imag
+            w = odd_part(dft_inverse(c))  # irfft of those is odd only to roundoff
+        else:
+            c = np.where(keep_odd, 1j * c.imag, c)
             w = dft_inverse(c)
-            if keep_odd:  # irfft of those is odd only to roundoff
-                w = odd_part(w)
-            if not np.all(np.isfinite(w)):
-                raise NonFinite(f"non-finite field entries at t={t_axis[i]}")
-        except (StageSolveDiverged, NonFinite) as exc:
-            if getattr(exc, "t", None) is None:
-                exc.t = float(t_axis[i])
-            raise
-        max_residual = max(max_residual, report.residual)
-        sweeps[i - 1] = report.iterations
-        trk[:, :, i] = w[:, idx]
+            w = np.where(keep_odd, odd_part(w), w)
+        failed = {j: r for j, r in enumerate(reports) if not isinstance(r, StepReport)}
+        if not np.all(np.isfinite(w)):
+            for j in np.flatnonzero(~np.isfinite(w).all(axis=(1, 2))).tolist():
+                failed.setdefault(j, NonFinite(f"non-finite field entries at t={t_axis[ids[j], i]}"))
+        if failed:
+            for j, exc in failed.items():
+                if getattr(exc, "t", None) is None:
+                    exc.t = float(t_axis[ids[j], i])
+                errors[ids[j]] = exc
+            keep = [j for j in range(len(ids)) if j not in failed]
+            if not keep:
+                break
+            reports, ids = [reports[j] for j in keep], [ids[j] for j in keep]
+            c, start, w, keep_odd = c[keep], start[keep], w[keep], keep_odd[keep]
+            live = ids
+        for k, r in zip(ids, reports):
+            sweeps[k].append(r.iterations)
+            resid[k].append(r.residual)
+        trk[live, ..., i] = w[:, :, idx]
         if i % sps == 0:
-            snap[:, i // sps] = w
-    state = FieldState(t=float(t_axis[-1]), u=w[0], v=w[1])
-    snapshots = FieldState(t=t_axis[::sps], u=snap[0], v=snap[1])
+            snap[live, :, i // sps] = w
+    final = np.empty((m, 2, grid.n))
+    final[ids] = w
 
-    # turns of the first probe about the origin and of each of the first two
-    # probes about the vacuum on its starting side, at every snapshot
-    rot_origin = rot_left = rot_right = np.zeros(snapshots.t.size)
-    if idx:
-        rot_origin = _turns(trk[0, 0], trk[1, 0], (0.0, 0.0))[::sps]
-        rot_left = _turns(trk[0, 0], trk[1, 0], nearest_fp(trk[0, 0, 0]))[::sps]
-    if len(idx) > 1:
-        rot_right = _turns(trk[0, 1], trk[1, 1], nearest_fp(trk[0, 1, 0]))[::sps]
-    u, v = snapshots.u, snapshots.v
-    e = energy(u, v, params, grid)
-    drift = energy_drift(e, e[0])
-    table = np.column_stack(
-        [snapshots.t, e, momentum(u, v, params, grid), drift]
-        + [u[:, mask_left].min(axis=1), u[:, mask_left].max(axis=1)]
-        + [u[:, mask_right].min(axis=1), u[:, mask_right].max(axis=1)]
-        + [rot_origin, rot_left, rot_right]
-    )
-    diagnostics = [DiagnosticsRow(*row) for row in table.tolist()]
-    tracks = [
-        TracerTrack(probe_x=params.probes[p], t=t_axis, u=trk[0, p], v=trk[1, p])
-        for p in range(len(idx))
-    ]
-    summary = RunSummary(
-        final_state=state,
-        steps=steps,
-        max_abs_drift=float(np.max(np.abs(drift))),
-        max_residual=max_residual,
-        total_sweeps=int(sweeps.sum()),
-        sweep_counts=tuple(np.bincount(sweeps)[1:].tolist()),
-    )
-    return summary, snapshots, diagnostics, tracks
+    def outcome(k):
+        if k in errors:
+            return errors[k]
+        snapshots = FieldState(t=t_axis[k, ::sps], u=snap[k, 0], v=snap[k, 1])
+        # turns of the first probe about the origin and of each of the first two
+        # probes about the vacuum on its starting side, at every snapshot
+        tu, tv = trk[k]
+        rot_origin = rot_left = rot_right = np.zeros(snapshots.t.size)
+        if idx:
+            rot_origin = _turns(tu[0], tv[0], (0.0, 0.0))[::sps]
+            rot_left = _turns(tu[0], tv[0], nearest_fp(tu[0, 0]))[::sps]
+        if len(idx) > 1:
+            rot_right = _turns(tu[1], tv[1], nearest_fp(tu[1, 0]))[::sps]
+        u, v = snapshots.u, snapshots.v
+        e = energy(u, v, params, grid)
+        drift = energy_drift(e, e[0])
+        table = np.column_stack(
+            [snapshots.t, e, momentum(u, v, params, grid), drift]
+            + [u[:, mask_left].min(axis=1), u[:, mask_left].max(axis=1)]
+            + [u[:, mask_right].min(axis=1), u[:, mask_right].max(axis=1)]
+            + [rot_origin, rot_left, rot_right]
+        )
+        diagnostics = [DiagnosticsRow(*row) for row in table.tolist()]
+        tracks = [
+            TracerTrack(probe_x=params.probes[p], t=t_axis[k], u=tu[p], v=tv[p])
+            for p in range(len(idx))
+        ]
+        summary = RunSummary(
+            final_state=FieldState(t=float(t_axis[k, -1]), u=final[k, 0], v=final[k, 1]),
+            steps=steps,
+            max_abs_drift=float(np.max(np.abs(drift))),
+            max_residual=max([0.0, *resid[k]]),
+            total_sweeps=sum(sweeps[k]),
+            sweep_counts=tuple(np.bincount(np.array(sweeps[k], dtype=np.int64))[1:].tolist()),
+        )
+        return summary, snapshots, diagnostics, tracks
+
+    outcomes = [outcome(k) for k in range(m)]
+    if state.u.ndim == 1:
+        if 0 in errors:
+            raise errors[0]
+        return outcomes[0]
+    return outcomes

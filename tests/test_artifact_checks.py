@@ -58,6 +58,21 @@ def test_sweep_members_pass_every_check(tmp_path, capsys):
         checks.check_sweep_row(row, run, expected)
 
 
+def test_sweep_members_match_solo_simulates(tmp_path, capsys):
+    # members share one step loop, yet each writes the bytes its solo run writes
+    out = tmp_path / "sweep"
+    cfg = config(tmp_path, "t_end = 64\n")
+    run_cli(capsys, "sweep", "--config", cfg, "--amplitudes", "0.02,0.12", "--out", out)
+    for amp in (0.02, 0.12):
+        solo = tmp_path / f"solo_{amp!r}"
+        cfg = config(tmp_path, f"t_end = 64\namplitude = {amp!r}\n")
+        run_cli(capsys, "simulate", "--config", cfg, "--out", solo)
+        member = out / f"A_{amp!r}"
+        checks.check_same_run(checks.Run(str(member)), checks.Run(str(solo)))
+        for name in ("snapshots.csv", "diagnostics.csv", "tracers.csv"):
+            assert (member / name).read_bytes() == (solo / name).read_bytes()
+
+
 def test_record_run_passes_every_check(tmp_path, capsys):
     # a snapshot every step, as in the benchmark's record workload
     out = tmp_path / "run"

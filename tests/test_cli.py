@@ -1,5 +1,6 @@
 """End-to-end command line behavior through subprocesses."""
 
+import importlib.util
 import json
 import os
 import pathlib
@@ -13,6 +14,11 @@ from kgbreather.runio import read_diagnostics, read_sweep
 
 # the child process imports the same package source as this test process
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(kgbreather.__file__)))
+
+CHECKS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
+_spec = importlib.util.spec_from_file_location("perfbench_checks", CHECKS)
+checks = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(checks)
 
 
 def run_cli(*argv):
@@ -338,6 +344,30 @@ def test_sweep_all_failures_exits_2_with_placeholder_rows(tmp_path):
     assert len(entries) == 2
     assert all(e["label"] == "indeterminate" for e in entries)
     assert all(e["max_drift"] != e["max_drift"] for e in entries)  # nan
+
+
+def test_sweep_survives_members_that_fail_apart_from_the_others(tmp_path, cfg64):
+    # A = 1e200 overflows the cube in its first step and A = 15 stalls the
+    # stage solve at t = 1.375; A = 0.02 runs to the end
+    out = tmp_path / "sweep"
+    res = run_cli("sweep", "--config", cfg64, "--out", str(out), "--amplitudes", "0.02,15,1e200")
+    assert res.returncode == 0, res.stderr
+    assert "A=15.0: failed (stage residual stalled" in res.stderr
+    assert "A=1e+200: failed (cubic term overflowed)" in res.stderr
+    for name, error, t in (("A_1e+200", "NonFinite", 0.125), ("A_15.0", "StageSolveDiverged", 1.375)):
+        manifest = json.loads((out / name / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["failure"]["error"] == error
+        assert manifest["failure"]["t"] == t
+        assert manifest["files"] == {}
+    run, _, expected = checks.check_run(str(out / "A_0.02"))
+    assert run.steps == 512
+    entries = read_sweep(out / "sweep.csv")
+    assert [e["A"] for e in entries] == [0.02, 15.0, 1e200]
+    checks.check_sweep_row(entries[0], run, expected)
+    for e in entries[1:]:
+        assert e["label"] == "indeterminate"
+        assert all(e[k] != e[k] for k in ("m_left", "m_right", "rot_left", "rot_origin", "max_drift"))
 
 
 def test_two_simulates_write_identical_csv_bytes(tmp_path, cfg64):

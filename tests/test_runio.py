@@ -237,6 +237,49 @@ def test_tracers_cut_inside_last_cell_are_rejected(tmp_path):
         read_tracers(path)
 
 
+def blank_line_after(path, line):
+    """Insert an empty line after the given file line (the header is line 1)."""
+    lines = path.read_text(encoding="utf-8").split("\n")
+    path.write_text("\n".join(lines[:line] + [""] + lines[line:]), encoding="utf-8")
+
+
+def test_tracers_with_a_blank_line_are_rejected(tmp_path):
+    # np.loadtxt alone would skip the blank line and read one shorter track
+    track = TracerTrack(probe_x=2.0, t=np.arange(3.0), u=np.ones(3), v=np.zeros(3))
+    path = tmp_path / "tracers.csv"
+    write_tracers(path, [track])
+    blank_line_after(path, 2)
+    with pytest.raises(InsufficientData, match="tracers.csv, line 3: blank line$"):
+        read_tracers(path)
+
+
+def test_snapshots_with_a_blank_line_are_rejected(tmp_path):
+    p = SimParams(grid_points=16)
+    g = make_grid(p.grid_points, p.domain_length)
+    path = tmp_path / "snapshots.csv"
+    states = FieldState(t=[0.0, 1.0], u=[np.sin(g.nodes)] * 2, v=[np.cos(g.nodes)] * 2)
+    write_snapshots(path, states, g)
+    # between the two snapshots, and at the end of the file
+    blank_line_after(path, 17)
+    with pytest.raises(InsufficientData, match="snapshots.csv, line 18: blank line$"):
+        read_snapshots(path)
+    write_snapshots(path, states, g)
+    path.write_text(path.read_text(encoding="utf-8") + "\n", encoding="utf-8")
+    with pytest.raises(InsufficientData, match="snapshots.csv, line 34: blank line$"):
+        read_snapshots(path)
+
+
+def test_cut_final_newline_after_a_blank_line_is_named_by_its_file_line(tmp_path):
+    # the last row sits on line 5, not on line 1 + the 3 rows read
+    track = TracerTrack(probe_x=2.0, t=np.arange(3.0), u=np.ones(3), v=np.zeros(3))
+    path = tmp_path / "tracers.csv"
+    write_tracers(path, [track])
+    blank_line_after(path, 2)
+    path.write_text(path.read_text(encoding="utf-8")[:-1], encoding="utf-8")
+    with pytest.raises(InsufficientData, match="tracers.csv, line 5: no final newline"):
+        read_tracers(path)
+
+
 def sample_rows():
     rng = np.random.default_rng(13)
     return [

@@ -8,6 +8,7 @@ import pytest
 
 import kgbreather.dynamics
 import kgbreather.spectral
+import kgbreather.stepping
 from kgbreather import (
     FieldState,
     SimParams,
@@ -24,6 +25,7 @@ from kgbreather import (
     make_grid,
     momentum,
 )
+from kgbreather import accel
 from kgbreather.core import reflect
 from kgbreather.errors import LengthMismatch, NonFinite
 from kgbreather.stepping import StageSolver
@@ -255,10 +257,14 @@ def not_one_grid_state(grid):
     return [s64, FieldState(t=[0.0, 0.0], u=np.stack([s0.u, s0.u]), v=np.stack([s0.v, s0.v]))]
 
 
-def test_integrate_rejects_a_start_that_is_not_one_grid_state():
+def test_integrate_rejects_a_start_that_is_not_grid_states():
+    # one state or a stack of them, each of grid.n points
     p = SimParams(t_end=1.0)
     g = make_grid(128, 8.0)
-    for start in not_one_grid_state(g):
+    s64, stack = not_one_grid_state(g)
+    s64_stack = FieldState(t=[0.0], u=[s64.u], v=[s64.v])
+    block = FieldState(t=[[0.0, 0.0]], u=[stack.u], v=[stack.v])
+    for start in (s64, s64_stack, block):
         with pytest.raises(LengthMismatch):
             integrate(p, g, start)
 
@@ -485,3 +491,117 @@ def test_even_perturbation_grows_at_the_instability_rate(resolution):
     rate = float(np.polyfit(t[fit], np.log(defect[fit]), 1)[0])
     # measured 0.0460 at all three resolutions; the tolerance allows about 10 percent
     assert rate == pytest.approx(0.046, abs=0.005)
+
+
+def test_stage_matvec_on_a_stack_equals_one_call_per_member_bit_for_bit():
+    rng = np.random.default_rng(3)
+    solver = StageSolver(SimParams(irk_stages=3), make_grid(128, 8.0))
+    x = rng.standard_normal((4, 3, 65)) + 1j * rng.standard_normal((4, 3, 65))
+    got = accel.stage_matvec(solver.g, x)
+    assert got.shape == x.shape
+    for member, rows in zip(got, x):
+        assert np.array_equal(member, accel.stage_matvec(solver.g, rows))
+
+
+# from the extrapolated stage start, A <= 0.04 takes about one sweep a step
+# and A >= 0.1 about two
+MEMBER_AMPLITUDES = (0.02, 0.04, 0.1, 0.12)
+
+
+def stacked_start(params, grid, amplitudes):
+    """One stacked FieldState of the default start at each amplitude."""
+    starts = [initial_state(dataclasses.replace(params, amplitude=a), grid) for a in amplitudes]
+    return FieldState(t=[s.t for s in starts], u=[s.u for s in starts], v=[s.v for s in starts])
+
+
+def assert_same_results(got, want):
+    """Two integrate results hold the same numbers, bit for bit."""
+    (summary, snapshots, diagnostics, tracks), (solo, solo_snapshots, solo_diagnostics, solo_tracks) = got, want
+    pairs = [(snapshots, solo_snapshots), (summary.final_state, solo.final_state)]
+    pairs += list(zip(tracks, solo_tracks, strict=True))
+    for a, b in pairs:
+        for name in ("t", "u", "v"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+    assert [trk.probe_x for trk in tracks] == [trk.probe_x for trk in solo_tracks]
+    assert diagnostics == solo_diagnostics
+    for name in ("steps", "max_abs_drift", "max_residual", "total_sweeps", "sweep_counts"):
+        assert getattr(summary, name) == getattr(solo, name)
+
+
+@pytest.mark.parametrize("stages", [1, 2, 3])
+def test_each_member_of_a_stack_equals_its_solo_run_bit_for_bit(stages):
+    p = SimParams(t_end=16.0, snapshot_every=4.0, irk_stages=stages)
+    g = make_grid(p.grid_points, p.domain_length)
+    outcomes = integrate(p, g, stacked_start(p, g, MEMBER_AMPLITUDES))
+    assert len(outcomes) == len(MEMBER_AMPLITUDES)
+    for a, got in zip(MEMBER_AMPLITUDES, outcomes):
+        assert_same_results(got, integrate(dataclasses.replace(p, amplitude=a), g))
+    # the members took different numbers of sweeps, so some left a solve before others
+    assert len({summary.sweep_counts for summary, _, _, _ in outcomes}) > 1
+
+
+def test_a_member_that_converges_early_gets_no_further_sweep(monkeypatch):
+    # in the second step A = 0.02 converges after one sweep and A = 0.12
+    # after two; the second sweep's cube must see A = 0.12 alone
+    p = SimParams()
+    g = make_grid(p.grid_points, p.domain_length)
+    start = stacked_start(p, g, (0.02, 0.12))
+    solver = StageSolver(p, g)
+    c, _, guess = solver.step(dft_forward(np.stack([start.u, start.v], axis=1)), np.zeros(2))
+    rows = []
+    cube = kgbreather.stepping.nonlinear_hat
+
+    def counted(x, params):
+        rows.append(len(x) // p.irk_stages)  # the members in the block of stage rows
+        return cube(x, params)
+
+    monkeypatch.setattr(kgbreather.stepping, "nonlinear_hat", counted)
+    stage_u, nl, reports = solver.solve(c, np.full(2, p.dt), guess)
+    monkeypatch.undo()
+    assert [r.iterations for r in reports] == [1, 2]
+    assert rows == [2, 2, 1]  # the starting cube, then one per sweep
+    for k in range(2):
+        solo_u, solo_nl, solo_report = solver.solve(c[k], p.dt, guess[k])
+        assert reports[k] == solo_report
+        assert np.array_equal(stage_u[k], solo_u)
+        assert np.array_equal(nl[k], solo_nl)
+
+
+def test_a_failing_member_stops_at_its_own_time_and_the_others_march_on():
+    # alone at N = 64: A = 1e200 overflows the cube in its first step, A = 15
+    # stalls at t = 1.375 and A = 12 runs out of sweeps at t = 48.75
+    p = SimParams(grid_points=64, t_end=49.0)
+    g = make_grid(p.grid_points, p.domain_length)
+    amplitudes = (0.02, 12.0, 15.0, 0.12, 1e200)
+    outcomes = integrate(p, g, stacked_start(p, g, amplitudes))
+    for a, got in zip(amplitudes, outcomes):
+        solo = dataclasses.replace(p, amplitude=a)
+        if isinstance(got, Exception):
+            with pytest.raises(type(got)) as err:
+                integrate(solo, g)
+            assert str(got) == str(err.value)
+            assert got.t == err.value.t
+        else:
+            assert_same_results(got, integrate(solo, g))
+    assert [type(o).__name__ for o in outcomes] == [
+        "tuple", "StageSolveDiverged", "StageSolveDiverged", "tuple", "NonFinite"
+    ]
+    assert [outcomes[k].t for k in (1, 2, 4)] == [48.75, 1.375, 0.125]
+    assert "above" in str(outcomes[1]) and "stalled" in str(outcomes[2])
+
+
+def test_members_keep_their_own_start_time_and_odd_projection():
+    # an odd start is projected every step and a start with an even part is
+    # not; in one stack each member still gets exactly its solo treatment
+    p = SimParams(t_end=8.0, snapshot_every=4.0)
+    g = make_grid(p.grid_points, p.domain_length)
+    s0 = initial_state(p, g)
+    starts = [s0, FieldState(t=5.0, u=s0.u + 1e-10, v=s0.v)]
+    stack = FieldState(t=[0.0, 5.0], u=[s.u for s in starts], v=[s.v for s in starts])
+    outcomes = integrate(p, g, stack)
+    for start, got in zip(starts, outcomes):
+        assert_same_results(got, integrate(p, g, start))
+    (_, odd, _, _), (_, mixed, _, _) = outcomes
+    assert odd.t.tolist() == [0.0, 4.0, 8.0] and mixed.t.tolist() == [5.0, 9.0, 13.0]
+    assert np.array_equal(reflect(odd.u), -odd.u)
+    assert not np.array_equal(reflect(mixed.u), -mixed.u)
