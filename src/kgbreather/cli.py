@@ -21,14 +21,7 @@ from .core import (
     validate_params,
 )
 from .dynamics import fixed_points
-from .errors import (
-    InsufficientData,
-    InvalidParams,
-    KgError,
-    MissingSnapshot,
-    NonFinite,
-    StageSolveDiverged,
-)
+from .errors import InsufficientData, InvalidParams, KgError, MissingSnapshot
 from .geometry import classify_mode
 from .runio import (
     DIAGNOSTICS_FILE,
@@ -39,6 +32,7 @@ from .runio import (
     atomic_write_text,
     fmt,
     inventory_digests,
+    params_digest,
     read_diagnostics,
     read_manifest,
     read_snapshots,
@@ -112,6 +106,7 @@ def write_run(params, grid, out_dir, outcome, wall):
         "tool": "kgbreather",
         "tool_version": __version__,
         "params": params_to_dict(params),
+        "params_sha256": params_digest(params_to_dict(params)),
         "grid": _grid_entry(grid),
         "wall_clock_seconds": wall,
     }
@@ -153,24 +148,29 @@ def write_run(params, grid, out_dir, outcome, wall):
     return manifest, result
 
 
-def run_and_write(params, out_dir):
-    """Integrate, write all artifacts into out_dir, return (manifest, classify result).
+def run_members(members, out_dirs):
+    """Integrate the members as one stack and write each into its out_dir.
 
-    A run that fails writes its failure manifest and raises.
+    The members differ only in their starts. Returns one (outcome, manifest,
+    classify result) per member, where outcome is what integrate gave it;
+    every member reports the wall time of the shared run.
     """
-    grid = make_grid(params.grid_points, params.domain_length)
+    grid = make_grid(members[0].grid_points, members[0].domain_length)
     start = time.monotonic()
-    try:
-        outcome = integrate(params, grid)
-    except (StageSolveDiverged, NonFinite) as exc:
-        write_run(params, grid, out_dir, exc, time.monotonic() - start)
-        raise
-    return write_run(params, grid, out_dir, outcome, time.monotonic() - start)
+    starts = [initial_state(params, grid) for params in members]
+    stack = FieldState(t=[s.t for s in starts], u=[s.u for s in starts], v=[s.v for s in starts])
+    outcomes = integrate(members[0], grid, stack)
+    wall = time.monotonic() - start
+    return [
+        (outcome, *write_run(params, grid, out_dir, outcome, wall))
+        for params, out_dir, outcome in zip(members, out_dirs, outcomes)
+    ]
 
 
 def cmd_simulate(args):
-    params = _load_params(args)
-    manifest, result = run_and_write(params, args.out)
+    [(outcome, manifest, result)] = run_members([_load_params(args)], [args.out])
+    if isinstance(outcome, Exception):  # its failure manifest is written
+        raise outcome
     label = result.label.value if result else "none"
     print(f"wrote {args.out}: classification={label} max_drift={manifest['max_abs_energy_drift']:.3e}")
     return 0
@@ -197,53 +197,35 @@ def cmd_sweep(args):
     if violations:
         raise InvalidParams(violations)
     os.makedirs(args.out, exist_ok=True)
-    # the members differ only in their starts, so one integrate runs them all
-    grid = make_grid(base.grid_points, base.domain_length)
-    start = time.monotonic()
-    starts = [initial_state(params, grid) for params in members]
-    stack = FieldState(t=[s.t for s in starts], u=[s.u for s in starts], v=[s.v for s in starts])
-    outcomes = integrate(members[0], grid, stack)
-    wall = time.monotonic() - start  # every member reports the wall of the shared run
-    entries = []
-    succeeded = 0
-    for params, outcome in zip(members, outcomes):
-        amp = params.amplitude
-        manifest, result = write_run(params, grid, os.path.join(args.out, f"A_{fmt(amp)}"), outcome, wall)
-        entry = {
-            "A": amp,
-            "label": "indeterminate",
-            "m_left": float("nan"),
-            "m_right": float("nan"),
-            "rot_left": float("nan"),
-            "rot_origin": float("nan"),
-            "max_drift": float("nan"),
+    runs = run_members(members, [os.path.join(args.out, f"A_{fmt(p.amplitude)}") for p in members])
+    nan = float("nan")
+    # a failed member, or one too short to classify, keeps NaN evidence
+    entries = [
+        {
+            "A": params.amplitude,
+            "label": result.label.value if result else "indeterminate",
+            **{k: getattr(result, k, nan) for k in ("m_left", "m_right", "rot_left", "rot_origin")},
+            "max_drift": manifest.get("max_abs_energy_drift", nan),
         }
-        if manifest["status"] == "failed":
-            # failed run keeps its default row; the subdirectory manifest
-            # carries the failure detail
-            print(f"A={fmt(amp)}: failed ({outcome})", file=sys.stderr)
+        for params, (_, manifest, result) in zip(members, runs)
+    ]
+    for entry, (outcome, _, _) in zip(entries, runs):
+        if isinstance(outcome, Exception):
+            print(f"A={fmt(entry['A'])}: failed ({outcome})", file=sys.stderr)
         else:
-            succeeded += 1
-            entry["max_drift"] = manifest["max_abs_energy_drift"]
-            if result is not None:
-                entry["label"] = result.label.value
-                entry["m_left"] = result.m_left
-                entry["m_right"] = result.m_right
-                entry["rot_left"] = result.rot_left
-                entry["rot_origin"] = result.rot_origin
-            print(f"A={fmt(amp)}: {entry['label']}")
-        entries.append(entry)
+            print(f"A={fmt(entry['A'])}: {entry['label']}")
     write_sweep(os.path.join(args.out, SWEEP_FILE), entries)
     print(f"wrote {os.path.join(args.out, SWEEP_FILE)} ({len(entries)} rows)")
-    if succeeded == 0:
+    if all(isinstance(outcome, Exception) for outcome, _, _ in runs):
         print("error: every amplitude failed", file=sys.stderr)
         return 2
     return 0
 
 
 def _read_verified_manifest(run_dir, names):
-    """The run's SimParams, once its manifest lists each of names and every
-    file it lists still has its recorded digest."""
+    """The run's SimParams, once its manifest lists each of names, every
+    file it lists still has its recorded digest, and its params hash to its
+    recorded params_sha256."""
     path = os.path.join(run_dir, MANIFEST_FILE)
     try:
         manifest = read_manifest(path)
@@ -265,6 +247,8 @@ def _read_verified_manifest(run_dir, names):
         problems = [str(exc)]
     if problems:
         raise InsufficientData(f"{path} has unusable params: " + "; ".join(problems))
+    if manifest.get("params_sha256") != params_digest(manifest["params"]):
+        raise InsufficientData(f"{path} records no params_sha256 matching its params")
     return params
 
 

@@ -227,6 +227,12 @@ def file_digest(path):
     return h.hexdigest()
 
 
+def params_digest(params):
+    """sha256 of a manifest params mapping as canonical JSON (sorted keys, compact)."""
+    text = json.dumps(params, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def inventory_digests(run_dir, names):
     """sha256 of each named file that exists in run_dir (manifest never listed)."""
     out = {}

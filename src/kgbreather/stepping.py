@@ -23,16 +23,18 @@ every irk_step) starts all stages from uhat, so one cube serves them all.
 
 The state carried from step to step is one (M, 2, N/2 + 1) coefficient
 block c = (uhat, vhat) of M members and its (M, 2, N) sample block
-w = (u, v); a single run is M = 1 through the same loop. The members of an
-amplitude sweep differ only in their starts, so they share K, G, lambda and
-the extrapolation matrix. The stages of u and of the cubic are each held as
-one (M, s, N/2 + 1) block, so a sweep makes one batched cube of all stages
-of all members and one batched synthesis of the residual. Every operation
-acts on each member's rows alone, so a member's numbers are bit for bit
-those of its solo run. Each member keeps its own residual and stall count
-and stops sweeping once its residual is at most stage_tol; the blocks are
-cut down to the members still sweeping only once one member finishes
-before the rest.
+w = (u, v). StageSolver takes only such stacks and returns one outcome per
+member. A single run is M = 1 through the same loop, and irk_step stacks
+its one state the same way and raises its member's exception. The members
+of an amplitude sweep differ only in their starts, so they share K, G,
+lambda and the extrapolation matrix. The stages of u and of the cubic are
+each held as one (M, s, N/2 + 1) block, so a sweep makes one batched cube
+of all stages of all members and one batched synthesis of the residual.
+Every operation acts on each member's rows alone, so a member's numbers are
+bit for bit those of its solo run. Each member keeps its own residual and
+stall count and stops sweeping once its residual is at most stage_tol; the
+blocks are cut down to the members still sweeping only once one member
+finishes before the rest.
 A member whose solve fails or whose state turns non-finite drops out of the
 loop with its exception and its own t, and the others march on. Each
 snapshot's w is written into one preallocated (M, 2, S, N) block, and each
@@ -109,7 +111,6 @@ def gauss_tableau(stages):
 class StepReport:
     iterations: int
     residual: float
-    converged: bool
 
 
 class StageSolver:
@@ -151,20 +152,15 @@ class StageSolver:
             return out, errors
 
     def solve(self, c, t, start=None):
-        """(stage_u, nl, outcome) from c = (uhat, vhat); stages are (..., s, N/2+1) blocks.
+        """(stage_u, nl, outcomes) for an (M, 2, N/2+1) stack c of (uhat, vhat) at the (M,) times t.
 
-        c is one (2, N/2+1) block at time t, or an (M, 2, N/2+1) stack of
-        members at the (M,) times t. start holds the stage guesses, shaped
-        like the stages; without it every stage starts from uhat. Each member
-        sweeps until its own residual is at most stage_tol and then stops, so
-        it takes the sweeps it would take alone. For one block the outcome is
-        a StepReport and a failure raises. For a stack it is one StepReport
-        or exception per member, and a failed member's stage rows are zero.
+        The stages are (M, s, N/2+1) blocks. start holds the stage guesses,
+        shaped like the stages; without it every stage starts from uhat. Each
+        member sweeps until its own residual is at most stage_tol and then
+        stops, so it takes the sweeps it would take alone. outcomes holds one
+        StepReport or exception per member, and a failed member's stage rows
+        are zero.
         """
-        single = c.ndim == 2
-        if single:
-            c, t = c[None], [t]
-            start = None if start is None else start[None]
         m, a = len(c), self.tableau.a
         tol, max_iter = self.params.stage_tol, self.params.stage_max_iter
         uhat, vhat = c[:, :1], c[:, 1:]
@@ -194,7 +190,7 @@ class StageSolver:
                 if j in errors:
                     outcomes[k] = errors[j]
                 elif r <= tol:
-                    outcomes[k] = StepReport(it, r, True)
+                    outcomes[k] = StepReport(it, r)
                     good.append(j)
                 else:
                     stall[j] = stall[j] + 1 if r >= prev_res[j] else 0
@@ -225,42 +221,40 @@ class StageSolver:
             # only now that a member left before the others are the blocks indexed
             base, nl_old = base[keep], nl_old[keep]
             live, prev_res, stall = ([x[j] for j in keep] for x in (live, prev_res, stall))
-        if single:
-            if not isinstance(outcomes[0], StepReport):
-                raise outcomes[0]
-            return stage_out[0], nl_out[0], outcomes[0]
         return stage_out, nl_out, outcomes
 
     def step(self, c, t, start=None):
-        """(block, outcome, start) for c = (uhat, vhat) one step of dt after t.
+        """(stack, outcomes, start) for the stack c one step of dt after the times t.
 
-        c is one (2, N/2+1) block or an (M, 2, N/2+1) stack, as in solve, and
-        the outcome is solve's. The returned start is the next step's stage
-        guess: this step's collocation polynomial for u, through (0, uhat)
-        and (c_i, U_i), extrapolated to 1 + c_j.
+        c, t and the outcomes are solve's. The returned start is the next
+        step's stage guess block: each member's collocation polynomial for u,
+        through (0, uhat) and (c_i, U_i), extrapolated to 1 + c_j.
         """
-        stage_u, nl, outcome = self.solve(c, t, start)
+        stage_u, nl, outcomes = self.solve(c, t, start)
         f = self.lam * stage_u + nl  # one stage force serves both updates
-        uhat, vhat = c[..., 0, :], c[..., 1, :]
+        uhat, vhat = c[:, 0], c[:, 1]
         b, dt = self.tableau.b, self.dt
         u_next = uhat + dt * vhat + dt**2 * ((b @ self.tableau.a) @ f)
-        guess = self.extrap[:, :1] * uhat[..., None, :] + self.extrap[:, 1:] @ stage_u
-        return np.stack([u_next, vhat + dt * (b @ f)], axis=-2), outcome, guess
+        guess = self.extrap[:, :1] * uhat[:, None] + self.extrap[:, 1:] @ stage_u
+        return np.stack([u_next, vhat + dt * (b @ f)], axis=1), outcomes, guess
 
 
 def irk_step(state, params, grid, solver=None):
     """Advance one grid.n-point state one step of size params.dt; returns (state, report).
 
-    With no previous step to extrapolate from, every stage starts from uhat,
-    as the first step of integrate does.
+    The state runs as a stack of one through the solver, and a failure
+    raises that member's exception. With no previous step to extrapolate
+    from, every stage starts from uhat, as the first step of integrate does.
     """
     if state.u.shape != (grid.n,):
         raise LengthMismatch(f"a start is one {grid.n}-point state, got shape {state.u.shape}")
     if solver is None:
         solver = StageSolver(params, grid)
-    c, report, _ = solver.step(dft_forward(np.stack([state.u, state.v])), state.t)
-    u, v = dft_inverse(c)
-    return FieldState(t=state.t + solver.dt, u=u, v=v), report
+    c, (outcome,), _ = solver.step(dft_forward(np.stack([state.u, state.v]))[None], [state.t])
+    if not isinstance(outcome, StepReport):
+        raise outcome
+    u, v = dft_inverse(c[0])
+    return FieldState(t=state.t + solver.dt, u=u, v=v), outcome
 
 
 @dataclass(frozen=True)

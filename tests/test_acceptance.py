@@ -29,7 +29,7 @@ from kgbreather import (
     self_intersections,
     winding_number,
 )
-from kgbreather.cli import main as cli_main, run_and_write
+from kgbreather.cli import main as cli_main, run_members
 from kgbreather.errors import CenterOnLoop, DegenerateLoop
 from kgbreather.core import params_from_dict
 from kgbreather.runio import (
@@ -269,9 +269,9 @@ def test_criterion_9_determinism_and_io(tmp_path):
     # rerun from the manifest parameters, byte for byte
     dir_a = str(tmp_path / "a")
     dir_b = str(tmp_path / "b")
-    run_and_write(p, dir_a)
+    run_members([p], [dir_a])
     recovered = params_from_dict(read_manifest(os.path.join(dir_a, "manifest.json"))["params"])
-    run_and_write(recovered, dir_b)
+    run_members([recovered], [dir_b])
     byte_identical = all(
         pathlib.Path(dir_a, name).read_bytes() == pathlib.Path(dir_b, name).read_bytes()
         for name in ("snapshots.csv", "diagnostics.csv", "tracers.csv")

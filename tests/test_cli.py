@@ -1,5 +1,6 @@
 """End-to-end command line behavior through subprocesses."""
 
+import hashlib
 import importlib.util
 import json
 import os
@@ -60,6 +61,8 @@ def test_simulate_writes_all_artifacts(tmp_path, cfg64):
     assert manifest["steps"] == 512
     assert sorted(manifest["files"]) == ["diagnostics.csv", "snapshots.csv", "tracers.csv"]
     assert manifest["params"]["t_end"] == 64.0
+    canonical = json.dumps(manifest["params"], sort_keys=True, separators=(",", ":"))
+    assert manifest["params_sha256"] == hashlib.sha256(canonical.encode()).hexdigest()
     assert manifest["grid"]["n"] == 64
     # stage_sweep_counts[k - 1] steps took k sweeps
     counts = manifest["stage_sweep_counts"]
@@ -232,6 +235,22 @@ def test_classify_and_plot_reject_unusable_params(finished_run, edit, message):
         assert "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [lambda m: m["params"].update(mu=1e-4), lambda m: m.pop("params_sha256")],
+    ids=["edited_mu", "no_params_digest"],
+)
+def test_classify_and_plot_reject_params_that_miss_their_digest(finished_run, edit):
+    # mu = 1e-4 is a valid value, so without the digest classify would exit 0
+    # and count rot_left -0.00729 in place of the run's 0.00146
+    edit_manifest(finished_run, edit)
+    for command in ("classify", "plot"):
+        res = run_cli(command, "--out", finished_run)
+        assert res.returncode == 2, command
+        assert "records no params_sha256 matching its params" in res.stderr
+        assert res.stdout == ""
+
+
 def test_classify_rejects_a_manifest_without_file_digests(finished_run):
     edit_manifest(finished_run, lambda m: m.pop("files"))
     path = os.path.join(finished_run, "diagnostics.csv")
@@ -308,6 +327,17 @@ def test_sweep_runs_each_amplitude(tmp_path, cfg64):
         assert e["label"] in ("breather", "ordinary", "indeterminate")
     assert (out / "A_0.02" / "manifest.json").exists()
     assert (out / "A_0.04" / "manifest.json").exists()
+
+
+def test_sweep_takes_a_list_that_starts_with_a_minus_sign_after_an_equals_sign(tmp_path, cfg64):
+    # argparse reads a separate "-0.04,0.04" as an option, not as the list
+    out = tmp_path / "sweep"
+    res = run_cli("sweep", "--config", cfg64, "--out", str(out), "--amplitudes", "-0.04,0.04")
+    assert res.returncode == 1
+    res = run_cli("sweep", "--config", cfg64, "--out", str(out), "--amplitudes=-0.04,0.04")
+    assert res.returncode == 0, res.stderr
+    assert [e["A"] for e in read_sweep(out / "sweep.csv")] == [-0.04, 0.04]
+    assert (out / "A_-0.04" / "manifest.json").exists()
 
 
 def test_sweep_rejects_non_increasing_amplitudes(tmp_path, cfg64):

@@ -1,5 +1,8 @@
 """Config text parsing, key conversion, and validation hand-off."""
 
+import dataclasses
+import pathlib
+
 import pytest
 
 from kgbreather import (
@@ -120,3 +123,29 @@ def test_parse_config_reads_file(tmp_path):
 def test_parse_config_missing_file_raises_oserror(tmp_path):
     with pytest.raises(OSError):
         parse_config(tmp_path / "absent.cfg")
+
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_config_rows():
+    """(key, default) of each row of the README's config table."""
+    lines = README.read_text(encoding="utf-8").splitlines()
+    rows = []
+    for line in lines[lines.index("| key | default | meaning |") + 2 :]:
+        if not line.startswith("|"):
+            break
+        key, default = (cell.strip() for cell in line.strip("|").split("|")[:2])
+        rows.append((key, default))
+    return rows
+
+
+def test_readme_config_table_gives_every_key_its_default():
+    # the table is the only user-facing list of the options
+    rows = readme_config_rows()
+    keys = [key for key, _ in rows]
+    assert sorted(keys) == sorted(f.name for f in dataclasses.fields(SimParams))
+    assert len(keys) == 15
+    for key, default in rows:
+        parsed = parse_config_text(f"{key} = {default}")
+        assert getattr(parsed, key) == getattr(SimParams(), key), key

@@ -1,5 +1,6 @@
 """Loops, winding numbers, rotation counts, crossings, and mode labels."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -457,9 +458,21 @@ def test_classify_insufficient_data(default_params):
 
 
 def test_classify_turns_equal_the_last_diagnostics_row_bit_for_bit():
+    """rot_origin always agrees. rot_left agrees only for a probe starting at u >= 0.
+
+    The rot_left column turns about the vacuum on the probe's starting side,
+    while classify always turns about +u*; at A = -0.12 they part.
+    """
     params = SimParams(amplitude=0.12, t_end=256.0)
     _, _, diagnostics, tracks = integrate(params)
     res = classify_mode(diagnostics, tracks[0], params)
     assert abs(res.rot_left) > 1.0  # the tracer actually rotates
     assert res.rot_left == diagnostics[-1].rot_left
+    assert res.rot_origin == diagnostics[-1].rot_origin
+    mirrored = dataclasses.replace(params, amplitude=-0.12)
+    _, _, diagnostics, tracks = integrate(mirrored)
+    res = classify_mode(diagnostics, tracks[0], mirrored)
+    assert tracks[0].u[0] < 0.0
+    assert abs(diagnostics[-1].rot_left) > 1.0  # about (-u*, 0)
+    assert res.rot_left != diagnostics[-1].rot_left
     assert res.rot_origin == diagnostics[-1].rot_origin

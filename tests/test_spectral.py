@@ -227,3 +227,16 @@ def test_stacked_half_spectra_act_row_by_row(mode):
         assert np.array_equal(du[row], first_derivative(u[row], g))
         assert e[row] == energy(u[row], v[row], p, g)
         assert mom[row] == momentum(u[row], v[row], p, g)
+
+
+def test_dealiasing_premise_holds_over_the_default_run(default_run):
+    """pad2x cubes exactly only fields band-limited to |m| <= N/6 (_cube_hat_pad2x).
+
+    The tail ratio of a snapshot is max |c_m| over m > N/6 divided by max |c|
+    of its u. Over the default run it peaks at 3.79e-16, at t = 768. The
+    record-shaped run (A = 0.1195, t_end = 256, a snapshot every step) leaves
+    the premise: its ratio reaches 7.1e-8 at t = 135.4.
+    """
+    c = np.abs(dft_forward(default_run.snapshots.u))
+    tail = np.arange(c.shape[-1]) > default_run.grid.n / 6
+    assert np.max(c[:, tail].max(axis=1) / c.max(axis=1)) <= 1e-15
