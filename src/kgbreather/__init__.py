@@ -15,7 +15,7 @@ from .core import (
     probe_indices,
     validate_params,
 )
-from .dynamics import FixedPointSet, energy, energy_drift, fixed_points, momentum, rhs
+from .dynamics import FixedPointSet, energy, energy_drift, fixed_points, momentum
 from .errors import (
     CenterOnLoop,
     CenterOnTrack,

@@ -1,13 +1,13 @@
-"""Continuous-time dynamics on the grid: right-hand side and conserved quantities.
+"""Continuous-time dynamics on the grid: the force terms and conserved quantities.
 
 The second-order field equation is reduced to du/dt = v,
 dv/dt = sigma*alpha*u_xx + mu*u - beta*u^3. In coefficient space the linear
 part acts on mode m as lambda_m = mu - sigma*alpha*k_m^2 (linear_symbol) and
 the cubic is dealiased (nonlinear_hat); the stage solver integrates exactly
-these two terms and rhs assembles them. sigma = +1 ("standard_wave") keeps
-the usual wave operator; the equation as written with a +alpha*u_xx term
-moved to the other side flips it. energy and momentum act along the last
-axis, so one call gives the value of every row of a stacked (S, N) block.
+these two terms. sigma = +1 ("standard_wave") keeps the usual wave operator;
+the equation as written with a +alpha*u_xx term moved to the other side
+flips it. energy and momentum act along the last axis, so one call gives
+the value of every row of a stacked (S, N) block.
 """
 
 import math
@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import DRIFT_GUARD
 from .errors import InvalidParams, NonFinite
-from .spectral import cube_hat, dft_forward, dft_inverse, first_derivative
+from .spectral import cube_hat, first_derivative
 
 
 def linear_symbol(params, grid):
@@ -28,16 +28,6 @@ def linear_symbol(params, grid):
 def nonlinear_hat(uhat, params):
     """-beta times the (dealiased) cube, in coefficient space."""
     return -params.beta * cube_hat(uhat, params.dealias)
-
-
-def rhs(state_u, state_v, params, grid):
-    """Time derivative (du, dv) of the collocated first-order system."""
-    uhat = dft_forward(state_u)
-    dv = dft_inverse(linear_symbol(params, grid) * uhat + nonlinear_hat(uhat, params))
-    du = np.array(state_v, dtype=np.float64, copy=True)
-    if not (np.all(np.isfinite(du)) and np.all(np.isfinite(dv))):
-        raise NonFinite("right-hand side produced non-finite entries")
-    return du, dv
 
 
 def energy(u, v, params, grid):

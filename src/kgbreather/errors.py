@@ -29,7 +29,11 @@ class LengthMismatch(KgError):
 
 
 class NonFinite(KgError):
-    """NaN or Inf appeared where a finite value is required."""
+    """NaN or Inf appeared where a finite value is required; from a step, t is the end of that step."""
+
+    def __init__(self, message, t=None):
+        self.t = t
+        super().__init__(message)
 
 
 class UnsupportedStageCount(KgError):
@@ -37,7 +41,7 @@ class UnsupportedStageCount(KgError):
 
 
 class StageSolveDiverged(KgError):
-    """Implicit stage iteration failed to reach the residual tolerance."""
+    """Implicit stage iteration failed to reach the residual tolerance; t is the start of that step."""
 
     def __init__(self, message, t=None):
         self.t = t

@@ -41,19 +41,11 @@ def first_derivative(u, grid):
     return dft_inverse(mult * dft_forward(u))
 
 
-def _cube_samples(u):
-    # overflow is reported below as NonFinite, not as a numpy warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        w = u * u * u
-    if not np.all(np.isfinite(w)):
-        raise NonFinite("cubic term overflowed")
-    return w
-
-
 def _cube_hat_none(c):
     """Pointwise cube on the native grid, back to coefficients. Aliased."""
     n = 2 * (c.shape[-1] - 1)
-    return np.fft.rfft(_cube_samples(np.fft.irfft(c) * n)) / n
+    u = np.fft.irfft(c) * n
+    return np.fft.rfft(u * u * u) / n
 
 
 def _cube_hat_pad2x(c):
@@ -71,14 +63,18 @@ def _cube_hat_pad2x(c):
     c = c.copy()
     c[..., h] *= 0.5
     # irfft to m points zero-pads the half-spectrum to 2h + 1 coefficients
-    w = np.fft.rfft(_cube_samples(np.fft.irfft(c, m) * m)) / m
+    u = np.fft.irfft(c, m) * m
+    w = np.fft.rfft(u * u * u) / m
     out = w[..., : h + 1]
     out[..., h] = 2.0 * w[..., h].real
     return out
 
 
 def cube_hat(c, mode):
-    """Half-spectra of u^3 from those of u (last axis), alias-free when mode='pad2x'."""
+    """Half-spectra of u^3 from those of u (last axis), alias-free when mode='pad2x'.
+
+    An overflowing cube comes back non-finite; the caller checks for it.
+    """
     c = np.asarray(c, dtype=np.complex128)
     if mode == "pad2x":
         return _cube_hat_pad2x(c)

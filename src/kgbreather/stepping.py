@@ -32,9 +32,10 @@ each held as one (M, s, N/2 + 1) block, so a sweep makes one batched cube
 of all stages of all members and one batched synthesis of the residual.
 Every operation acts on each member's rows alone, so a member's numbers are
 bit for bit those of its solo run. Each member keeps its own residual and
-stall count and stops sweeping once its residual is at most stage_tol; the
-blocks are cut down to the members still sweeping only once one member
-finishes before the rest.
+stall count, and all members sweep in the full block until each has an
+outcome: a member's stages are those of the sweep where its residual first
+met stage_tol, and a finished member's rows ride along unused. A member
+whose cube overflows fails on its own non-finite residual.
 A member whose solve fails or whose state turns non-finite drops out of the
 loop with its exception and its own t, and the others march on. Each
 snapshot's w is written into one preallocated (M, 2, S, N) block, and each
@@ -138,89 +139,62 @@ class StageSolver:
             ]
         )
 
-    def _cube(self, x):
-        """(nonlinear_hat of each member's rows of x, {member: NonFinite} for those whose cube overflowed)."""
-        try:  # on the rows as one 2-d block, where numpy indexes fastest
-            return nonlinear_hat(x.reshape(-1, x.shape[-1]), self.params).reshape(x.shape), {}
-        except NonFinite:
-            out, errors = np.zeros(x.shape, dtype=np.complex128), {}
-            for j, rows in enumerate(x):
-                try:
-                    out[j] = nonlinear_hat(rows, self.params)
-                except NonFinite as exc:
-                    errors[j] = exc
-            return out, errors
-
     def solve(self, c, t, start=None):
         """(stage_u, nl, outcomes) for an (M, 2, N/2+1) stack c of (uhat, vhat) at the (M,) times t.
 
         The stages are (M, s, N/2+1) blocks. start holds the stage guesses,
-        shaped like the stages; without it every stage starts from uhat. Each
-        member sweeps until its own residual is at most stage_tol and then
-        stops, so it takes the sweeps it would take alone. outcomes holds one
+        shaped like the stages; without it every stage starts from uhat. All
+        members sweep together until each has an outcome, and a member's
+        stages are those of the sweep where its residual first met
+        stage_tol, so it gets the numbers it gets alone. outcomes holds one
         StepReport or exception per member, and a failed member's stage rows
-        are zero.
+        are zero. A member whose residual is not finite (its cube overflowed)
+        fails with NonFinite at t + dt.
         """
         m, a = len(c), self.tableau.a
         tol, max_iter = self.params.stage_tol, self.params.stage_max_iter
         uhat, vhat = c[:, :1], c[:, 1:]
+
+        def cube(x):  # on the rows as one 2-d block, where numpy indexes fastest
+            return nonlinear_hat(x.reshape(-1, x.shape[-1]), self.params).reshape(x.shape)
+
         # K (u 1 + dt v c), the part of every sweep that the cube does not change
         base = accel.stage_matvec(self.k, uhat + self.dt * self.tableau.c[:, None] * vhat)
-        if start is None:  # every stage starts from uhat, so its cube serves all of them
-            nl_old, lost = self._cube(uhat)
-            nl_old = np.broadcast_to(nl_old, base.shape)
-        else:
-            nl_old, lost = self._cube(start)
         outcomes = [None] * m
-        live = list(range(m))  # the members still sweeping, one per row of base
         prev_res, stall = [math.inf] * m, [0] * m
-        stage_out = nl_out = None
-        for it in range(1, max_iter + 1):
-            stage_u = base + accel.stage_matvec(self.g, nl_old)
-            nl_new, errors = self._cube(stage_u)
-            errors.update(lost)  # a member whose starting cube overflowed fails here
-            lost = {}
-            # physical max norm of the only nonzero residual component, per member
-            res = np.abs(dft_inverse(self.dt * (a @ (nl_new - nl_old))))
-            res = res.reshape(len(res), -1).max(axis=1).tolist()
-            nl_old = nl_new
-            good, left = [], set()  # rows that converged, rows that leave
-            for j, r in enumerate(res):
-                k = live[j]
-                if j in errors:
-                    outcomes[k] = errors[j]
-                elif r <= tol:
-                    outcomes[k] = StepReport(it, r)
-                    good.append(j)
-                else:
-                    stall[j] = stall[j] + 1 if r >= prev_res[j] else 0
-                    prev_res[j] = r
-                    if stall[j] >= _STALL_LIMIT:
-                        message = f"stage residual stalled at {r:.3e} after {it} sweeps"
-                    elif it == max_iter:
-                        message = f"stage residual {r:.3e} above {tol:.1e} after {max_iter} sweeps"
-                    else:
+        # an overflowing member's rows turn inf or nan and ride along unused
+        with np.errstate(over="ignore", invalid="ignore"):
+            # without a start every stage starts from uhat, so its cube serves all of them
+            nl_old = np.broadcast_to(cube(uhat), base.shape) if start is None else cube(start)
+            for it in range(1, max_iter + 1):
+                stage_u = base + accel.stage_matvec(self.g, nl_old)
+                nl_new = cube(stage_u)
+                # physical max norm of the only nonzero residual component, per member
+                res = np.abs(dft_inverse(self.dt * (a @ (nl_new - nl_old))))
+                res = res.reshape(m, -1).max(axis=1).tolist()
+                nl_old = nl_new
+                if it == 1:  # the sweep's own layouts, which step's products round on
+                    stage_out, nl_out = np.zeros_like(stage_u), np.zeros_like(nl_new)
+                for k, r in enumerate(res):
+                    if outcomes[k] is not None:
                         continue
-                    outcomes[k] = StageSolveDiverged(message, t=float(t[k]))
-                left.add(j)
-            if not left:
-                continue
-            if stage_out is None and len(good) == m:
-                # every member converged together: no copies
-                stage_out, nl_out = stage_u, nl_new
-                break
-            if stage_out is None:
-                stage_out = np.zeros((m, *base.shape[1:]), dtype=np.complex128)
-                nl_out = np.zeros_like(stage_out)
-            rows = [live[j] for j in good]
-            stage_out[rows] = stage_u[good]
-            nl_out[rows] = nl_new[good]
-            keep = [j for j in range(len(live)) if j not in left]
-            if not keep:
-                break
-            # only now that a member left before the others are the blocks indexed
-            base, nl_old = base[keep], nl_old[keep]
-            live, prev_res, stall = ([x[j] for j in keep] for x in (live, prev_res, stall))
+                    if not math.isfinite(r):
+                        outcomes[k] = NonFinite("cubic term overflowed", t=float(t[k]) + self.dt)
+                    elif r <= tol:
+                        outcomes[k] = StepReport(it, r)
+                        stage_out[k], nl_out[k] = stage_u[k], nl_new[k]
+                    else:
+                        stall[k] = stall[k] + 1 if r >= prev_res[k] else 0
+                        prev_res[k] = r
+                        if stall[k] >= _STALL_LIMIT:
+                            message = f"stage residual stalled at {r:.3e} after {it} sweeps"
+                        elif it == max_iter:
+                            message = f"stage residual {r:.3e} above {tol:.1e} after {max_iter} sweeps"
+                        else:
+                            continue
+                        outcomes[k] = StageSolveDiverged(message, t=float(t[k]))
+                if all(outcomes):
+                    break
         return stage_out, nl_out, outcomes
 
     def step(self, c, t, start=None):
@@ -243,8 +217,10 @@ def irk_step(state, params, grid, solver=None):
     """Advance one grid.n-point state one step of size params.dt; returns (state, report).
 
     The state runs as a stack of one through the solver, and a failure
-    raises that member's exception. With no previous step to extrapolate
-    from, every stage starts from uhat, as the first step of integrate does.
+    raises that member's exception; a returned state that is not finite
+    raises NonFinite at t + dt, as in integrate. With no previous step to
+    extrapolate from, every stage starts from uhat, as the first step of
+    integrate does.
     """
     if state.u.shape != (grid.n,):
         raise LengthMismatch(f"a start is one {grid.n}-point state, got shape {state.u.shape}")
@@ -253,8 +229,11 @@ def irk_step(state, params, grid, solver=None):
     c, (outcome,), _ = solver.step(dft_forward(np.stack([state.u, state.v]))[None], [state.t])
     if not isinstance(outcome, StepReport):
         raise outcome
-    u, v = dft_inverse(c[0])
-    return FieldState(t=state.t + solver.dt, u=u, v=v), outcome
+    t = state.t + solver.dt
+    w = dft_inverse(c[0])
+    if not np.isfinite(w).all():
+        raise NonFinite(f"non-finite field entries at t={t}", t=t)
+    return FieldState(t=t, u=w[0], v=w[1]), outcome
 
 
 @dataclass(frozen=True)
@@ -278,8 +257,8 @@ def integrate(params, grid=None, state=None):
     tracks one per-step TracerTrack per probe. A start that is exactly odd
     (u(L - x) = -u(x), likewise v) stays exactly odd at every step. Every
     step after the first starts its stages from the extrapolation of the
-    step before (see the module docstring). Solver failures and non-finite
-    states propagate with a ``t`` attribute attached.
+    step before (see the module docstring). Every failure carries its t: a
+    StageSolveDiverged the start of its step, a NonFinite the end.
 
     The start is one grid.n-point state, or a stack of M of them (u and v
     (M, N), t (M,)), else LengthMismatch. A stack runs as M members through
@@ -343,12 +322,10 @@ def integrate(params, grid=None, state=None):
         failed = {j: r for j, r in enumerate(reports) if not isinstance(r, StepReport)}
         if not np.all(np.isfinite(w)):
             for j in np.flatnonzero(~np.isfinite(w).all(axis=(1, 2))).tolist():
-                failed.setdefault(j, NonFinite(f"non-finite field entries at t={t_axis[ids[j], i]}"))
+                t = float(t_axis[ids[j], i])
+                failed.setdefault(j, NonFinite(f"non-finite field entries at t={t}", t=t))
         if failed:
-            for j, exc in failed.items():
-                if getattr(exc, "t", None) is None:
-                    exc.t = float(t_axis[ids[j], i])
-                errors[ids[j]] = exc
+            errors.update((ids[j], exc) for j, exc in failed.items())
             keep = [j for j in range(len(ids)) if j not in failed]
             if not keep:
                 break

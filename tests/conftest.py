@@ -4,7 +4,14 @@ import time
 
 import pytest
 
-from kgbreather import SimParams, integrate, make_grid
+from kgbreather import SimParams, dft_forward, dft_inverse, integrate, make_grid
+from kgbreather.dynamics import linear_symbol, nonlinear_hat
+
+
+def force(u, params, grid):
+    """dv/dt of the field equation at the samples u: the stage solver's two terms, in physical space."""
+    uhat = dft_forward(u)
+    return dft_inverse(linear_symbol(params, grid) * uhat + nonlinear_hat(uhat, params))
 
 
 @pytest.fixture()

@@ -378,7 +378,8 @@ def test_sweep_all_failures_exits_2_with_placeholder_rows(tmp_path):
 
 def test_sweep_survives_members_that_fail_apart_from_the_others(tmp_path, cfg64):
     # A = 1e200 overflows the cube in its first step and A = 15 stalls the
-    # stage solve at t = 1.375; A = 0.02 runs to the end
+    # stage solve at t = 1.375; A = 0.02 runs to the end. A NonFinite carries
+    # the end of its step (0.125), a StageSolveDiverged the start of its step
     out = tmp_path / "sweep"
     res = run_cli("sweep", "--config", cfg64, "--out", str(out), "--amplitudes", "0.02,15,1e200")
     assert res.returncode == 0, res.stderr

@@ -1,14 +1,14 @@
-"""Right-hand side, conserved functionals, and fixed points."""
+"""Force terms, conserved functionals, and fixed points."""
 
 import dataclasses
 import math
 
 import numpy as np
 import pytest
+from conftest import force
 
 from kgbreather import (
     InvalidParams,
-    NonFinite,
     SimParams,
     energy,
     energy_drift,
@@ -16,7 +16,6 @@ from kgbreather import (
     initial_state,
     make_grid,
     momentum,
-    rhs,
 )
 
 
@@ -43,47 +42,37 @@ def _bandlimited(rng, g, width, scale=1.0):
 def test_rhs_vanishes_at_all_fixed_points(setup):
     p, g = setup
     for u0 in (0.0, U_STAR, -U_STAR):
-        du, dv = rhs(np.full(g.n, u0), np.zeros(g.n), p, g)
-        assert np.max(np.abs(du)) == 0.0
+        dv = force(np.full(g.n, u0), p, g)
         assert np.max(np.abs(dv)) <= 1e-15
 
 
 def test_rhs_constant_field_arithmetic(setup):
     p, g = setup
-    du, dv = rhs(np.full(g.n, 0.01), np.zeros(g.n), p, g)
-    assert np.max(np.abs(du)) == 0.0
+    dv = force(np.full(g.n, 0.01), p, g)
     assert np.max(np.abs(dv - 2.95e-5)) <= 1e-17
 
 
 def test_rhs_default_profile_linear_coefficient(setup):
     p, g = setup
     s = initial_state(p, g)
-    du, dv = rhs(s.u, s.v, p, g)
+    dv = force(s.u, p, g)
     coeff = -p.alpha * (math.pi / 4.0) ** 2 + p.mu
     assert coeff == pytest.approx(6.40e-4, abs=5e-7)
     # the single-mode cube is band-limited, so the pointwise cube is exact
     want = coeff * s.u - p.beta * s.u ** 3
     assert np.max(np.abs(dv - want)) <= 1e-15
-    assert np.array_equal(du, s.v)
 
 
 def test_rhs_sign_mode_flips_laplacian(setup):
     p, g = setup
     s = initial_state(p, g)
     p_flip = dataclasses.replace(p, laplacian_sign="as_written")
-    _, dv_std = rhs(s.u, s.v, p, g)
-    _, dv_flip = rhs(s.u, s.v, p_flip, g)
+    dv_std = force(s.u, p, g)
+    dv_flip = force(s.u, p_flip, g)
     k1 = 2 * np.pi / p.domain_length
     # difference is exactly twice the laplacian term
     want = 2.0 * p.alpha * (-(k1 ** 2)) * s.u
     assert np.max(np.abs((dv_std - dv_flip) - want)) <= 1e-15
-
-
-def test_rhs_rejects_nonfinite_output(setup):
-    p, g = setup
-    huge = np.full(g.n, 1e200)
-    with pytest.raises(NonFinite):
-        rhs(huge, np.zeros(g.n), p, g)
 
 
 def test_energy_zero_state(setup):
@@ -138,7 +127,7 @@ def test_energy_momentum_cyclic_shift_invariance(setup):
 
 
 def test_discrete_gradient_consistency(setup):
-    """Central differences of E converge at second order onto the rhs pairing."""
+    """Central differences of E converge at second order onto the pairing with (v, force)."""
     p, g = setup
     for seed in (7, 21, 99):
         rng = np.random.default_rng(seed)
@@ -147,7 +136,7 @@ def test_discrete_gradient_consistency(setup):
         v0 = _bandlimited(rng, g, width, 3.0)
         du_dir = _bandlimited(rng, g, width, 3.0)
         dv_dir = _bandlimited(rng, g, width, 3.0)
-        _, dv = rhs(u0, v0, p, g)
+        dv = force(u0, p, g)
         pairing = g.dx * (float(np.dot(v0, dv_dir)) - float(np.dot(dv, du_dir)))
         errs = []
         for eps in (1e-4, 1e-5):
@@ -170,8 +159,7 @@ def test_linearized_mode_satisfies_rhs(setup):
     for t in (0.0, 0.3, 1.7):
         u = np.sin(k * g.nodes) * math.cos(omega * t)
         v = -omega * np.sin(k * g.nodes) * math.sin(omega * t)
-        du, dv = rhs(u, v, p_lin, g)
-        assert np.array_equal(du, v)
+        dv = force(u, p_lin, g)
         assert np.max(np.abs(dv - (-(omega ** 2)) * u)) <= 1e-12
 
 

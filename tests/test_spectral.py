@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from conftest import force
 
 from kgbreather import (
     LengthMismatch,
@@ -15,7 +16,6 @@ from kgbreather import (
     initial_state,
     make_grid,
     momentum,
-    rhs,
 )
 from kgbreather.dynamics import linear_symbol
 from kgbreather.spectral import cube_hat
@@ -27,9 +27,8 @@ def cube(u, mode):
 
 
 def laplacian(u, grid):
-    """u_xx from rhs: with alpha = 1 and mu = beta = 0, dv is the laplacian term."""
-    p = SimParams(alpha=1.0, mu=0.0, beta=0.0)
-    return rhs(u, np.zeros_like(u), p, grid)[1]
+    """u_xx from the force: with alpha = 1 and mu = beta = 0, dv/dt is the laplacian term."""
+    return force(u, SimParams(alpha=1.0, mu=0.0, beta=0.0), grid)
 
 
 def random_band(rng, grid, width):

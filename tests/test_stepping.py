@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -539,9 +540,10 @@ def test_each_member_of_a_stack_equals_its_solo_run_bit_for_bit(stages):
     assert len({summary.sweep_counts for summary, _, _, _ in outcomes}) > 1
 
 
-def test_a_member_that_converges_early_gets_no_further_sweep(monkeypatch):
+def test_a_member_that_converges_early_keeps_the_stages_of_its_own_sweep(monkeypatch):
     # in the second step A = 0.02 converges after one sweep and A = 0.12
-    # after two; the second sweep's cube must see A = 0.12 alone
+    # after two; the second sweep runs on both members, and A = 0.02 keeps
+    # the stages and cubes of its first
     p = SimParams()
     g = make_grid(p.grid_points, p.domain_length)
     start = stacked_start(p, g, (0.02, 0.12))
@@ -558,13 +560,57 @@ def test_a_member_that_converges_early_gets_no_further_sweep(monkeypatch):
     stage_u, nl, reports = solver.solve(c, np.full(2, p.dt), guess)
     monkeypatch.undo()
     assert [r.iterations for r in reports] == [1, 2]
-    assert rows == [2, 2, 1]  # the starting cube, then one per sweep
+    assert rows == [2, 2, 2]  # the starting cube, then one per sweep
     for k in range(2):
         solo = slice(k, k + 1)  # member k as a stack of one
         solo_u, solo_nl, solo_reports = solver.solve(c[solo], np.full(1, p.dt), guess[solo])
         assert [reports[k]] == solo_reports
         assert np.array_equal(stage_u[k], solo_u[0])
         assert np.array_equal(nl[k], solo_nl[0])
+
+
+def test_an_overflowing_member_fails_on_its_own_residual_inside_one_solve():
+    # A = 1e200 overflows its cube; beside it A = 0.04 gets the stages,
+    # cubes and report of its solo solve, and no numpy warning escapes
+    p = SimParams()
+    g = make_grid(p.grid_points, p.domain_length)
+    start = stacked_start(p, g, (0.04, 1e200))
+    c = dft_forward(np.stack([start.u, start.v], axis=1))
+    solver = StageSolver(p, g)
+    t0 = 3.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stage_u, nl, (report, failure) = solver.solve(c, np.full(2, t0))
+    assert isinstance(failure, NonFinite) and str(failure) == "cubic term overflowed"
+    assert failure.t == t0 + p.dt
+    assert not stage_u[1].any() and not nl[1].any()
+    solo_u, solo_nl, solo_reports = solver.solve(c[:1], np.full(1, t0))
+    assert [report] == solo_reports
+    assert np.array_equal(stage_u[0], solo_u[0])
+    assert np.array_equal(nl[0], solo_nl[0])
+
+
+def test_irk_step_overflow_fails_at_the_end_of_the_step_as_in_integrate():
+    # NonFinite.t is the end of the failed step, StageSolveDiverged.t its start
+    p = SimParams(amplitude=1e200, t_end=1.0)
+    g = make_grid(p.grid_points, p.domain_length)
+    with pytest.raises(NonFinite, match="^cubic term overflowed$") as err:
+        irk_step(initial_state(p, g), p, g)
+    assert err.value.t == 0.125
+    with pytest.raises(NonFinite) as solo:
+        integrate(p, g)
+    assert solo.value.t == err.value.t
+
+
+def test_irk_step_rejects_a_state_that_turns_non_finite():
+    # a huge linear force at a tiny dt: the stages converge in one sweep, but
+    # lambda_m U overflows in the update, which numpy warns of outside the solve
+    p = SimParams(alpha=1e304, dt=1e-160, grid_points=32)
+    g = make_grid(p.grid_points, p.domain_length)
+    start = FieldState(t=0.0, u=1000.0 * np.cos(g.wavenumbers[-2] * g.nodes), v=np.zeros(g.n))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFinite, match="non-finite field") as err:
+        irk_step(start, p, g)
+    assert err.value.t == start.t + p.dt
 
 
 def test_a_failing_member_stops_at_its_own_time_and_the_others_march_on():
@@ -586,6 +632,7 @@ def test_a_failing_member_stops_at_its_own_time_and_the_others_march_on():
     assert [type(o).__name__ for o in outcomes] == [
         "tuple", "StageSolveDiverged", "StageSolveDiverged", "tuple", "NonFinite"
     ]
+    # StageSolveDiverged.t is the start of the failed step, NonFinite.t its end
     assert [outcomes[k].t for k in (1, 2, 4)] == [48.75, 1.375, 0.125]
     assert "above" in str(outcomes[1]) and "stalled" in str(outcomes[2])
 
