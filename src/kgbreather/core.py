@@ -1,5 +1,6 @@
 """Configuration, grid construction, and the state/record types shared by all modules."""
 
+import functools
 import math
 import numbers
 import sys
@@ -239,9 +240,17 @@ def initial_state(params, grid):
     return FieldState(t=0.0, u=u, v=v)
 
 
+@functools.cache
+def _reflection(n):
+    """The index (n - j) mod n of each j < n, read-only."""
+    index = -np.arange(n) % n
+    index.setflags(write=False)
+    return index
+
+
 def reflect(u):
     """Samples of u(L - x) along the last axis, so a block row by row: index j maps to (N - j) mod N."""
-    return np.roll(u[..., ::-1], 1, axis=-1)
+    return np.take(u, _reflection(np.shape(u)[-1]), axis=-1)
 
 
 def is_odd(u):

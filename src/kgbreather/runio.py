@@ -1,8 +1,10 @@
 """On-disk run artifacts: CSV streams, the digest manifest, atomic writes.
 
 Floats are written as their shortest round-tripping decimal so every file
-reloads to the exact binary value. All writers build the whole payload first
-and publish it with os.replace, so a crash never leaves a half-written file.
+reloads to the exact binary value. Every writer streams its text into a temp
+file, snapshots.csv one state at a time and the others in slices of one
+string, and publishes it with os.replace, so a crash never leaves a
+half-written file.
 Writers join cells with bare commas and never quote. One parser,
 numpy.loadtxt in _read_table, reads each CSV into one table and rejects a
 wrong header, a row with too few or too many cells, a blank line, a cell
@@ -39,8 +41,8 @@ def fmt(x):
     return repr(float(x))
 
 
-def atomic_write_text(path, text):
-    """Publish text at path by os.replace of a synced temp file unique to this call.
+def _publish(path, chunks):
+    """Write the str chunks to a synced temp file unique to this call and os.replace it onto path.
 
     If the write fails, the temp file is removed and path keeps what it held.
     """
@@ -53,15 +55,20 @@ def atomic_write_text(path, text):
             mask = os.umask(0)
             os.umask(mask)
             os.fchmod(fh.fileno(), 0o666 & ~mask)
-            # in slices: encoding the whole text at once would add a full copy as bytes
-            for i in range(0, len(text), 1 << 16):
-                fh.write(text[i : i + (1 << 16)])
+            for chunk in chunks:
+                fh.write(chunk)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def atomic_write_text(path, text):
+    """Publish the str text at path as _publish does."""
+    # in slices: encoding the whole text at once would add a full copy as bytes
+    _publish(path, (text[i : i + (1 << 16)] for i in range(0, len(text), 1 << 16)))
 
 
 def _csv_text(header, rows):
@@ -152,14 +159,16 @@ def _runs(key):
 def write_snapshots(path, snapshots, grid):
     """Write a stacked FieldState as t,x,u,v rows, one run of grid.n rows per state.
 
-    One chunk per state goes into one buffer, which keeps the peak near twice the file's size.
+    One chunk per state streams into the file, so no more than one state's text is held at once.
     """
-    buf = io.StringIO()
-    buf.write("t,x,u,v\n")
     xs = [fmt(x) for x in grid.nodes.tolist()]
-    for t, u, v in zip(map(fmt, snapshots.t.tolist()), snapshots.u, snapshots.v):
-        buf.write("".join(f"{t},{x},{a!r},{b!r}\n" for x, a, b in zip(xs, u.tolist(), v.tolist())))
-    atomic_write_text(path, buf.getvalue())
+
+    def chunks():
+        yield "t,x,u,v\n"
+        for t, u, v in zip(map(fmt, snapshots.t.tolist()), snapshots.u, snapshots.v):
+            yield "".join(f"{t},{x},{a!r},{b!r}\n" for x, a, b in zip(xs, u.tolist(), v.tolist()))
+
+    _publish(path, chunks())
 
 
 def read_snapshots(path):

@@ -22,9 +22,8 @@ about 1.24. A step without a previous one (the first step of integrate, and
 every irk_step) starts all stages from uhat, so one cube serves them all.
 
 The state carried from step to step is one (M, 2, N/2 + 1) coefficient
-block c = (uhat, vhat) of M members and its (M, 2, N) sample block
-w = (u, v). StageSolver takes only such stacks and returns one outcome per
-member. A single run is M = 1 through the same loop, and irk_step stacks
+block c = (uhat, vhat) of M members. StageSolver takes only such stacks
+and returns one outcome per member. A single run is M = 1 through the same loop, and irk_step stacks
 its one state the same way and raises its member's exception. The members
 of an amplitude sweep differ only in their starts, so they share K, G,
 lambda and the extrapolation matrix. The stages of u and of the cubic are
@@ -36,11 +35,18 @@ stall count, and all members sweep in the full block until each has an
 outcome: a member's stages are those of the sweep where its residual first
 met stage_tol, and a finished member's rows ride along unused. A member
 whose cube overflows fails on its own non-finite residual.
-A member whose solve fails or whose state turns non-finite drops out of the
-loop with its exception and its own t, and the others march on. Each
-snapshot's w is written into one preallocated (M, 2, S, N) block, and each
-member's rows become one stacked FieldState, so each diagnostics column
-comes from one call over all S snapshots.
+
+The samples w = (u, v) feed only the record, so integrate holds each
+step's projected c in a pending block of _BLOCK // M steps (at least one)
+and synthesizes, projects and checks it with one call each. It flushes the
+block when full, at the last step, and where a member's solve fails, before
+that member is dropped, writing the block's tracer columns and snapshot rows
+into preallocated (M, 2, P, steps + 1) and (M, 2, S, N) blocks. A member
+whose solve fails or whose samples turn non-finite drops out with its
+exception and its own t, and the others march on: a non-finite sample at an
+earlier step of the block gives that step's t, and at the step where the
+solve fails the solve's own failure wins. Each member's snapshot rows become
+one stacked FieldState, so each diagnostics column is one call.
 """
 
 import math
@@ -66,6 +72,8 @@ from .spectral import dft_forward, dft_inverse
 
 # Consecutive non-decreasing sweep residuals before declaring divergence.
 _STALL_LIMIT = 5
+# Member-steps of samples that integrate synthesizes in one call.
+_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -126,6 +134,8 @@ class StageSolver:
         self.tableau = gauss_tableau(params.irk_stages)
         self.lam = linear_symbol(params, grid)
         a = self.tableau.a
+        self.dt_c = self.dt * self.tableau.c[:, None]
+        self.ba = self.tableau.b @ a
         a2 = self.dt**2 * (a @ a)
         self.k = np.linalg.inv(np.eye(self.tableau.stages) - self.lam[:, None, None] * a2)
         self.g = self.k @ a2
@@ -158,20 +168,19 @@ class StageSolver:
         def cube(x):  # on the rows as one 2-d block, where numpy indexes fastest
             return nonlinear_hat(x.reshape(-1, x.shape[-1]), self.params).reshape(x.shape)
 
-        # K (u 1 + dt v c), the part of every sweep that the cube does not change
-        base = accel.stage_matvec(self.k, uhat + self.dt * self.tableau.c[:, None] * vhat)
         outcomes = [None] * m
         prev_res, stall = [math.inf] * m, [0] * m
         # an overflowing member's rows turn inf or nan and ride along unused
         with np.errstate(over="ignore", invalid="ignore"):
+            # K (u 1 + dt v c), the part of every sweep that the cube does not change
+            base = accel.stage_matvec(self.k, uhat + self.dt_c * vhat)
             # without a start every stage starts from uhat, so its cube serves all of them
             nl_old = np.broadcast_to(cube(uhat), base.shape) if start is None else cube(start)
             for it in range(1, max_iter + 1):
                 stage_u = base + accel.stage_matvec(self.g, nl_old)
                 nl_new = cube(stage_u)
                 # physical max norm of the only nonzero residual component, per member
-                res = np.abs(dft_inverse(self.dt * (a @ (nl_new - nl_old))))
-                res = res.reshape(m, -1).max(axis=1).tolist()
+                res = np.abs(dft_inverse(self.dt * (a @ (nl_new - nl_old)))).max(axis=(1, 2)).tolist()
                 nl_old = nl_new
                 if it == 1:  # the sweep's own layouts, which step's products round on
                     stage_out, nl_out = np.zeros_like(stage_u), np.zeros_like(nl_new)
@@ -205,12 +214,15 @@ class StageSolver:
         through (0, uhat) and (c_i, U_i), extrapolated to 1 + c_j.
         """
         stage_u, nl, outcomes = self.solve(c, t, start)
-        f = self.lam * stage_u + nl  # one stage force serves both updates
         uhat, vhat = c[:, 0], c[:, 1]
-        b, dt = self.tableau.b, self.dt
-        u_next = uhat + dt * vhat + dt**2 * ((b @ self.tableau.a) @ f)
-        guess = self.extrap[:, :1] * uhat[:, None] + self.extrap[:, 1:] @ stage_u
-        return np.stack([u_next, vhat + dt * (b @ f)], axis=1), outcomes, guess
+        dt, out = self.dt, np.empty_like(c)
+        # a member whose update overflows turns non-finite, which the caller checks
+        with np.errstate(over="ignore", invalid="ignore"):
+            f = self.lam * stage_u + nl  # one stage force serves both updates
+            out[:, 0] = uhat + dt * vhat + dt**2 * (self.ba @ f)
+            out[:, 1] = vhat + dt * (self.tableau.b @ f)
+            guess = self.extrap[:, :1] * uhat[:, None] + self.extrap[:, 1:] @ stage_u
+        return out, outcomes, guess
 
 
 def irk_step(state, params, grid, solver=None):
@@ -259,6 +271,8 @@ def integrate(params, grid=None, state=None):
     step after the first starts its stages from the extrapolation of the
     step before (see the module docstring). Every failure carries its t: a
     StageSolveDiverged the start of its step, a NonFinite the end.
+    A state whose samples turn non-finite fails at the first such step,
+    unless its solve fails at that step (see the module docstring).
 
     The start is one grid.n-point state, or a stack of M of them (u and v
     (M, N), t (M,)), else LengthMismatch. A stack runs as M members through
@@ -310,34 +324,44 @@ def integrate(params, grid=None, state=None):
     live = slice(None)  # indexes their rows of the record blocks; a slice until one fails
     c = dft_forward(w)
     start = None  # the first step starts from uhat, as irk_step does
+    block = max(1, _BLOCK // m)  # steps per pending block
+    pending = []  # the projected c of each step since the last flush
     for i in range(1, steps + 1):
         c, reports, start = solver.step(c, t_axis[live, i - 1], start)
-        if keep_odd.all():  # odd fields have purely imaginary coefficients
-            c = 1j * c.imag
-            w = odd_part(dft_inverse(c))  # irfft of those is odd only to roundoff
-        else:
-            c = np.where(keep_odd, 1j * c.imag, c)
-            w = dft_inverse(c)
-            w = np.where(keep_odd, odd_part(w), w)
+        # odd fields have purely imaginary coefficients
+        c = 1j * c.imag if keep_odd.all() else np.where(keep_odd, 1j * c.imag, c)
+        pending.append(c)
         failed = {j: r for j, r in enumerate(reports) if not isinstance(r, StepReport)}
-        if not np.all(np.isfinite(w)):
-            for j in np.flatnonzero(~np.isfinite(w).all(axis=(1, 2))).tolist():
-                t = float(t_axis[ids[j], i])
-                failed.setdefault(j, NonFinite(f"non-finite field entries at t={t}", t=t))
+        for k, r in zip(ids, reports):
+            if isinstance(r, StepReport):
+                sweeps[k].append(r.iterations)
+                resid[k].append(r.residual)
+        if len(pending) < block and i < steps and not failed:
+            continue
+        # the samples of steps i0 + 1 .. i; irfft of imaginary coefficients is odd only to roundoff
+        i0 = i - len(pending)
+        with np.errstate(over="ignore", invalid="ignore"):  # a failing member's rows ride along
+            w = dft_inverse(np.stack(pending))
+            w = odd_part(w) if keep_odd.all() else np.where(keep_odd, odd_part(w), w)
+        pending = []
+        trk[live, ..., i0 + 1 : i + 1] = np.moveaxis(w[..., idx], 0, -1)
+        snap[live, :, i0 // sps + 1 : i // sps + 1] = np.moveaxis(w[sps - 1 - i0 % sps :: sps], 0, 2)
+        if not np.isfinite(w).all():
+            bad = ~np.isfinite(w).all(axis=(2, 3))
+            for j in np.flatnonzero(bad.any(axis=0)).tolist():
+                at = i0 + 1 + int(bad[:, j].argmax())
+                if at < i or j not in failed:  # at step i the solve's own failure wins
+                    t = float(t_axis[ids[j], at])
+                    failed[j] = NonFinite(f"non-finite field entries at t={t}", t=t)
+        w = w[-1]
         if failed:
             errors.update((ids[j], exc) for j, exc in failed.items())
             keep = [j for j in range(len(ids)) if j not in failed]
             if not keep:
                 break
-            reports, ids = [reports[j] for j in keep], [ids[j] for j in keep]
+            ids = [ids[j] for j in keep]
             c, start, w, keep_odd = c[keep], start[keep], w[keep], keep_odd[keep]
             live = ids
-        for k, r in zip(ids, reports):
-            sweeps[k].append(r.iterations)
-            resid[k].append(r.residual)
-        trk[live, ..., i] = w[:, :, idx]
-        if i % sps == 0:
-            snap[live, :, i // sps] = w
     final = np.empty((m, 2, grid.n))
     final[ids] = w
 

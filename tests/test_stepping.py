@@ -27,9 +27,9 @@ from kgbreather import (
     momentum,
 )
 from kgbreather import accel
-from kgbreather.core import reflect
+from kgbreather.core import is_odd, odd_part, probe_indices, reflect
 from kgbreather.errors import LengthMismatch, NonFinite
-from kgbreather.stepping import StageSolver
+from kgbreather.stepping import StageSolver, StepReport
 
 U_STAR = math.sqrt(0.00305)
 
@@ -602,15 +602,101 @@ def test_irk_step_overflow_fails_at_the_end_of_the_step_as_in_integrate():
     assert solo.value.t == err.value.t
 
 
+# a huge linear force at a tiny dt: the stages converge in one sweep, but
+# lambda_m U overflows in the update
+OVERFLOWING_UPDATE = SimParams(alpha=1e304, dt=1e-160, grid_points=32, t_end=4e-160, snapshot_every=1e-160)
+
+
+def overflowing_update_start(grid):
+    """u = 1000 cos(k x) at the highest mode below Nyquist, whose update overflows at OVERFLOWING_UPDATE."""
+    return FieldState(t=0.0, u=1000.0 * np.cos(grid.wavenumbers[-2] * grid.nodes), v=np.zeros(grid.n))
+
+
 def test_irk_step_rejects_a_state_that_turns_non_finite():
-    # a huge linear force at a tiny dt: the stages converge in one sweep, but
-    # lambda_m U overflows in the update, which numpy warns of outside the solve
-    p = SimParams(alpha=1e304, dt=1e-160, grid_points=32)
+    # the update overflows inside the step's errstate, so no numpy warning escapes
+    p = OVERFLOWING_UPDATE
     g = make_grid(p.grid_points, p.domain_length)
-    start = FieldState(t=0.0, u=1000.0 * np.cos(g.wavenumbers[-2] * g.nodes), v=np.zeros(g.n))
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFinite, match="non-finite field") as err:
+    start = overflowing_update_start(g)
+    with warnings.catch_warnings(), pytest.raises(NonFinite, match="non-finite field") as err:
+        warnings.simplefilter("error")
         irk_step(start, p, g)
     assert err.value.t == start.t + p.dt
+
+
+def test_a_non_finite_sample_inside_a_pending_block_keeps_its_own_t():
+    # member 1's samples turn non-finite in step 1, while its solve fails only
+    # in step 2, where the pending block is flushed; its NonFinite still
+    # carries the t of step 1, and member 0, the zero state, runs to the end
+    p = OVERFLOWING_UPDATE
+    g = make_grid(p.grid_points, p.domain_length)
+    bad = overflowing_update_start(g)
+    stack = FieldState(t=[0.0, 0.0], u=[np.zeros(g.n), bad.u], v=[bad.v, bad.v])
+    solver = StageSolver(p, g)
+    c, reports, guess = solver.step(dft_forward(np.stack([stack.u, stack.v], axis=1)), np.zeros(2))
+    assert all(isinstance(r, StepReport) for r in reports)
+    assert np.isfinite(c[0]).all() and not np.isfinite(c[1]).all()
+    _, (_, second), _ = solver.step(c, np.full(2, p.dt), guess)
+    assert isinstance(second, NonFinite) and second.t == 2 * p.dt
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        zero, failure = integrate(p, g, stack)
+    assert isinstance(zero, tuple) and zero[0].steps == 4 and not zero[0].final_state.u.any()
+    assert isinstance(failure, NonFinite) and str(failure) == "non-finite field entries at t=1e-160"
+    assert failure.t == p.dt
+
+
+def per_step_record(params, grid, start):
+    """(snapshots, tracer samples, final samples, sweeps) of one start, synthesized and recorded step by step.
+
+    The loop drives StageSolver.step by hand and synthesizes every step's
+    samples from its projected coefficients: the reference for integrate,
+    which synthesizes them a block of steps at a time.
+    """
+    solver = StageSolver(params, grid)
+    steps = round(params.t_end / params.dt)
+    t = start.t + np.arange(steps + 1) * params.dt
+    w = np.stack([start.u, start.v])[None]
+    odd = is_odd(w)
+    c, guess = dft_forward(w), None
+    samples, sweeps = [w[0]], []
+    for i in range(1, steps + 1):
+        c, (report,), guess = solver.step(c, t[i - 1 : i], guess)
+        if odd:
+            c = 1j * c.imag
+            w = odd_part(dft_inverse(c))
+        else:
+            w = dft_inverse(c)
+        samples.append(w[0])
+        sweeps.append(report.iterations)
+    samples = np.array(samples)
+    sps = round(params.snapshot_every / params.dt)
+    return samples[::sps], samples[..., probe_indices(params, grid)], samples[-1], sweeps
+
+
+def test_the_block_built_record_equals_a_per_step_record():
+    # 150 steps fill neither the 12-step blocks of five members nor the
+    # 64-step blocks of one, and a snapshot every 3 steps divides neither
+    p = SimParams(t_end=150 * 0.125, snapshot_every=3 * 0.125)
+    g = make_grid(p.grid_points, p.domain_length)
+    stack = stacked_start(p, g, (0.02, 0.06, 0.1, 0.12, 0.16))
+    uneven = 1e-10 * np.cos(g.nodes * 2 * math.pi / p.domain_length)
+    starts = [
+        FieldState(t=0.25 * k, u=u + (uneven if k % 2 else 0.0), v=v)
+        for k, (u, v) in enumerate(zip(stack.u, stack.v))
+    ]
+    stack = FieldState(t=[s.t for s in starts], u=[s.u for s in starts], v=[s.v for s in starts])
+    assert [is_odd(s.u) for s in starts] == [True, False, True, False, True]
+    runs = list(zip(starts, integrate(p, g, stack))) + [(starts[0], integrate(p, g, starts[0]))]
+    for start, (summary, snapshots, _, tracks) in runs:
+        snaps, probes, final, sweeps = per_step_record(p, g, start)
+        assert snapshots.t.size == 51
+        assert np.array_equal(snapshots.u, snaps[:, 0]) and np.array_equal(snapshots.v, snaps[:, 1])
+        for k, trk in enumerate(tracks):
+            assert np.array_equal(trk.u, probes[:, 0, k]) and np.array_equal(trk.v, probes[:, 1, k])
+        assert np.array_equal(summary.final_state.u, final[0])
+        assert np.array_equal(summary.final_state.v, final[1])
+        assert summary.total_sweeps == sum(sweeps)
+        assert summary.sweep_counts == tuple(np.bincount(sweeps)[1:].tolist())
 
 
 def test_a_failing_member_stops_at_its_own_time_and_the_others_march_on():
