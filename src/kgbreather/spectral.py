@@ -5,6 +5,10 @@ its half-spectrum c = rfft(u)/N, the N/2 + 1 coefficients of the modes
 exp(i k_m x) with k_m = 2*pi*m/L, m = 0..N/2. The m = 0 and Nyquist
 coefficients are real, and the negative modes c[-m] = conj(c[m]) are implied,
 so u = N * irfft(c) and every coefficient array stands for a real field.
+The transforms take these scalings as norm="forward" (rfft scaled by 1/N,
+irfft unscaled). Scaling by a power of two is exact, so at N = 2^k this is
+bit for bit the separate division and product; at other N a sample may
+differ in the last bit.
 Every function here acts along the last axis, so one call serves a stack of
 fields, such as the (s, N/2 + 1) stage block of the stepper or the (S, N)
 snapshot samples of a run. This module is the only one that calls a
@@ -23,7 +27,7 @@ def dft_forward(u):
         raise LengthMismatch(f"expected samples along a nonempty last axis, got shape {u.shape}")
     if not np.all(np.isfinite(u)):
         raise NonFinite("samples have non-finite entries")
-    return np.fft.rfft(u) / u.shape[-1]
+    return np.fft.rfft(u, norm="forward")
 
 
 def dft_inverse(c):
@@ -31,7 +35,7 @@ def dft_inverse(c):
     c = np.asarray(c, dtype=np.complex128)
     if c.ndim < 1 or c.shape[-1] < 2:
         raise LengthMismatch(f"expected half-spectra of >= 2 coefficients, got shape {c.shape}")
-    return np.fft.irfft(c) * (2 * (c.shape[-1] - 1))
+    return np.fft.irfft(c, norm="forward")
 
 
 def first_derivative(u, grid):
@@ -43,9 +47,8 @@ def first_derivative(u, grid):
 
 def _cube_hat_none(c):
     """Pointwise cube on the native grid, back to coefficients. Aliased."""
-    n = 2 * (c.shape[-1] - 1)
-    u = np.fft.irfft(c) * n
-    return np.fft.rfft(u * u * u) / n
+    u = np.fft.irfft(c, norm="forward")
+    return np.fft.rfft(u * u * u, norm="forward")
 
 
 def _cube_hat_pad2x(c):
@@ -63,8 +66,8 @@ def _cube_hat_pad2x(c):
     c = c.copy()
     c[..., h] *= 0.5
     # irfft to m points zero-pads the half-spectrum to 2h + 1 coefficients
-    u = np.fft.irfft(c, m) * m
-    w = np.fft.rfft(u * u * u) / m
+    u = np.fft.irfft(c, m, norm="forward")
+    w = np.fft.rfft(u * u * u, norm="forward")
     out = w[..., : h + 1]
     out[..., h] = 2.0 * w[..., h].real
     return out

@@ -16,10 +16,12 @@ sweep's cube, serves both updates: u + dt v + dt^2 (bA) F and v + dt b F.
 Starting values: the u stages of one step and its start lie on the
 collocation polynomial through (0, u_{n-1}) and (c_i, U_i). Evaluated at
 1 + c_j, it gives the next step's stage guesses, one fixed (s, s+1) Lagrange
-matrix applied to (uhat, U); the first sweep lags the cube of that guess
-block. At the defaults this cuts the sweeps per step from 2 to
-about 1.24. A step without a previous one (the first step of integrate, and
-every irk_step) starts all stages from uhat, so one cube serves them all.
+matrix applied to (uhat, U). Every sweep extrapolates this guess from its own
+stages and cubes it in the same call as the stages, so the next step's first
+sweep lags a cube that is already made, and a run makes one starting cube in
+all: its first step (and every irk_step) has no previous step and starts all
+stages from uhat, so one cube of uhat serves them all. At the defaults the
+extrapolated start cuts the sweeps per step from 2 to about 1.24.
 
 The state carried from step to step is one (M, 2, N/2 + 1) coefficient
 block c = (uhat, vhat) of M members. StageSolver takes only such stacks
@@ -28,13 +30,14 @@ its one state the same way and raises its member's exception. The members
 of an amplitude sweep differ only in their starts, so they share K, G,
 lambda and the extrapolation matrix. The stages of u and of the cubic are
 each held as one (M, s, N/2 + 1) block, so a sweep makes one batched cube
-of all stages of all members and one batched synthesis of the residual.
-Every operation acts on each member's rows alone, so a member's numbers are
-bit for bit those of its solo run. Each member keeps its own residual and
-stall count, and all members sweep in the full block until each has an
-outcome: a member's stages are those of the sweep where its residual first
-met stage_tol, and a finished member's rows ride along unused. A member
-whose cube overflows fails on its own non-finite residual.
+of all stages and guesses of all members and one batched synthesis of the
+residual. Every operation acts on each member's rows alone, so a member's
+numbers are bit for bit those of its solo run. Each member keeps its own
+residual and stall count, and all members sweep in the full block until
+each has an outcome: a member's stages, cubes and next start are those of
+the sweep where its residual first met stage_tol, and a finished member's
+rows ride along unused. A member whose cube overflows fails on its own
+non-finite residual, at the end time of its step that the caller passes.
 
 The samples w = (u, v) feed only the record, so integrate holds each
 step's projected c in a pending block of _BLOCK // M steps (at least one)
@@ -132,13 +135,17 @@ class StageSolver:
         self.params = params
         self.dt = params.dt
         self.tableau = gauss_tableau(params.irk_stages)
-        self.lam = linear_symbol(params, grid)
-        a = self.tableau.a
+        lam, a, s = linear_symbol(params, grid), self.tableau.a, self.tableau.stages
         self.dt_c = self.dt * self.tableau.c[:, None]
-        self.ba = self.tableau.b @ a
+        # the factors of complex products, cast once where numpy would cast them every call
+        self.lam, self.a, self.b = lam.astype(complex), a.astype(complex), self.tableau.b.astype(complex)
+        self.ba = (self.tableau.b @ a).astype(complex)
         a2 = self.dt**2 * (a @ a)
-        self.k = np.linalg.inv(np.eye(self.tableau.stages) - self.lam[:, None, None] * a2)
-        self.g = self.k @ a2
+        k = np.linalg.inv(np.eye(s) - lam[:, None, None] * a2)
+        # K and G as stage_matvec's column blocks; the transposed views keep the
+        # mode-major layout of the stages, which step's products round on
+        self.k = [k[:, :, j].T.astype(complex) for j in range(s)]
+        self.g = [(k @ a2)[:, :, j].T.astype(complex) for j in range(s)]
         # Lagrange basis on the nodes (0, c_1..c_s) of one step, evaluated at
         # the next step's nodes 1 + c_j: row j extrapolates stage j
         nodes = [0.0, *self.tableau.c.tolist()]
@@ -150,48 +157,55 @@ class StageSolver:
         )
 
     def solve(self, c, t, start=None):
-        """(stage_u, nl, outcomes) for an (M, 2, N/2+1) stack c of (uhat, vhat) at the (M,) times t.
+        """(stage_u, nl, outcomes, start) for an (M, 2, N/2+1) stack c of (uhat, vhat) over the (M, 2) step times t.
 
-        The stages are (M, s, N/2+1) blocks. start holds the stage guesses,
-        shaped like the stages; without it every stage starts from uhat. All
-        members sweep together until each has an outcome, and a member's
-        stages are those of the sweep where its residual first met
+        Row k of t holds the start and the end of member k's step. The
+        stages and their cubes are (M, s, N/2+1) blocks. start is the
+        previous step's (guess, guess_nl) pair, the stage guesses and their
+        cube, which the first sweep lags; without it every stage starts from
+        uhat, and one cube of uhat serves them all. Every sweep extrapolates
+        the next step's guess from its own stages and cubes the stage rows
+        and the guess rows in one call, and the returned start is that pair.
+        All members sweep together until each has an outcome, and a
+        member's rows are those of the sweep where its residual first met
         stage_tol, so it gets the numbers it gets alone. outcomes holds one
-        StepReport or exception per member, and a failed member's stage rows
-        are zero. A member whose residual is not finite (its cube overflowed)
-        fails with NonFinite at t + dt.
+        StepReport or exception per member, and a failed member's rows are
+        zero. A member whose residual is not finite (its cube overflowed)
+        fails with NonFinite at its step's end, a stalled one with
+        StageSolveDiverged at its start.
         """
-        m, a = len(c), self.tableau.a
+        m, s = len(c), self.tableau.stages
         tol, max_iter = self.params.stage_tol, self.params.stage_max_iter
         uhat, vhat = c[:, :1], c[:, 1:]
 
         def cube(x):  # on the rows as one 2-d block, where numpy indexes fastest
             return nonlinear_hat(x.reshape(-1, x.shape[-1]), self.params).reshape(x.shape)
 
-        outcomes = [None] * m
+        outcomes, kept = [None] * m, {}  # kept: a member's rows of the sweep where it converged
         prev_res, stall = [math.inf] * m, [0] * m
         # an overflowing member's rows turn inf or nan and ride along unused
         with np.errstate(over="ignore", invalid="ignore"):
             # K (u 1 + dt v c), the part of every sweep that the cube does not change
             base = accel.stage_matvec(self.k, uhat + self.dt_c * vhat)
-            # without a start every stage starts from uhat, so its cube serves all of them
-            nl_old = np.broadcast_to(cube(uhat), base.shape) if start is None else cube(start)
+            lead = self.extrap[:, :1] * uhat  # the uhat term of every sweep's guess
+            nl_old = np.broadcast_to(cube(uhat), base.shape) if start is None else start[1]
             for it in range(1, max_iter + 1):
                 stage_u = base + accel.stage_matvec(self.g, nl_old)
-                nl_new = cube(stage_u)
+                guess = lead + self.extrap[:, 1:] @ stage_u
+                cubes = cube(np.concatenate([stage_u, guess], axis=1))
+                nl_new = cubes[:, :s]
+                blocks = (stage_u, nl_new, guess, cubes[:, s:])
                 # physical max norm of the only nonzero residual component, per member
-                res = np.abs(dft_inverse(self.dt * (a @ (nl_new - nl_old)))).max(axis=(1, 2)).tolist()
+                res = np.abs(dft_inverse(self.dt * (self.a @ (nl_new - nl_old)))).max(axis=(1, 2)).tolist()
                 nl_old = nl_new
-                if it == 1:  # the sweep's own layouts, which step's products round on
-                    stage_out, nl_out = np.zeros_like(stage_u), np.zeros_like(nl_new)
                 for k, r in enumerate(res):
                     if outcomes[k] is not None:
                         continue
                     if not math.isfinite(r):
-                        outcomes[k] = NonFinite("cubic term overflowed", t=float(t[k]) + self.dt)
+                        outcomes[k] = NonFinite("cubic term overflowed", t=float(t[k][1]))
                     elif r <= tol:
                         outcomes[k] = StepReport(it, r)
-                        stage_out[k], nl_out[k] = stage_u[k], nl_new[k]
+                        kept[k] = [x[k] for x in blocks]
                     else:
                         stall[k] = stall[k] + 1 if r >= prev_res[k] else 0
                         prev_res[k] = r
@@ -201,28 +215,35 @@ class StageSolver:
                             message = f"stage residual {r:.3e} above {tol:.1e} after {max_iter} sweeps"
                         else:
                             continue
-                        outcomes[k] = StageSolveDiverged(message, t=float(t[k]))
+                        outcomes[k] = StageSolveDiverged(message, t=float(t[k][0]))
                 if all(outcomes):
                     break
-        return stage_out, nl_out, outcomes
+        # the last sweep's blocks keep their layouts, which step's products round on; a
+        # member that converged in an earlier sweep gets its rows back, a failed one zeros
+        for k, outcome in enumerate(outcomes):
+            if k not in kept or outcome.iterations < it:
+                for x, row in zip(blocks, kept.get(k, [0] * len(blocks))):
+                    x[k] = row
+        stage_u, nl, guess, guess_nl = blocks
+        return stage_u, nl, outcomes, (guess, guess_nl)
 
     def step(self, c, t, start=None):
-        """(stack, outcomes, start) for the stack c one step of dt after the times t.
+        """(stack, outcomes, start) for the stack c one step of dt over the (M, 2) times t.
 
-        c, t and the outcomes are solve's. The returned start is the next
-        step's stage guess block: each member's collocation polynomial for u,
-        through (0, uhat) and (c_i, U_i), extrapolated to 1 + c_j.
+        c, t, start and the outcomes are solve's. The returned start is the
+        next step's (guess, guess_nl) pair: each member's collocation
+        polynomial for u, through (0, uhat) and (c_i, U_i), extrapolated to
+        1 + c_j, and its cube.
         """
-        stage_u, nl, outcomes = self.solve(c, t, start)
+        stage_u, nl, outcomes, start = self.solve(c, t, start)
         uhat, vhat = c[:, 0], c[:, 1]
         dt, out = self.dt, np.empty_like(c)
         # a member whose update overflows turns non-finite, which the caller checks
         with np.errstate(over="ignore", invalid="ignore"):
             f = self.lam * stage_u + nl  # one stage force serves both updates
-            out[:, 0] = uhat + dt * vhat + dt**2 * (self.ba @ f)
-            out[:, 1] = vhat + dt * (self.tableau.b @ f)
-            guess = self.extrap[:, :1] * uhat[:, None] + self.extrap[:, 1:] @ stage_u
-        return out, outcomes, guess
+            np.add(uhat + dt * vhat, dt**2 * (self.ba @ f), out=out[:, 0])
+            np.add(vhat, dt * (self.b @ f), out=out[:, 1])
+        return out, outcomes, start
 
 
 def irk_step(state, params, grid, solver=None):
@@ -238,10 +259,10 @@ def irk_step(state, params, grid, solver=None):
         raise LengthMismatch(f"a start is one {grid.n}-point state, got shape {state.u.shape}")
     if solver is None:
         solver = StageSolver(params, grid)
-    c, (outcome,), _ = solver.step(dft_forward(np.stack([state.u, state.v]))[None], [state.t])
+    t = state.t + solver.dt
+    c, (outcome,), _ = solver.step(dft_forward(np.stack([state.u, state.v]))[None], [(state.t, t)])
     if not isinstance(outcome, StepReport):
         raise outcome
-    t = state.t + solver.dt
     w = dft_inverse(c[0])
     if not np.isfinite(w).all():
         raise NonFinite(f"non-finite field entries at t={t}", t=t)
@@ -297,6 +318,7 @@ def integrate(params, grid=None, state=None):
     # start stays odd; projecting each step keeps FFT roundoff from seeding
     # the even perturbations that the confined state amplifies.
     keep_odd = np.array([is_odd(x) for x in w])[:, None, None]
+    all_odd = keep_odd.all()
     mask_left, mask_right = half_domain_masks(grid)
     idx = probe_indices(params, grid)
     try:
@@ -327,9 +349,9 @@ def integrate(params, grid=None, state=None):
     block = max(1, _BLOCK // m)  # steps per pending block
     pending = []  # the projected c of each step since the last flush
     for i in range(1, steps + 1):
-        c, reports, start = solver.step(c, t_axis[live, i - 1], start)
+        c, reports, start = solver.step(c, t_axis[live, i - 1 : i + 1], start)
         # odd fields have purely imaginary coefficients
-        c = 1j * c.imag if keep_odd.all() else np.where(keep_odd, 1j * c.imag, c)
+        c = 1j * c.imag if all_odd else np.where(keep_odd, 1j * c.imag, c)
         pending.append(c)
         failed = {j: r for j, r in enumerate(reports) if not isinstance(r, StepReport)}
         for k, r in zip(ids, reports):
@@ -342,7 +364,7 @@ def integrate(params, grid=None, state=None):
         i0 = i - len(pending)
         with np.errstate(over="ignore", invalid="ignore"):  # a failing member's rows ride along
             w = dft_inverse(np.stack(pending))
-            w = odd_part(w) if keep_odd.all() else np.where(keep_odd, odd_part(w), w)
+            w = odd_part(w) if all_odd else np.where(keep_odd, odd_part(w), w)
         pending = []
         trk[live, ..., i0 + 1 : i + 1] = np.moveaxis(w[..., idx], 0, -1)
         snap[live, :, i0 // sps + 1 : i // sps + 1] = np.moveaxis(w[sps - 1 - i0 % sps :: sps], 0, 2)
@@ -360,7 +382,8 @@ def integrate(params, grid=None, state=None):
             if not keep:
                 break
             ids = [ids[j] for j in keep]
-            c, start, w, keep_odd = c[keep], start[keep], w[keep], keep_odd[keep]
+            c, w, keep_odd = c[keep], w[keep], keep_odd[keep]
+            start, all_odd = tuple(x[keep] for x in start), keep_odd.all()
             live = ids
     final = np.empty((m, 2, grid.n))
     final[ids] = w

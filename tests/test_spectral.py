@@ -1,11 +1,14 @@
 """Half-spectrum transforms, spectral derivatives, and the dealiased cube."""
 
+import ast
 import dataclasses
+import pathlib
 
 import numpy as np
 import pytest
 from conftest import force
 
+import kgbreather
 from kgbreather import (
     LengthMismatch,
     SimParams,
@@ -239,3 +242,55 @@ def test_dealiasing_premise_holds_over_the_default_run(default_run):
     c = np.abs(dft_forward(default_run.snapshots.u))
     tail = np.arange(c.shape[-1]) > default_run.grid.n / 6
     assert np.max(c[:, tail].max(axis=1) / c.max(axis=1)) <= 1e-15
+
+
+def scaled_cube_hat_pad2x(c):
+    """_cube_hat_pad2x with the transforms' scalings as separate products."""
+    h = c.shape[-1] - 1
+    m = 4 * h
+    c = c.copy()
+    c[..., h] *= 0.5
+    u = np.fft.irfft(c, m) * m
+    w = np.fft.rfft(u * u * u) / m
+    out = w[..., : h + 1]
+    out[..., h] = 2.0 * w[..., h].real
+    return out
+
+
+@pytest.mark.parametrize("n", [8, 16, 32, 64, 128, 256, 512, 1024])
+def test_norm_forward_equals_the_separate_scalings_at_powers_of_two(n):
+    # scaling by 2^k is exact, so the transforms' norm="forward" changes no bit
+    rng = np.random.default_rng(n)
+    g = make_grid(n, 8.0)
+    c = np.stack([random_band(rng, g, n // 6) for _ in range(3)])
+    u = np.fft.irfft(c) * n
+    assert np.array_equal(dft_forward(u), np.fft.rfft(u) / n)
+    assert np.array_equal(dft_inverse(c), u)
+    assert np.array_equal(cube_hat(c, "pad2x"), scaled_cube_hat_pad2x(c))
+    assert np.array_equal(cube_hat(c, "none"), np.fft.rfft(u * u * u) / n)
+
+
+TRANSFORMS = {"fft", "ifft", "rfft", "irfft"}
+
+
+def test_only_spectral_calls_a_transform_and_only_as_an_np_fft_attribute():
+    # perfbench counts np.fft.<name> calls, so a transform reached any other way would go uncounted
+    for path in sorted(pathlib.Path(kgbreather.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        nodes = list(ast.walk(tree))
+        imports = [ast.unparse(n) for n in nodes if isinstance(n, (ast.Import, ast.ImportFrom))]
+        assert not any("fft" in line for line in imports), path.name
+        # a name whose attribute is taken is a namespace, such as the np.fft of np.fft.rfftfreq
+        spaces = [n.value for n in nodes if isinstance(n, ast.Attribute)]
+        refs = [
+            n
+            for n in nodes
+            if (getattr(n, "attr", None) or getattr(n, "id", None)) in TRANSFORMS
+            and not any(n is space for space in spaces)
+        ]
+        if path.name == "spectral.py":
+            called = [n.func for n in nodes if isinstance(n, ast.Call)]
+            assert refs and all(any(r is f for f in called) for r in refs)
+            assert all(ast.unparse(r) == f"np.fft.{r.attr}" for r in refs)
+        else:
+            assert refs == [], path.name

@@ -214,10 +214,10 @@ def test_stage_solver_returns_stage_blocks(stages):
     p = SimParams(irk_stages=stages)
     g = make_grid(p.grid_points, p.domain_length)
     s0 = initial_state(p, g)
-    stage_u, nl, (report,) = StageSolver(p, g).solve(
-        np.stack([dft_forward(s0.u), dft_forward(s0.v)])[None], np.zeros(1)
+    stage_u, nl, (report,), start = StageSolver(p, g).solve(
+        np.stack([dft_forward(s0.u), dft_forward(s0.v)])[None], np.zeros((1, 2))
     )
-    for block in (stage_u, nl):
+    for block in (stage_u, nl, *start):
         assert block.shape == (1, stages, g.n // 2 + 1)
     assert report.residual <= p.stage_tol
 
@@ -231,7 +231,7 @@ def test_reduced_stage_system_solves_the_first_order_stages(stages):
     s0 = initial_state(p, g)
     c = np.stack([dft_forward(s0.u), dft_forward(0.01 * np.sin(np.pi * g.nodes / 4.0))])
     solver = StageSolver(p, g)
-    stage_u, nl, (report,) = solver.solve(c[None], np.zeros(1))
+    stage_u, nl, (report,), _ = solver.solve(c[None], np.zeros((1, 2)))
     stage_u, nl = stage_u[0], nl[0]
     a = solver.tableau.a
     stage_v = c[1] + p.dt * (a @ (solver.lam * stage_u + nl))
@@ -418,7 +418,7 @@ def test_sweep_counters_accumulate():
     assert sum(k * n for k, n in enumerate(summary.sweep_counts, 1)) == summary.total_sweeps
 
 
-def test_each_step_makes_one_starting_cube_plus_one_per_sweep(monkeypatch):
+def test_a_run_makes_one_starting_cube_plus_one_per_sweep(monkeypatch):
     # counts, not timings, so host noise cannot move them
     calls = []
     cube_hat = kgbreather.spectral.cube_hat
@@ -430,7 +430,31 @@ def test_each_step_makes_one_starting_cube_plus_one_per_sweep(monkeypatch):
     monkeypatch.setattr(kgbreather.spectral, "cube_hat", counted)
     monkeypatch.setattr(kgbreather.dynamics, "cube_hat", counted)
     summary, _, _, _ = integrate(SimParams(t_end=16.0))
-    assert len(calls) == summary.steps + summary.total_sweeps
+    # each sweep cubes the next step's guess with its stages, so only the
+    # first step cubes a start of its own
+    assert len(calls) == 1 + summary.total_sweeps
+
+
+def test_a_run_makes_three_transforms_per_sweep_plus_one_per_record_block(monkeypatch):
+    # per sweep, the cube's irfft and rfft and the residual's irfft; per
+    # block of 64 steps, one synthesis; per run 7: the forward transform of
+    # the start, the first step's cube of uhat, and the derivative (rfft and
+    # irfft) inside energy and inside momentum. Every transform is an
+    # np.fft attribute call, which is what perfbench counts.
+    calls = []
+
+    def counted(fn):
+        def call(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+
+        return call
+
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+    summary, _, _, _ = integrate(SimParams(t_end=16.0))
+    monkeypatch.undo()
+    assert len(calls) == 3 * summary.total_sweeps + math.ceil(summary.steps / 64) + 7
 
 
 @pytest.mark.parametrize(
@@ -543,30 +567,37 @@ def test_each_member_of_a_stack_equals_its_solo_run_bit_for_bit(stages):
 def test_a_member_that_converges_early_keeps_the_stages_of_its_own_sweep(monkeypatch):
     # in the second step A = 0.02 converges after one sweep and A = 0.12
     # after two; the second sweep runs on both members, and A = 0.02 keeps
-    # the stages and cubes of its first
+    # the stages, cubes and next start of its first
     p = SimParams()
     g = make_grid(p.grid_points, p.domain_length)
-    start = stacked_start(p, g, (0.02, 0.12))
+    stack = stacked_start(p, g, (0.02, 0.12))
     solver = StageSolver(p, g)
-    c, _, guess = solver.step(dft_forward(np.stack([start.u, start.v], axis=1)), np.zeros(2))
+    c, _, start = solver.step(dft_forward(np.stack([stack.u, stack.v], axis=1)), np.zeros((2, 2)))
+    times = np.array([[p.dt, 2 * p.dt]] * 2)
     rows = []
     cube = kgbreather.stepping.nonlinear_hat
 
     def counted(x, params):
-        rows.append(len(x) // p.irk_stages)  # the members in the block of stage rows
+        rows.append(len(x) // p.irk_stages)
         return cube(x, params)
 
     monkeypatch.setattr(kgbreather.stepping, "nonlinear_hat", counted)
-    stage_u, nl, reports = solver.solve(c, np.full(2, p.dt), guess)
+    stage_u, nl, reports, (guess, guess_nl) = solver.solve(c, times, start)
     monkeypatch.undo()
     assert [r.iterations for r in reports] == [1, 2]
-    assert rows == [2, 2, 2]  # the starting cube, then one per sweep
+    # each sweep cubes the stage rows and the guess rows of both members,
+    # and the start's cube comes from the step before
+    assert rows == [4, 4]
     for k in range(2):
         solo = slice(k, k + 1)  # member k as a stack of one
-        solo_u, solo_nl, solo_reports = solver.solve(c[solo], np.full(1, p.dt), guess[solo])
+        solo_u, solo_nl, solo_reports, solo_start = solver.solve(c[solo], times[solo], [x[solo] for x in start])
         assert [reports[k]] == solo_reports
-        assert np.array_equal(stage_u[k], solo_u[0])
-        assert np.array_equal(nl[k], solo_nl[0])
+        for got, want in zip((stage_u, nl, guess, guess_nl), (solo_u, solo_nl, *solo_start)):
+            assert np.array_equal(got[k], want[0])
+    # member 0's start is its own first sweep's stages extrapolated, and their cube
+    own = solver.extrap[:, :1] * c[0, :1] + solver.extrap[:, 1:] @ stage_u[0]
+    assert np.array_equal(guess[0], own)
+    assert np.array_equal(guess_nl[0], kgbreather.dynamics.nonlinear_hat(own, p))
 
 
 def test_an_overflowing_member_fails_on_its_own_residual_inside_one_solve():
@@ -577,17 +608,38 @@ def test_an_overflowing_member_fails_on_its_own_residual_inside_one_solve():
     start = stacked_start(p, g, (0.04, 1e200))
     c = dft_forward(np.stack([start.u, start.v], axis=1))
     solver = StageSolver(p, g)
-    t0 = 3.0
+    times = np.array([[3.0, 3.0 + p.dt]] * 2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        stage_u, nl, (report, failure) = solver.solve(c, np.full(2, t0))
+        *blocks, (report, failure), start = solver.solve(c, times)
+    blocks += start
     assert isinstance(failure, NonFinite) and str(failure) == "cubic term overflowed"
-    assert failure.t == t0 + p.dt
-    assert not stage_u[1].any() and not nl[1].any()
-    solo_u, solo_nl, solo_reports = solver.solve(c[:1], np.full(1, t0))
+    assert failure.t == 3.0 + p.dt
+    assert not any(block[1].any() for block in blocks)
+    solo_u, solo_nl, solo_reports, solo_start = solver.solve(c[:1], times[:1])
     assert [report] == solo_reports
-    assert np.array_equal(stage_u[0], solo_u[0])
-    assert np.array_equal(nl[0], solo_nl[0])
+    for got, want in zip(blocks, (solo_u, solo_nl, *solo_start)):
+        assert np.array_equal(got[0], want[0])
+
+
+def test_a_cube_overflow_in_integrate_carries_the_time_of_its_record_row():
+    # beta = 1e-300 leaves the linear growth exp(10 t) of the uniform mode
+    # alone, and the sweeps converge until the cube's transform overflows in
+    # step 6. At dt = 0.1 the record's time 6 * 0.1 is one ulp above
+    # 5 * 0.1 + 0.1, so the failure must take its t from the run's time axis.
+    p = SimParams(mu=100.0, beta=1e-300, dt=0.1, t_end=1.0, snapshot_every=0.1)
+    g = make_grid(p.grid_points, p.domain_length)
+    zero = np.zeros(g.n)
+    stack = FieldState(t=[0.0, 0.0], u=[zero, np.full(g.n, 7.3e99)], v=[zero, zero])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (_, _, _, tracks), failure = integrate(p, g, stack)
+    assert isinstance(failure, NonFinite) and str(failure) == "cubic term overflowed"
+    assert tracks[0].t[6] != 5 * p.dt + p.dt
+    assert failure.t == tracks[0].t[6]
+    with pytest.raises(NonFinite) as solo:
+        integrate(p, g, FieldState(t=0.0, u=stack.u[1], v=zero))
+    assert solo.value.t == failure.t
 
 
 def test_irk_step_overflow_fails_at_the_end_of_the_step_as_in_integrate():
@@ -632,10 +684,10 @@ def test_a_non_finite_sample_inside_a_pending_block_keeps_its_own_t():
     bad = overflowing_update_start(g)
     stack = FieldState(t=[0.0, 0.0], u=[np.zeros(g.n), bad.u], v=[bad.v, bad.v])
     solver = StageSolver(p, g)
-    c, reports, guess = solver.step(dft_forward(np.stack([stack.u, stack.v], axis=1)), np.zeros(2))
+    c, reports, start = solver.step(dft_forward(np.stack([stack.u, stack.v], axis=1)), np.zeros((2, 2)))
     assert all(isinstance(r, StepReport) for r in reports)
     assert np.isfinite(c[0]).all() and not np.isfinite(c[1]).all()
-    _, (_, second), _ = solver.step(c, np.full(2, p.dt), guess)
+    _, (_, second), _ = solver.step(c, np.array([[p.dt, 2 * p.dt]] * 2), start)
     assert isinstance(second, NonFinite) and second.t == 2 * p.dt
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -657,10 +709,10 @@ def per_step_record(params, grid, start):
     t = start.t + np.arange(steps + 1) * params.dt
     w = np.stack([start.u, start.v])[None]
     odd = is_odd(w)
-    c, guess = dft_forward(w), None
+    c, next_start = dft_forward(w), None
     samples, sweeps = [w[0]], []
     for i in range(1, steps + 1):
-        c, (report,), guess = solver.step(c, t[i - 1 : i], guess)
+        c, (report,), next_start = solver.step(c, t[None, i - 1 : i + 1], next_start)
         if odd:
             c = 1j * c.imag
             w = odd_part(dft_inverse(c))
