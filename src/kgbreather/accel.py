@@ -4,12 +4,12 @@ __all__ = ["stage_matvec"]
 
 
 def stage_matvec(cols, x):
-    """mat[m] @ x[..., :, m] for each mode m of the (n, s, s) per-mode matrices mat.
+    """mat[m] @ x[..., :, m] for each mode m of the (n, r, q) per-mode matrices mat.
 
-    cols holds mat column by column, as s complex (s, n) blocks with
-    cols[j][i, m] = mat[m, i, j]; x: (..., s, n) complex -> (..., s, n)
+    cols holds mat column by column, as q complex (r, n) blocks with
+    cols[j][i, m] = mat[m, i, j]; x: (..., q, n) complex -> (..., r, n)
     complex. Leading axes of x are independent members: each member's
-    result equals, bit for bit, that of a call on its own (s, n) block.
+    result equals, bit for bit, that of a call on its own (q, n) block.
     """
     # Fixed left-to-right accumulation over j.
     acc = cols[0] * x[..., :1, :]

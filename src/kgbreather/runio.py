@@ -198,12 +198,15 @@ def read_diagnostics(path):
 
 
 def write_tracers(path, tracks):
-    rows = (
-        (fmt(trk.probe_x), fmt(t), fmt(u), fmt(v))
-        for trk in tracks
-        for t, u, v in zip(trk.t, trk.u, trk.v)
-    )
-    atomic_write_text(path, _csv_text(("probe_x", "t", "u", "v"), rows))
+    buf = io.StringIO()
+    buf.write("probe_x,t,u,v\n")
+    for trk in tracks:
+        # a track's probe cell is one string, and {!r} of a float is fmt's text; the
+        # columns become Python floats 512 rows at a time, which bounds the memory
+        row = fmt(trk.probe_x) + ",{!r},{!r},{!r}\n"
+        for i in range(0, len(trk), 512):
+            buf.writelines(map(row.format, *(x[i : i + 512].tolist() for x in (trk.t, trk.u, trk.v))))
+    atomic_write_text(path, buf.getvalue())
 
 
 def read_tracers(path):

@@ -7,37 +7,45 @@ Putting the v stages V = v 1 + dt A (lambda_m U + N) into U = u 1 + dt A V
 leaves, per mode, the real s x s system (I - dt^2 lambda_m A^2) U =
 u 1 + dt v c + dt^2 A^2 N in the u stages alone, coupled across modes only
 through N. Each step runs linearly implicit sweeps: the cubic is lagged, the
-stage system is solved exactly with the cached K = (I - dt^2 lambda_m A^2)^-1
-and G = dt^2 K A^2, and the sweep repeats until the true stage residual
-(which equals -dt*A*(N_new - N_old) and is measured in the physical max norm)
-falls below stage_tol. One stage force F = lambda_m U + N, from the last
-sweep's cube, serves both updates: u + dt v + dt^2 (bA) F and v + dt b F.
+stage system is solved exactly with K = (I - dt^2 lambda_m A^2)^-1 and
+G = dt^2 K A^2, and the sweep repeats until the true stage residual (which
+equals -dt*A*(N_new - N_old) and is measured in the physical max norm) falls
+below stage_tol. One stage force F = lambda_m U + N, from the last sweep's
+cube, serves the update of both rows: (u, v) <- [[1, dt], [0, 1]] (u, v) +
+(dt^2 bA, dt b) F.
 
 Starting values: the u stages of one step and its start lie on the
 collocation polynomial through (0, u_{n-1}) and (c_i, U_i). Evaluated at
-1 + c_j, it gives the next step's stage guesses, one fixed (s, s+1) Lagrange
-matrix applied to (uhat, U). Every sweep extrapolates this guess from its own
-stages and cubes it in the same call as the stages, so the next step's first
-sweep lags a cube that is already made, and a run makes one starting cube in
-all: its first step (and every irk_step) has no previous step and starts all
-stages from uhat, so one cube of uhat serves them all. At the defaults the
-extrapolated start cuts the sweeps per step from 2 to about 1.24.
+1 + c_j, it gives the next step's stage guesses E U + e0 u, with (e0, E) one
+fixed (s, s+1) Lagrange matrix. At the defaults this start cuts the sweeps
+per step from 2 to about 1.24. StageSolver composes K, G and (e0, E) once
+into per-mode maps that give the stages U and the guesses as one 2s-row
+block:
+
+    [U; E U + e0 u] = P_u u + P_v v + sum_j P_j N_j,
+    P_u = [K 1; e0 + E K 1], P_v = dt [K c; E K c], P_j = [G e_j; E G e_j],
+
+so each sweep is one map, one cube of that block and one residual. The
+cube of the guess rows of the sweep where a member converges is the next
+step's start, which its first sweep lags. A run thus makes one starting
+cube in all: its first step (and every irk_step) has no previous step and
+starts all stages from uhat, so one cube of uhat serves them all.
 
 The state carried from step to step is one (M, 2, N/2 + 1) coefficient
 block c = (uhat, vhat) of M members. StageSolver takes only such stacks
-and returns one outcome per member. A single run is M = 1 through the same loop, and irk_step stacks
-its one state the same way and raises its member's exception. The members
-of an amplitude sweep differ only in their starts, so they share K, G,
-lambda and the extrapolation matrix. The stages of u and of the cubic are
-each held as one (M, s, N/2 + 1) block, so a sweep makes one batched cube
-of all stages and guesses of all members and one batched synthesis of the
-residual. Every operation acts on each member's rows alone, so a member's
-numbers are bit for bit those of its solo run. Each member keeps its own
-residual and stall count, and all members sweep in the full block until
-each has an outcome: a member's stages, cubes and next start are those of
-the sweep where its residual first met stage_tol, and a finished member's
-rows ride along unused. A member whose cube overflows fails on its own
-non-finite residual, at the end time of its step that the caller passes.
+and returns one outcome per member. A single run is M = 1 through the same
+loop, and irk_step stacks its one state the same way and raises its
+member's exception. The members of an amplitude sweep differ only in their
+starts, so they share lambda and the maps. A sweep makes one batched map,
+one batched cube of all stages and guesses of all members and one batched
+synthesis of the residual. The maps are row-wise products and the other
+matrices act on the stage axis alone, so a member's numbers are bit for bit
+those of its solo run. Each member keeps its own residual and stall count,
+and all members sweep in the full block until each has an outcome: a
+member's stages, cubes and next start are those of the sweep where its
+residual first met stage_tol, and a finished member's rows ride along
+unused. A member whose cube overflows fails on its own non-finite residual,
+at the end time of its step that the caller passes.
 
 The samples w = (u, v) feed only the record, so integrate holds each
 step's projected c in a pending block of _BLOCK // M steps (at least one)
@@ -54,6 +62,7 @@ one stacked FieldState, so each diagnostics column is one call.
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -119,33 +128,22 @@ def gauss_tableau(stages):
     return ButcherTableau(stages=stages, order=2 * stages, a=a, b=b, c=c)
 
 
-@dataclass(frozen=True)
-class StepReport:
+class StepReport(NamedTuple):
     iterations: int
     residual: float
 
 
 class StageSolver:
-    """Per-mode reduced stage matrices for one (params, grid); integrate reuses one for every step.
+    """Per-mode stage maps for one (params, grid); integrate reuses one for every step.
 
     The members of a stack share them, since they differ only in their states.
     """
 
     def __init__(self, params, grid):
         self.params = params
-        self.dt = params.dt
+        self.dt = dt = params.dt
         self.tableau = gauss_tableau(params.irk_stages)
-        lam, a, s = linear_symbol(params, grid), self.tableau.a, self.tableau.stages
-        self.dt_c = self.dt * self.tableau.c[:, None]
-        # the factors of complex products, cast once where numpy would cast them every call
-        self.lam, self.a, self.b = lam.astype(complex), a.astype(complex), self.tableau.b.astype(complex)
-        self.ba = (self.tableau.b @ a).astype(complex)
-        a2 = self.dt**2 * (a @ a)
-        k = np.linalg.inv(np.eye(s) - lam[:, None, None] * a2)
-        # K and G as stage_matvec's column blocks; the transposed views keep the
-        # mode-major layout of the stages, which step's products round on
-        self.k = [k[:, :, j].T.astype(complex) for j in range(s)]
-        self.g = [(k @ a2)[:, :, j].T.astype(complex) for j in range(s)]
+        lam, a, b, s = linear_symbol(params, grid), self.tableau.a, self.tableau.b, self.tableau.stages
         # Lagrange basis on the nodes (0, c_1..c_s) of one step, evaluated at
         # the next step's nodes 1 + c_j: row j extrapolates stage j
         nodes = [0.0, *self.tableau.c.tolist()]
@@ -155,17 +153,42 @@ class StageSolver:
                 for x in (1.0 + self.tableau.c).tolist()
             ]
         )
+        e0, e = self.extrap[:, 0], self.extrap[:, 1:]
+        a2 = dt**2 * (a @ a)
+        k = np.linalg.inv(np.eye(s) - lam[:, None, None] * a2)
+        g = k @ a2
+
+        def stages_and_guesses(x, lead=0.0):
+            """The (2s, n) column block [x; lead + E x] of the per-mode (n, s) stage values x."""
+            return np.ascontiguousarray(np.concatenate([x, lead + x @ e.T], axis=1).T, dtype=complex)
+
+        # the maps of stage_matvec, cast to complex once: (uhat, vhat) and the
+        # lagged cubes N_j to the s stages and the s guesses of the next step
+        self.map_c = [stages_and_guesses(k.sum(axis=2), e0), stages_and_guesses(dt * (k @ self.tableau.c))]
+        self.map_nl = [stages_and_guesses(g[:, :, j]) for j in range(s)]
+        self.lam = lam.astype(complex)
+        # dt A and the update (uhat, vhat, F) -> [[1, dt], [0, 1]] (uhat, vhat) +
+        # (dt^2 bA, dt b) F of the stage force F act along the stage axis alone:
+        # real matrices, applied to the float64 views of complex blocks, which
+        # hold each coefficient's real and imaginary parts side by side
+        self.dt_a = dt * a
+        self.update = np.block([[1.0, dt, dt**2 * (b @ a)], [0.0, 1.0, dt * b]])
+
+    def _cube(self, x):
+        """nonlinear_hat of a stack of row blocks, on its rows as one 2-d block, where numpy indexes fastest."""
+        return nonlinear_hat(x.reshape(-1, x.shape[-1]), self.params).reshape(x.shape)
 
     def solve(self, c, t, start=None):
         """(stage_u, nl, outcomes, start) for an (M, 2, N/2+1) stack c of (uhat, vhat) over the (M, 2) step times t.
 
         Row k of t holds the start and the end of member k's step. The
         stages and their cubes are (M, s, N/2+1) blocks. start is the
-        previous step's (guess, guess_nl) pair, the stage guesses and their
-        cube, which the first sweep lags; without it every stage starts from
-        uhat, and one cube of uhat serves them all. Every sweep extrapolates
-        the next step's guess from its own stages and cubes the stage rows
-        and the guess rows in one call, and the returned start is that pair.
+        previous step's (M, s, N/2+1) cube of its guesses for this step's
+        stages, which the first sweep lags; without it every stage starts
+        from uhat, and one cube of uhat serves them all. Each sweep is one
+        per-mode map, one cube and one residual: the map gives the stages
+        and the next step's guesses as one (M, 2s, N/2+1) block, which one
+        call cubes, and the returned start is the guess half of those cubes.
         All members sweep together until each has an outcome, and a
         member's rows are those of the sweep where its residual first met
         stage_tol, so it gets the numbers it gets alone. outcomes holds one
@@ -176,27 +199,21 @@ class StageSolver:
         """
         m, s = len(c), self.tableau.stages
         tol, max_iter = self.params.stage_tol, self.params.stage_max_iter
-        uhat, vhat = c[:, :1], c[:, 1:]
-
-        def cube(x):  # on the rows as one 2-d block, where numpy indexes fastest
-            return nonlinear_hat(x.reshape(-1, x.shape[-1]), self.params).reshape(x.shape)
-
-        outcomes, kept = [None] * m, {}  # kept: a member's rows of the sweep where it converged
+        outcomes, blocks = [None] * m, []  # blocks: each sweep's (stages and guesses, their cubes)
         prev_res, stall = [math.inf] * m, [0] * m
         # an overflowing member's rows turn inf or nan and ride along unused
         with np.errstate(over="ignore", invalid="ignore"):
-            # K (u 1 + dt v c), the part of every sweep that the cube does not change
-            base = accel.stage_matvec(self.k, uhat + self.dt_c * vhat)
-            lead = self.extrap[:, :1] * uhat  # the uhat term of every sweep's guess
-            nl_old = np.broadcast_to(cube(uhat), base.shape) if start is None else start[1]
+            # P_u uhat + P_v vhat, the part of every sweep that the cube does not change
+            base = accel.stage_matvec(self.map_c, c)
+            nl_old = np.broadcast_to(self._cube(c[:, :1]), (m, s, c.shape[-1])) if start is None else start
             for it in range(1, max_iter + 1):
-                stage_u = base + accel.stage_matvec(self.g, nl_old)
-                guess = lead + self.extrap[:, 1:] @ stage_u
-                cubes = cube(np.concatenate([stage_u, guess], axis=1))
+                block = base + accel.stage_matvec(self.map_nl, nl_old)
+                cubes = self._cube(block)
+                blocks.append((block, cubes))
                 nl_new = cubes[:, :s]
-                blocks = (stage_u, nl_new, guess, cubes[:, s:])
                 # physical max norm of the only nonzero residual component, per member
-                res = np.abs(dft_inverse(self.dt * (self.a @ (nl_new - nl_old)))).max(axis=(1, 2)).tolist()
+                res = (self.dt_a @ (nl_new - nl_old).view(float)).view(complex)
+                res = np.abs(dft_inverse(res)).max(axis=(1, 2)).tolist()
                 nl_old = nl_new
                 for k, r in enumerate(res):
                     if outcomes[k] is not None:
@@ -205,7 +222,6 @@ class StageSolver:
                         outcomes[k] = NonFinite("cubic term overflowed", t=float(t[k][1]))
                     elif r <= tol:
                         outcomes[k] = StepReport(it, r)
-                        kept[k] = [x[k] for x in blocks]
                     else:
                         stall[k] = stall[k] + 1 if r >= prev_res[k] else 0
                         prev_res[k] = r
@@ -218,32 +234,28 @@ class StageSolver:
                         outcomes[k] = StageSolveDiverged(message, t=float(t[k][0]))
                 if all(outcomes):
                     break
-        # the last sweep's blocks keep their layouts, which step's products round on; a
-        # member that converged in an earlier sweep gets its rows back, a failed one zeros
+        # the last sweep's blocks are returned; a member that converged in an
+        # earlier sweep gets its rows of that sweep back, a failed one zeros
         for k, outcome in enumerate(outcomes):
-            if k not in kept or outcome.iterations < it:
-                for x, row in zip(blocks, kept.get(k, [0] * len(blocks))):
-                    x[k] = row
-        stage_u, nl, guess, guess_nl = blocks
-        return stage_u, nl, outcomes, (guess, guess_nl)
+            if not isinstance(outcome, StepReport):
+                block[k] = cubes[k] = 0
+            elif outcome.iterations < it:
+                block[k], cubes[k] = (x[k] for x in blocks[outcome.iterations - 1])
+        return block[:, :s], cubes[:, :s], outcomes, cubes[:, s:]
 
     def step(self, c, t, start=None):
         """(stack, outcomes, start) for the stack c one step of dt over the (M, 2) times t.
 
-        c, t, start and the outcomes are solve's. The returned start is the
-        next step's (guess, guess_nl) pair: each member's collocation
-        polynomial for u, through (0, uhat) and (c_i, U_i), extrapolated to
-        1 + c_j, and its cube.
+        c, t, start and the outcomes are solve's, and the returned start is
+        the next step's: the cube of each member's collocation polynomial for
+        u, through (0, uhat) and (c_i, U_i), at 1 + c_j. One stage force
+        F = lambda U + N serves the update of both rows of the stack.
         """
-        stage_u, nl, outcomes, start = self.solve(c, t, start)
-        uhat, vhat = c[:, 0], c[:, 1]
-        dt, out = self.dt, np.empty_like(c)
         # a member whose update overflows turns non-finite, which the caller checks
         with np.errstate(over="ignore", invalid="ignore"):
-            f = self.lam * stage_u + nl  # one stage force serves both updates
-            np.add(uhat + dt * vhat, dt**2 * (self.ba @ f), out=out[:, 0])
-            np.add(vhat, dt * (self.b @ f), out=out[:, 1])
-        return out, outcomes, start
+            stage_u, nl, outcomes, start = self.solve(c, t, start)
+            f = np.concatenate([c, self.lam * stage_u + nl], axis=1)
+            return (self.update @ f.view(float)).view(complex), outcomes, start
 
 
 def irk_step(state, params, grid, solver=None):
@@ -263,7 +275,8 @@ def irk_step(state, params, grid, solver=None):
     c, (outcome,), _ = solver.step(dft_forward(np.stack([state.u, state.v]))[None], [(state.t, t)])
     if not isinstance(outcome, StepReport):
         raise outcome
-    w = dft_inverse(c[0])
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed update, checked here
+        w = dft_inverse(c[0])
     if not np.isfinite(w).all():
         raise NonFinite(f"non-finite field entries at t={t}", t=t)
     return FieldState(t=t, u=w[0], v=w[1]), outcome
@@ -317,8 +330,13 @@ def integrate(params, grid=None, state=None):
     # The exact flow and the scheme both commute with x -> L - x, so an odd
     # start stays odd; projecting each step keeps FFT roundoff from seeding
     # the even perturbations that the confined state amplifies.
-    keep_odd = np.array([is_odd(x) for x in w])[:, None, None]
-    all_odd = keep_odd.all()
+    odd_member = [is_odd(x) for x in w]
+
+    def odd_rows(ids):
+        """The rows of the odd members among ids; a slice while they all are."""
+        rows = [j for j, k in enumerate(ids) if odd_member[k]]
+        return slice(None) if len(rows) == len(ids) else np.array(rows, dtype=np.intp)
+
     mask_left, mask_right = half_domain_masks(grid)
     idx = probe_indices(params, grid)
     try:
@@ -344,27 +362,29 @@ def integrate(params, grid=None, state=None):
     errors = {}
     ids = list(range(m))  # the members still marching, one per row of c and w
     live = slice(None)  # indexes their rows of the record blocks; a slice until one fails
+    odd = odd_rows(ids)
     c = dft_forward(w)
     start = None  # the first step starts from uhat, as irk_step does
     block = max(1, _BLOCK // m)  # steps per pending block
     pending = []  # the projected c of each step since the last flush
     for i in range(1, steps + 1):
-        c, reports, start = solver.step(c, t_axis[live, i - 1 : i + 1], start)
-        # odd fields have purely imaginary coefficients
-        c = 1j * c.imag if all_odd else np.where(keep_odd, 1j * c.imag, c)
+        c, results, start = solver.step(c, t_axis[live, i - 1 : i + 1], start)
+        c.real[odd] = 0  # odd fields have purely imaginary coefficients
         pending.append(c)
-        failed = {j: r for j, r in enumerate(reports) if not isinstance(r, StepReport)}
-        for k, r in zip(ids, reports):
+        failed = {}
+        for j, r in enumerate(results):
             if isinstance(r, StepReport):
-                sweeps[k].append(r.iterations)
-                resid[k].append(r.residual)
+                sweeps[ids[j]].append(r.iterations)
+                resid[ids[j]].append(r.residual)
+            else:
+                failed[j] = r
         if len(pending) < block and i < steps and not failed:
             continue
         # the samples of steps i0 + 1 .. i; irfft of imaginary coefficients is odd only to roundoff
         i0 = i - len(pending)
         with np.errstate(over="ignore", invalid="ignore"):  # a failing member's rows ride along
             w = dft_inverse(np.stack(pending))
-            w = odd_part(w) if all_odd else np.where(keep_odd, odd_part(w), w)
+            w[:, odd] = odd_part(w[:, odd])
         pending = []
         trk[live, ..., i0 + 1 : i + 1] = np.moveaxis(w[..., idx], 0, -1)
         snap[live, :, i0 // sps + 1 : i // sps + 1] = np.moveaxis(w[sps - 1 - i0 % sps :: sps], 0, 2)
@@ -382,8 +402,7 @@ def integrate(params, grid=None, state=None):
             if not keep:
                 break
             ids = [ids[j] for j in keep]
-            c, w, keep_odd = c[keep], w[keep], keep_odd[keep]
-            start, all_odd = tuple(x[keep] for x in start), keep_odd.all()
+            c, w, start, odd = c[keep], w[keep], start[keep], odd_rows(ids)
             live = ids
     final = np.empty((m, 2, grid.n))
     final[ids] = w

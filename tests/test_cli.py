@@ -377,15 +377,15 @@ def test_sweep_all_failures_exits_2_with_placeholder_rows(tmp_path):
 
 
 def test_sweep_survives_members_that_fail_apart_from_the_others(tmp_path, cfg64):
-    # A = 1e200 overflows the cube in its first step and A = 15 stalls the
-    # stage solve at t = 1.375; A = 0.02 runs to the end. A NonFinite carries
+    # A = 1e200 overflows the cube in its first step and A = 25 stalls the
+    # stage solve at t = 0; A = 0.02 runs to the end. A NonFinite carries
     # the end of its step (0.125), a StageSolveDiverged the start of its step
     out = tmp_path / "sweep"
-    res = run_cli("sweep", "--config", cfg64, "--out", str(out), "--amplitudes", "0.02,15,1e200")
+    res = run_cli("sweep", "--config", cfg64, "--out", str(out), "--amplitudes", "0.02,25,1e200")
     assert res.returncode == 0, res.stderr
-    assert "A=15.0: failed (stage residual stalled" in res.stderr
+    assert "A=25.0: failed (stage residual stalled" in res.stderr
     assert "A=1e+200: failed (cubic term overflowed)" in res.stderr
-    for name, error, t in (("A_1e+200", "NonFinite", 0.125), ("A_15.0", "StageSolveDiverged", 1.375)):
+    for name, error, t in (("A_1e+200", "NonFinite", 0.125), ("A_25.0", "StageSolveDiverged", 0.0)):
         manifest = json.loads((out / name / "manifest.json").read_text())
         assert manifest["status"] == "failed"
         assert manifest["failure"]["error"] == error
@@ -394,7 +394,7 @@ def test_sweep_survives_members_that_fail_apart_from_the_others(tmp_path, cfg64)
     run, _, expected = checks.check_run(str(out / "A_0.02"))
     assert run.steps == 512
     entries = read_sweep(out / "sweep.csv")
-    assert [e["A"] for e in entries] == [0.02, 15.0, 1e200]
+    assert [e["A"] for e in entries] == [0.02, 25.0, 1e200]
     checks.check_sweep_row(entries[0], run, expected)
     for e in entries[1:]:
         assert e["label"] == "indeterminate"

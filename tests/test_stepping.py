@@ -217,7 +217,8 @@ def test_stage_solver_returns_stage_blocks(stages):
     stage_u, nl, (report,), start = StageSolver(p, g).solve(
         np.stack([dft_forward(s0.u), dft_forward(s0.v)])[None], np.zeros((1, 2))
     )
-    for block in (stage_u, nl, *start):
+    # the start is the cube of the next step's stage guesses
+    for block in (stage_u, nl, start):
         assert block.shape == (1, stages, g.n // 2 + 1)
     assert report.residual <= p.stage_tol
 
@@ -457,6 +458,22 @@ def test_a_run_makes_three_transforms_per_sweep_plus_one_per_record_block(monkey
     assert len(calls) == 3 * summary.total_sweeps + math.ceil(summary.steps / 64) + 7
 
 
+def test_a_run_makes_one_synthesis_per_sweep_plus_one_per_record_block(monkeypatch):
+    # each sweep synthesizes its residual, and each block of 64 steps its
+    # samples; energy and momentum synthesize one derivative each
+    calls = []
+    dft_inverse = kgbreather.spectral.dft_inverse
+
+    def counted(c):
+        calls.append(np.shape(c))
+        return dft_inverse(c)
+
+    monkeypatch.setattr(kgbreather.spectral, "dft_inverse", counted)
+    monkeypatch.setattr(kgbreather.stepping, "dft_inverse", counted)
+    summary, _, _, _ = integrate(SimParams(t_end=16.0))
+    assert len(calls) == summary.total_sweeps + math.ceil(summary.steps / 64) + 2
+
+
 @pytest.mark.parametrize(
     "case, bound",
     [({}, 1.40), ({"irk_stages": 3}, 1.05), ({"amplitude": 0.12}, 2.10)],
@@ -521,10 +538,10 @@ def test_stage_matvec_on_a_stack_equals_one_call_per_member_bit_for_bit():
     rng = np.random.default_rng(3)
     solver = StageSolver(SimParams(irk_stages=3), make_grid(128, 8.0))
     x = rng.standard_normal((4, 3, 65)) + 1j * rng.standard_normal((4, 3, 65))
-    got = accel.stage_matvec(solver.g, x)
-    assert got.shape == x.shape
+    got = accel.stage_matvec(solver.map_nl, x)
+    assert got.shape == (4, 6, 65)
     for member, rows in zip(got, x):
-        assert np.array_equal(member, accel.stage_matvec(solver.g, rows))
+        assert np.array_equal(member, accel.stage_matvec(solver.map_nl, rows))
 
 
 # from the extrapolated stage start, A <= 0.04 takes about one sweep a step
@@ -582,7 +599,7 @@ def test_a_member_that_converges_early_keeps_the_stages_of_its_own_sweep(monkeyp
         return cube(x, params)
 
     monkeypatch.setattr(kgbreather.stepping, "nonlinear_hat", counted)
-    stage_u, nl, reports, (guess, guess_nl) = solver.solve(c, times, start)
+    stage_u, nl, reports, guess_nl = solver.solve(c, times, start)
     monkeypatch.undo()
     assert [r.iterations for r in reports] == [1, 2]
     # each sweep cubes the stage rows and the guess rows of both members,
@@ -590,14 +607,14 @@ def test_a_member_that_converges_early_keeps_the_stages_of_its_own_sweep(monkeyp
     assert rows == [4, 4]
     for k in range(2):
         solo = slice(k, k + 1)  # member k as a stack of one
-        solo_u, solo_nl, solo_reports, solo_start = solver.solve(c[solo], times[solo], [x[solo] for x in start])
+        solo_u, solo_nl, solo_reports, solo_start = solver.solve(c[solo], times[solo], start[solo])
         assert [reports[k]] == solo_reports
-        for got, want in zip((stage_u, nl, guess, guess_nl), (solo_u, solo_nl, *solo_start)):
+        for got, want in zip((stage_u, nl, guess_nl), (solo_u, solo_nl, solo_start)):
             assert np.array_equal(got[k], want[0])
-    # member 0's start is its own first sweep's stages extrapolated, and their cube
-    own = solver.extrap[:, :1] * c[0, :1] + solver.extrap[:, 1:] @ stage_u[0]
-    assert np.array_equal(guess[0], own)
-    assert np.array_equal(guess_nl[0], kgbreather.dynamics.nonlinear_hat(own, p))
+    # member 0's start is the cube of its own first sweep's stages extrapolated;
+    # the map composes the extrapolation in advance, so it agrees to roundoff
+    own = kgbreather.dynamics.nonlinear_hat(solver.extrap[:, :1] * c[0, :1] + solver.extrap[:, 1:] @ stage_u[0], p)
+    assert np.max(np.abs(guess_nl[0] - own)) <= 1e-13 * np.max(np.abs(own))
 
 
 def test_an_overflowing_member_fails_on_its_own_residual_inside_one_solve():
@@ -611,14 +628,14 @@ def test_an_overflowing_member_fails_on_its_own_residual_inside_one_solve():
     times = np.array([[3.0, 3.0 + p.dt]] * 2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        *blocks, (report, failure), start = solver.solve(c, times)
-    blocks += start
+        stage_u, nl, (report, failure), start = solver.solve(c, times)
+    blocks = (stage_u, nl, start)
     assert isinstance(failure, NonFinite) and str(failure) == "cubic term overflowed"
     assert failure.t == 3.0 + p.dt
     assert not any(block[1].any() for block in blocks)
     solo_u, solo_nl, solo_reports, solo_start = solver.solve(c[:1], times[:1])
     assert [report] == solo_reports
-    for got, want in zip(blocks, (solo_u, solo_nl, *solo_start)):
+    for got, want in zip(blocks, (solo_u, solo_nl, solo_start)):
         assert np.array_equal(got[0], want[0])
 
 
@@ -752,11 +769,11 @@ def test_the_block_built_record_equals_a_per_step_record():
 
 
 def test_a_failing_member_stops_at_its_own_time_and_the_others_march_on():
-    # alone at N = 64: A = 1e200 overflows the cube in its first step, A = 15
-    # stalls at t = 1.375 and A = 12 runs out of sweeps at t = 48.75
+    # alone at N = 64: A = 1e200 overflows the cube in its first step, A = 25
+    # stalls (its residual grows) at t = 0 and A = 16 runs out of sweeps at t = 0.375
     p = SimParams(grid_points=64, t_end=49.0)
     g = make_grid(p.grid_points, p.domain_length)
-    amplitudes = (0.02, 12.0, 15.0, 0.12, 1e200)
+    amplitudes = (0.02, 16.0, 25.0, 0.12, 1e200)
     outcomes = integrate(p, g, stacked_start(p, g, amplitudes))
     for a, got in zip(amplitudes, outcomes):
         solo = dataclasses.replace(p, amplitude=a)
@@ -771,7 +788,7 @@ def test_a_failing_member_stops_at_its_own_time_and_the_others_march_on():
         "tuple", "StageSolveDiverged", "StageSolveDiverged", "tuple", "NonFinite"
     ]
     # StageSolveDiverged.t is the start of the failed step, NonFinite.t its end
-    assert [outcomes[k].t for k in (1, 2, 4)] == [48.75, 1.375, 0.125]
+    assert [outcomes[k].t for k in (1, 2, 4)] == [0.375, 0.0, 0.125]
     assert "above" in str(outcomes[1]) and "stalled" in str(outcomes[2])
 
 
@@ -790,3 +807,53 @@ def test_members_keep_their_own_start_time_and_odd_projection():
     assert odd.t.tolist() == [0.0, 4.0, 8.0] and mixed.t.tolist() == [5.0, 9.0, 13.0]
     assert np.array_equal(reflect(odd.u), -odd.u)
     assert not np.array_equal(reflect(mixed.u), -mixed.u)
+
+
+@pytest.mark.parametrize("sign", ["standard_wave", "as_written"])
+@pytest.mark.parametrize("stages", [1, 2, 3])
+def test_the_stage_maps_reproduce_the_stage_algebra(stages, sign):
+    # the maps compose K = (I - dt^2 lam A^2)^-1, G = dt^2 K A^2, the
+    # extrapolation and the update in advance; on random stacks they give
+    # what the separate factors give, to 1e-14 of the magnitudes that enter
+    # (the s = 3 extrapolation weights reach 77, so its guesses cancel)
+    p = SimParams(irk_stages=stages, laplacian_sign=sign)
+    g = make_grid(p.grid_points, p.domain_length)
+    solver = StageSolver(p, g)
+    tab, dt, lam = gauss_tableau(stages), p.dt, kgbreather.dynamics.linear_symbol(p, g)
+    a2 = dt**2 * (tab.a @ tab.a)
+    k = np.linalg.inv(np.eye(stages) - lam[:, None, None] * a2)
+    # Lagrange basis on the nodes (0, c_1..c_s), evaluated at 1 + c_j
+    nodes = [0.0, *tab.c.tolist()]
+    extrap = np.array(
+        [[math.prod((x - y) / (z - y) for y in nodes if y != z) for z in nodes] for x in (1.0 + tab.c).tolist()]
+    )
+    rng = np.random.default_rng(stages)
+    c, nl = (rng.standard_normal((3, rows, g.n // 2 + 1)) * (1 + 1j) for rows in (2, stages))
+
+    def algebra(f):
+        """The stages and guesses and the update, one factor at a time; with f = np.abs, the magnitudes that enter."""
+        kk, gg, ee, cc, nn, ll, ba = (f(x) for x in (k, k @ a2, extrap, c, nl, lam, tab.b @ tab.a))
+        # per mode m: stages U = K (u 1 + dt v c) + G N and guesses e0 u + E U
+        stage_u = np.einsum("mij,kjm->kim", kk, cc[:, :1] + dt * tab.c[:, None] * cc[:, 1:])
+        stage_u = stage_u + np.einsum("mij,kjm->kim", gg, nn)
+        guess = ee[:, :1] * cc[:, :1] + ee[:, 1:] @ stage_u
+        force = ll * stage_u + nn
+        update = np.stack([cc[:, 0] + dt * cc[:, 1] + dt**2 * ba @ force, cc[:, 1] + dt * tab.b @ force], axis=1)
+        return np.concatenate([stage_u, guess], axis=1), update
+
+    def maps(c, nl):
+        """The stages and guesses and the update as the solver composes them."""
+        got = accel.stage_matvec(solver.map_c, c) + accel.stage_matvec(solver.map_nl, nl)
+        f = np.concatenate([c, solver.lam * got[:, :stages] + nl], axis=1)
+        return got, (solver.update @ f.view(float)).view(complex)
+
+    (blocks, update), (block_scale, update_scale) = algebra(lambda x: x), algebra(np.abs)
+    got = maps(c, nl)
+    assert np.all(np.abs(got[0] - blocks) <= 1e-14 * block_scale)
+    assert np.all(np.abs(got[1] - update) <= 1e-14 * update_scale)
+    assert np.array_equal(solver.dt_a, dt * tab.a)
+    assert np.array_equal(solver.extrap, extrap)
+    # each member of the stack gets, bit for bit, what it gets alone
+    for i in range(len(c)):
+        for stacked, solo in zip(got, maps(c[i : i + 1], nl[i : i + 1])):
+            assert np.array_equal(stacked[i], solo[0])
