@@ -3,9 +3,11 @@
 At a fixed time the field traces the closed curve x -> (u(x), v(x)) over one
 period, so the loop of a one-state FieldState is its own (u, v); a tracer at
 a fixed x traces an open track t -> (u(t), v(t)). Both are treated as
-polylines. Winding numbers come from summed principal-value angle
-increments; crossings from exact segment-pair intersection with a tolerance
-scaled to the loop diameter.
+polylines. Winding numbers and rotation counts come from summed
+principal-value angle increments (_turns); a tracer turns about the origin
+and about the vacuum on its starting side (vacuum_on_side), in the rot_*
+columns and in classify_mode alike. Crossings come from exact segment-pair
+intersection with a tolerance scaled to the loop diameter.
 """
 
 import enum
@@ -15,11 +17,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import clean_pair
+from .dynamics import fixed_points
 from .errors import (
     CenterOnLoop,
     CenterOnTrack,
     DegenerateLoop,
     InsufficientData,
+    InvalidParams,
     LengthMismatch,
     NonIntegerWinding,
 )
@@ -203,11 +207,13 @@ class ClassifyResult:
     final_t: float
 
 
-def _safe_rotation(track, center):
+def vacuum_on_side(params, u0):
+    """The vacuum on a track's starting side: (-u*, 0) if u0 < 0, else (u*, 0); (0, 0) with no double well."""
     try:
-        return cumulative_rotation(track, center)
-    except CenterOnTrack:
-        return 0.0
+        fps = fixed_points(params)
+    except InvalidParams:
+        return (0.0, 0.0)
+    return fps.minus if u0 < 0 else fps.plus
 
 
 def classify_mode(diagnostics, track, params):
@@ -216,13 +222,13 @@ def classify_mode(diagnostics, track, params):
     Confinement margins use diagnostics rows from the last seven eighths of the
     run (the first eighth is transient): m_left is the worst (smallest) left
     half minimum of u, m_right the worst (largest) right half maximum.
-    Rotation counts use the full first-probe track. Breather: left half stays
-    positive, right half stays negative, and the tracer completes at least one
-    turn about the positive fixed point. Ordinary: at least one full turn about
-    the origin while confinement fails on either side.
+    Rotation counts are the _turns of the full first-probe track, as in the
+    rot_* columns: rot_left about the vacuum on its starting side, rot_origin
+    about the origin. Breather: left half stays positive, right half stays
+    negative, and the tracer completes at least one turn about its vacuum.
+    Ordinary: at least one full turn about the origin while confinement fails
+    on either side.
     """
-    from .dynamics import fixed_points
-
     if not diagnostics:
         raise InsufficientData("no diagnostics rows")
     if track is None or len(track) < 2:
@@ -239,9 +245,9 @@ def classify_mode(diagnostics, track, params):
         raise InsufficientData("no diagnostics rows past the transient window")
     m_left = min(row.u_min_left for row in kept)
     m_right = max(row.u_max_right for row in kept)
-    fps = fixed_points(params)
-    rot_left = _safe_rotation(track, fps.plus)
-    rot_origin = _safe_rotation(track, fps.center)
+    fixed_points(params)  # the label needs the vacua: InvalidParams without a double well
+    rot_left = float(_turns(track.u, track.v, vacuum_on_side(params, track.u[0]))[-1])
+    rot_origin = float(_turns(track.u, track.v, (0.0, 0.0))[-1])
     if m_left > 0.0 and m_right < 0.0 and abs(rot_left) >= 1.0:
         label = ModeLabel.BREATHER
     elif abs(rot_origin) >= 1.0 and (m_left <= 0.0 or m_right >= 0.0):

@@ -77,9 +77,9 @@ from .core import (
     odd_part,
     probe_indices,
 )
-from .dynamics import energy, energy_drift, fixed_points, linear_symbol, momentum, nonlinear_hat
-from .errors import InvalidParams, LengthMismatch, NonFinite, StageSolveDiverged, UnsupportedStageCount
-from .geometry import TracerTrack, _turns
+from .dynamics import energy, energy_drift, linear_symbol, momentum, nonlinear_hat
+from .errors import LengthMismatch, NonFinite, StageSolveDiverged, UnsupportedStageCount
+from .geometry import TracerTrack, _turns, vacuum_on_side
 from .spectral import dft_forward, dft_inverse
 
 # Consecutive non-decreasing sweep residuals before declaring divergence.
@@ -339,16 +339,6 @@ def integrate(params, grid=None, state=None):
 
     mask_left, mask_right = half_domain_masks(grid)
     idx = probe_indices(params, grid)
-    try:
-        fps = fixed_points(params)
-    except InvalidParams:
-        fps = None  # no double well (mu or beta <= 0): every tracer uses the origin
-
-    def nearest_fp(u0):
-        if fps is None:
-            return (0.0, 0.0)
-        return fps.minus if u0 < 0 else fps.plus
-
     # one time axis per member: tracers sample every step of it, snapshots
     # every sps-th; trk[k, 0] holds member k's tracer samples of u and
     # trk[k, 1] those of v, likewise snap
@@ -417,9 +407,9 @@ def integrate(params, grid=None, state=None):
         rot_origin = rot_left = rot_right = np.zeros(snapshots.t.size)
         if idx:
             rot_origin = _turns(tu[0], tv[0], (0.0, 0.0))[::sps]
-            rot_left = _turns(tu[0], tv[0], nearest_fp(tu[0, 0]))[::sps]
+            rot_left = _turns(tu[0], tv[0], vacuum_on_side(params, tu[0, 0]))[::sps]
         if len(idx) > 1:
-            rot_right = _turns(tu[1], tv[1], nearest_fp(tu[1, 0]))[::sps]
+            rot_right = _turns(tu[1], tv[1], vacuum_on_side(params, tu[1, 0]))[::sps]
         u, v = snapshots.u, snapshots.v
         e = energy(u, v, params, grid)
         drift = energy_drift(e, e[0])

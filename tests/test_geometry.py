@@ -13,6 +13,7 @@ from kgbreather import (
     DiagnosticsRow,
     FieldState,
     InsufficientData,
+    InvalidParams,
     LengthMismatch,
     ModeLabel,
     NonFinite,
@@ -458,10 +459,10 @@ def test_classify_insufficient_data(default_params):
 
 
 def test_classify_turns_equal_the_last_diagnostics_row_bit_for_bit():
-    """rot_origin always agrees. rot_left agrees only for a probe starting at u >= 0.
+    """classify counts with the rot_* columns' helper and centers, so both counts agree.
 
-    The rot_left column turns about the vacuum on the probe's starting side,
-    while classify always turns about +u*; at A = -0.12 they part.
+    At A = -0.12 the first probe starts below u = 0 and both turn about
+    (-u*, 0); the mirrored runs then give mirrored evidence.
     """
     params = SimParams(amplitude=0.12, t_end=256.0)
     _, _, diagnostics, tracks = integrate(params)
@@ -471,8 +472,56 @@ def test_classify_turns_equal_the_last_diagnostics_row_bit_for_bit():
     assert res.rot_origin == diagnostics[-1].rot_origin
     mirrored = dataclasses.replace(params, amplitude=-0.12)
     _, _, diagnostics, tracks = integrate(mirrored)
-    res = classify_mode(diagnostics, tracks[0], mirrored)
+    mres = classify_mode(diagnostics, tracks[0], mirrored)
     assert tracks[0].u[0] < 0.0
     assert abs(diagnostics[-1].rot_left) > 1.0  # about (-u*, 0)
-    assert res.rot_left != diagnostics[-1].rot_left
-    assert res.rot_origin == diagnostics[-1].rot_origin
+    assert mres.rot_left == diagnostics[-1].rot_left
+    assert mres.rot_origin == diagnostics[-1].rot_origin
+    # measured gaps: 4.4e-16 and 3.1e-15
+    assert mres.rot_left == pytest.approx(res.rot_left, abs=1e-12)
+    assert mres.rot_origin == pytest.approx(res.rot_origin, abs=1e-12)
+
+
+def test_classify_skips_a_track_sample_on_the_vacuum(default_params):
+    # one sample exactly on (u*, 0) carries no angle; it must not zero the count
+    track = circle_track(2.25, radius=0.01, cu=U_STAR)
+    on = TracerTrack(
+        probe_x=2.0,
+        t=np.arange(len(track) + 1.0),
+        u=np.insert(track.u, 100, U_STAR),
+        v=np.insert(track.v, 100, 0.0),
+    )
+    rows = rows_every_16(17, 0.02, -0.02)
+    res = classify_mode(rows, on, default_params)
+    assert res.label is ModeLabel.BREATHER
+    assert res.rot_left == classify_mode(rows, track, default_params).rot_left
+
+
+@pytest.mark.parametrize("field,value", [("mu", 0.0), ("mu", -0.001), ("beta", 0.0)])
+def test_no_double_well_turns_about_the_origin_and_has_no_label(field, value):
+    # integrate still writes rot_left / rot_right about the origin; classify,
+    # whose label is defined by the vacua, refuses the run
+    params = dataclasses.replace(SimParams(grid_points=32, t_end=64.0), **{field: value})
+    _, _, diagnostics, tracks = integrate(params)
+    for column, track in (("rot_left", tracks[0]), ("rot_right", tracks[1])):
+        turns = _turns(track.u, track.v, (0.0, 0.0))[::128]  # a row every 16 / 0.125 steps
+        assert [getattr(row, column) for row in diagnostics] == turns.tolist()
+    with pytest.raises(InvalidParams, match="must be positive for a double well"):
+        classify_mode(diagnostics, tracks[0], params)
+
+
+def test_classify_counts_the_physics_not_the_grid():
+    # mu = 0.008, A = 0.04: a confined run whose tracer circles its vacuum
+    # about 7 times, with the same count at every N; m_left is a node value
+    # next to the zero at x = 0, so it falls as the grid refines
+    m_left = []
+    for n in (32, 64, 128):
+        params = SimParams(mu=0.008, amplitude=0.04, t_end=512.0, grid_points=n)
+        _, _, diagnostics, tracks = integrate(params)
+        res = classify_mode(diagnostics, tracks[0], params)
+        assert res.label is ModeLabel.BREATHER
+        assert res.rot_left == pytest.approx(-7.009696, abs=1e-6)
+        assert res.rot_left == pytest.approx(diagnostics[-1].rot_right, abs=1e-12)
+        m_left.append(res.m_left)
+    # measured 3.755e-3, 1.797e-3, 8.887e-4
+    assert m_left[0] > m_left[1] > m_left[2] > 0.0
