@@ -187,17 +187,16 @@ def make_grid(n, length):
     return Grid(n=int(n), length=float(length), nodes=nodes, wavenumbers=wavenumbers)
 
 
-def clean_pair(u, v, what):
-    """Read-only float64 copies of u and v, checked to share one shape and be finite."""
-    u = np.array(u, dtype=np.float64)
-    v = np.array(v, dtype=np.float64)
+def clean_samples(t, u, v, what):
+    """Read-only float64 copies of t, u and v, checked to be finite, with u and v of one shape."""
+    t, u, v = (np.array(x, dtype=np.float64) for x in (t, u, v))
     if u.ndim == 0 or u.shape != v.shape:
         raise LengthMismatch(f"{what} u and v must share one shape, got {u.shape} and {v.shape}")
-    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
+    if not all(np.isfinite(x).all() for x in (t, u, v)):
         raise NonFinite(f"non-finite {what} entries")
-    u.setflags(write=False)
-    v.setflags(write=False)
-    return u, v
+    for x in (t, u, v):
+        x.setflags(write=False)
+    return t, u, v
 
 
 @dataclass(frozen=True)
@@ -213,11 +212,9 @@ class FieldState:
     v: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        u, v = clean_pair(self.u, self.v, "field")
-        t = np.array(self.t, dtype=np.float64)
+        t, u, v = clean_samples(self.t, self.u, self.v, "field")
         if t.shape != u.shape[:-1]:
             raise LengthMismatch(f"t has shape {t.shape}, the states {u.shape[:-1]}")
-        t.setflags(write=False)
         object.__setattr__(self, "t", float(t) if t.ndim == 0 else t)
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)

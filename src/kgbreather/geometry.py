@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import clean_pair
+from .core import clean_samples
 from .dynamics import fixed_points
 from .errors import (
     CenterOnLoop,
@@ -46,11 +46,9 @@ class TracerTrack:
     v: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        u, v = clean_pair(self.u, self.v, "track")
-        t = np.array(self.t, dtype=np.float64)
+        t, u, v = clean_samples(self.t, self.u, self.v, "track")
         if u.ndim != 1 or t.shape != u.shape:
             raise LengthMismatch(f"track t, u and v must share one 1-d shape, got {t.shape}, {u.shape}")
-        t.setflags(write=False)
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)

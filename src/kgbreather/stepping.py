@@ -50,14 +50,14 @@ at the end time of its step that the caller passes.
 The samples w = (u, v) feed only the record, so integrate holds each
 step's projected c in a pending block of _BLOCK // M steps (at least one)
 and synthesizes, projects and checks it with one call each. It flushes the
-block when full, at the last step, and where a member's solve fails, before
-that member is dropped, writing the block's tracer columns and snapshot rows
-into preallocated (M, 2, P, steps + 1) and (M, 2, S, N) blocks. A member
-whose solve fails or whose samples turn non-finite drops out with its
-exception and its own t, and the others march on: a non-finite sample at an
-earlier step of the block gives that step's t, and at the step where the
-solve fails the solve's own failure wins. Each member's snapshot rows become
-one stacked FieldState, so each diagnostics column is one call.
+block when full, at the last step and once every member has failed, writing
+the block's tracer columns and snapshot rows into preallocated
+(M, 2, P, steps + 1) and (M, 2, S, N) blocks. A failed member stays in the
+block as the zero state, which converges in one sweep, so the member axis
+is the same from the first step to the last. Its outcome is its first
+failure: its solve's, or a non-finite sample's at an earlier step, with that
+step's t. Each member's snapshot rows become one stacked FieldState, so
+each diagnostics column is one call.
 """
 
 import math
@@ -305,20 +305,21 @@ def integrate(params, grid=None, state=None):
     step after the first starts its stages from the extrapolation of the
     step before (see the module docstring). Every failure carries its t: a
     StageSolveDiverged the start of its step, a NonFinite the end.
-    A state whose samples turn non-finite fails at the first such step,
-    unless its solve fails at that step (see the module docstring).
+    A state whose samples turn non-finite fails with NonFinite at the first
+    such step.
 
     The start is one grid.n-point state, or a stack of M of them (u and v
-    (M, N), t (M,)), else LengthMismatch. A stack runs as M members through
+    (M, N), t (M,)) with M >= 1, else LengthMismatch. A stack runs as M members through
     one step loop and returns a list of M outcomes: each is the tuple that
     member returns alone, bit for bit, or the exception it raises alone. A
-    member that fails is frozen at its own t and the others march on.
+    failed member stays in the stack as the zero state, which converges in
+    one sweep; its outcome is its first failure.
     """
     if grid is None:
         grid = make_grid(params.grid_points, params.domain_length)
     if state is None:
         state = initial_state(params, grid)
-    if state.u.ndim > 2 or state.u.shape[-1] != grid.n:
+    if state.u.ndim > 2 or state.u.shape[-1] != grid.n or not state.u.size:
         raise LengthMismatch(
             f"a start is one {grid.n}-point state or a stack of them, got shape {state.u.shape}"
         )
@@ -330,13 +331,8 @@ def integrate(params, grid=None, state=None):
     # The exact flow and the scheme both commute with x -> L - x, so an odd
     # start stays odd; projecting each step keeps FFT roundoff from seeding
     # the even perturbations that the confined state amplifies.
-    odd_member = [is_odd(x) for x in w]
-
-    def odd_rows(ids):
-        """The rows of the odd members among ids; a slice while they all are."""
-        rows = [j for j, k in enumerate(ids) if odd_member[k]]
-        return slice(None) if len(rows) == len(ids) else np.array(rows, dtype=np.intp)
-
+    odd = [k for k, x in enumerate(w) if is_odd(x)]
+    odd = slice(None) if len(odd) == m else np.array(odd, dtype=np.intp)
     mask_left, mask_right = half_domain_masks(grid)
     idx = probe_indices(params, grid)
     # one time axis per member: tracers sample every step of it, snapshots
@@ -349,57 +345,46 @@ def integrate(params, grid=None, state=None):
     snap[:, :, 0] = w
     # per member: the sweeps and the last residual of each step
     sweeps, resid = [[] for _ in range(m)], [[] for _ in range(m)]
-    errors = {}
-    ids = list(range(m))  # the members still marching, one per row of c and w
-    live = slice(None)  # indexes their rows of the record blocks; a slice until one fails
-    odd = odd_rows(ids)
+    errors = {}  # member -> (step, exception) of its first failure
     c = dft_forward(w)
     start = None  # the first step starts from uhat, as irk_step does
     block = max(1, _BLOCK // m)  # steps per pending block
     pending = []  # the projected c of each step since the last flush
     for i in range(1, steps + 1):
-        c, results, start = solver.step(c, t_axis[live, i - 1 : i + 1], start)
+        c, results, start = solver.step(c, t_axis[:, i - 1 : i + 1], start)
+        for k, r in enumerate(results):
+            if isinstance(r, StepReport):
+                sweeps[k].append(r.iterations)
+                resid[k].append(r.residual)
+            else:
+                errors.setdefault(k, (i, r))
+                c[k] = 0  # the zero state, which every later step keeps in one sweep
         c.real[odd] = 0  # odd fields have purely imaginary coefficients
         pending.append(c)
-        failed = {}
-        for j, r in enumerate(results):
-            if isinstance(r, StepReport):
-                sweeps[ids[j]].append(r.iterations)
-                resid[ids[j]].append(r.residual)
-            else:
-                failed[j] = r
-        if len(pending) < block and i < steps and not failed:
+        if len(pending) < block and i < steps and len(errors) < m:
             continue
         # the samples of steps i0 + 1 .. i; irfft of imaginary coefficients is odd only to roundoff
         i0 = i - len(pending)
-        with np.errstate(over="ignore", invalid="ignore"):  # a failing member's rows ride along
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowed member's rows ride along
             w = dft_inverse(np.stack(pending))
             w[:, odd] = odd_part(w[:, odd])
         pending = []
-        trk[live, ..., i0 + 1 : i + 1] = np.moveaxis(w[..., idx], 0, -1)
-        snap[live, :, i0 // sps + 1 : i // sps + 1] = np.moveaxis(w[sps - 1 - i0 % sps :: sps], 0, 2)
+        trk[..., i0 + 1 : i + 1] = np.moveaxis(w[..., idx], 0, -1)
+        snap[:, :, i0 // sps + 1 : i // sps + 1] = np.moveaxis(w[sps - 1 - i0 % sps :: sps], 0, 2)
         if not np.isfinite(w).all():
             bad = ~np.isfinite(w).all(axis=(2, 3))
-            for j in np.flatnonzero(bad.any(axis=0)).tolist():
-                at = i0 + 1 + int(bad[:, j].argmax())
-                if at < i or j not in failed:  # at step i the solve's own failure wins
-                    t = float(t_axis[ids[j], at])
-                    failed[j] = NonFinite(f"non-finite field entries at t={t}", t=t)
+            for k in np.flatnonzero(bad.any(axis=0)).tolist():
+                at = i0 + 1 + int(bad[:, k].argmax())
+                if at < errors.get(k, (math.inf,))[0]:
+                    t = float(t_axis[k, at])
+                    errors[k] = (at, NonFinite(f"non-finite field entries at t={t}", t=t))
         w = w[-1]
-        if failed:
-            errors.update((ids[j], exc) for j, exc in failed.items())
-            keep = [j for j in range(len(ids)) if j not in failed]
-            if not keep:
-                break
-            ids = [ids[j] for j in keep]
-            c, w, start, odd = c[keep], w[keep], start[keep], odd_rows(ids)
-            live = ids
-    final = np.empty((m, 2, grid.n))
-    final[ids] = w
+        if len(errors) == m:
+            break
 
     def outcome(k):
         if k in errors:
-            return errors[k]
+            return errors[k][1]
         snapshots = FieldState(t=t_axis[k, ::sps], u=snap[k, 0], v=snap[k, 1])
         # turns of the first probe about the origin and of each of the first two
         # probes about the vacuum on its starting side, at every snapshot
@@ -425,7 +410,7 @@ def integrate(params, grid=None, state=None):
             for p in range(len(idx))
         ]
         summary = RunSummary(
-            final_state=FieldState(t=float(t_axis[k, -1]), u=final[k, 0], v=final[k, 1]),
+            final_state=FieldState(t=float(t_axis[k, -1]), u=w[k, 0], v=w[k, 1]),
             steps=steps,
             max_abs_drift=float(np.max(np.abs(drift))),
             max_residual=max([0.0, *resid[k]]),
@@ -436,7 +421,7 @@ def integrate(params, grid=None, state=None):
 
     outcomes = [outcome(k) for k in range(m)]
     if state.u.ndim == 1:
-        if 0 in errors:
-            raise errors[0]
+        if errors:
+            raise errors[0][1]
         return outcomes[0]
     return outcomes

@@ -241,6 +241,10 @@ def test_field_state_is_immutable_and_checked():
         FieldState(t=0.0, u=np.array([np.nan] * 8), v=np.zeros(8))
     with pytest.raises(NonFinite):
         FieldState(t=0.0, u=np.zeros(8), v=np.array([np.inf] * 8))
+    with pytest.raises(NonFinite):
+        FieldState(t=np.nan, u=np.zeros(8), v=np.zeros(8))
+    with pytest.raises(NonFinite):
+        FieldState(t=[0.0, np.inf], u=np.zeros((2, 8)), v=np.zeros((2, 8)))
 
 
 def test_field_state_holds_a_stack_along_the_leading_axis():

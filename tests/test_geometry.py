@@ -99,6 +99,9 @@ def test_loop_construction_rejects_bad_input():
         FieldState(t=0.0, u=np.zeros(4), v=np.zeros(3))
     with pytest.raises(LengthMismatch):
         TracerTrack(probe_x=2.0, t=np.zeros(3), u=np.zeros(4), v=np.zeros(4))
+    for bad_t in ([0.0, np.nan, 2.0], [0.0, 1.0, np.inf]):
+        with pytest.raises(NonFinite):
+            TracerTrack(probe_x=2.0, t=bad_t, u=np.zeros(3), v=np.zeros(3))
 
 
 def test_loop_arrays_are_read_only():

@@ -140,6 +140,29 @@ def test_one_step_error_halving_ratio(stages, dt, lo, hi):
     assert lo <= ratio <= hi
 
 
+def test_work_precision_against_a_three_stage_reference():
+    # the largest snapshot difference in u or v at t_end = 256 from s = 3,
+    # dt = 1/64, measured 4.739e-12 (s = 2, dt = 1/8, the default), 2.979e-13
+    # (s = 2, dt = 1/16) and 4.580e-15 (s = 3, dt = 1/4); the last is at the
+    # roundoff floor, so the checks are bounds
+    p = SimParams(t_end=256.0)
+    runs = {
+        (stages, dt): integrate(dataclasses.replace(p, irk_stages=stages, dt=dt))[:2]
+        for stages, dt in ((3, 1 / 64), (2, 0.125), (2, 0.0625), (3, 0.25))
+    }
+    ref = runs[3, 1 / 64][1]
+
+    def error(stages, dt):
+        snapshots = runs[stages, dt][1]
+        assert np.array_equal(snapshots.t, ref.t)
+        return max(np.abs(snapshots.u - ref.u).max(), np.abs(snapshots.v - ref.v).max())
+
+    assert 14 <= error(2, 0.125) / error(2, 0.0625) <= 18  # order 4
+    assert error(3, 0.25) < 1e-14 and 100 * error(3, 0.25) <= error(2, 0.125)
+    default = runs[2, 0.125][0]
+    assert 1.2 < default.total_sweeps / default.steps < 1.35
+
+
 def test_default_first_step_converges_fast():
     p = SimParams()
     g = make_grid(p.grid_points, p.domain_length)
@@ -265,7 +288,8 @@ def test_integrate_rejects_a_start_that_is_not_grid_states():
     s64, stack = not_one_grid_state(g)
     s64_stack = FieldState(t=[0.0], u=[s64.u], v=[s64.v])
     block = FieldState(t=[[0.0, 0.0]], u=[stack.u], v=[stack.v])
-    for start in (s64, s64_stack, block):
+    empty = FieldState(t=np.empty(0), u=np.empty((0, g.n)), v=np.empty((0, g.n)))
+    for start in (s64, s64_stack, block, empty):
         with pytest.raises(LengthMismatch):
             integrate(p, g, start)
 
@@ -790,6 +814,43 @@ def test_a_failing_member_stops_at_its_own_time_and_the_others_march_on():
     # StageSolveDiverged.t is the start of the failed step, NonFinite.t its end
     assert [outcomes[k].t for k in (1, 2, 4)] == [0.375, 0.0, 0.125]
     assert "above" in str(outcomes[1]) and "stalled" in str(outcomes[2])
+
+
+def test_a_stack_that_fails_entirely_stops_at_its_last_failure(monkeypatch):
+    # a failed member stays in the stack as the zero state, so every step
+    # runs all three members; the run stops at the fourth step, where the
+    # last member (A = 16) fails
+    p = SimParams(grid_points=64, t_end=49.0)
+    g = make_grid(p.grid_points, p.domain_length)
+    members = []
+    step = StageSolver.step
+
+    def counted(self, c, *args):
+        members.append(len(c))
+        return step(self, c, *args)
+
+    monkeypatch.setattr(StageSolver, "step", counted)
+    outcomes = integrate(p, g, stacked_start(p, g, (16.0, 25.0, 1e200)))
+    assert members == [3] * 4
+    assert [(type(o).__name__, o.t) for o in outcomes] == [
+        ("StageSolveDiverged", 0.375), ("StageSolveDiverged", 0.0), ("NonFinite", 0.125)
+    ]
+
+
+@pytest.mark.parametrize("stages", [1, 2, 3])
+def test_the_zero_state_takes_one_sweep_and_stays_zero(stages):
+    # what a failed member costs the others in integrate's stack: one sweep
+    # with a zero residual, with or without a start, and a zero step
+    p = SimParams(irk_stages=stages)
+    g = make_grid(p.grid_points, p.domain_length)
+    solver = StageSolver(p, g)
+    zero = np.zeros((1, 2, g.n // 2 + 1), dtype=complex)
+    for start in (None, np.zeros((1, stages, g.n // 2 + 1), dtype=complex)):
+        *blocks, (report,), next_start = solver.solve(zero, np.zeros((1, 2)), start)
+        assert report == StepReport(1, 0.0)
+        assert not any(x.any() for x in (*blocks, next_start))
+        c, _, _ = solver.step(zero, np.zeros((1, 2)), start)
+        assert not c.any()
 
 
 def test_members_keep_their_own_start_time_and_odd_projection():
