@@ -151,15 +151,24 @@ def write_run(params, grid, out_dir, outcome, wall):
 def run_members(members, out_dirs):
     """Integrate the members as one stack and write each into its out_dir.
 
-    The members differ only in their starts. Returns one (outcome, manifest,
-    classify result) per member, where outcome is what integrate gave it;
-    every member reports the wall time of the shared run.
+    The members may differ only in amplitude, their start; any other field
+    that differs raises InvalidParams before a member runs. Returns one
+    (outcome, manifest, classify result) per member, where outcome is what
+    integrate gave it; every member reports the wall time of the shared run.
     """
-    grid = make_grid(members[0].grid_points, members[0].domain_length)
+    first = members[0]
+    differ = [
+        f.name
+        for f in dataclasses.fields(SimParams)
+        if f.name != "amplitude" and any(getattr(p, f.name) != getattr(first, f.name) for p in members[1:])
+    ]
+    if differ:
+        raise InvalidParams([f"members may differ only in amplitude, not in {name}" for name in differ])
+    grid = make_grid(first.grid_points, first.domain_length)
     start = time.monotonic()
     starts = [initial_state(params, grid) for params in members]
     stack = FieldState(t=[s.t for s in starts], u=[s.u for s in starts], v=[s.v for s in starts])
-    outcomes = integrate(members[0], grid, stack)
+    outcomes = integrate(first, grid, stack)
     wall = time.monotonic() - start
     return [
         (outcome, *write_run(params, grid, out_dir, outcome, wall))

@@ -11,7 +11,6 @@ import numpy as np
 from .errors import IncompatibleDomain, InvalidGrid, LengthMismatch, NonFinite
 
 LAPLACIAN_SIGNS = ("standard_wave", "as_written")
-DEALIAS_MODES = ("none", "pad2x")
 
 # Guard used in energy_drift = (E - E0)/max(|E0|, DRIFT_GUARD); keeps the drift
 # well-defined for the zero state without distorting it for any physical one.
@@ -38,7 +37,6 @@ class SimParams:
     t_end: float = 2048.0
     snapshot_every: float = 16.0
     laplacian_sign: str = "standard_wave"
-    dealias: str = "pad2x"
     irk_stages: int = 2
     stage_tol: float = 1e-13
     stage_max_iter: int = 100
@@ -58,6 +56,19 @@ def _is_integer_multiple(value, unit):
         and round(ratio) >= 1
         and abs(ratio - round(ratio)) <= _REL_TOL * max(1.0, abs(ratio))
     )
+
+
+def _holds_sine_periods(length):
+    """L/8 is a positive integer to an absolute 1e-12, so A sin(pi x/4) is L-periodic."""
+    ratio = length / 8.0
+    return math.isfinite(ratio) and round(ratio) >= 1 and abs(ratio - round(ratio)) <= _REL_TOL
+
+
+def _probe_node(x, n, length):
+    """Index j of the node x = jL/N, 0 <= j < N, to relative tolerance; None off the nodes."""
+    r = x * n / length
+    j = int(round(r))
+    return j if abs(r - j) <= _REL_TOL * max(1.0, abs(r)) and 0 <= j < n else None
 
 
 def _is_number(value, kind=numbers.Real):
@@ -95,7 +106,7 @@ def validate_params(params):
         v.append(f"mu must be > 0, got {params.mu}")
     if not params.domain_length > 0:
         v.append(f"domain_length must be > 0, got {params.domain_length}")
-    elif not _is_integer_multiple(params.domain_length, 8.0):
+    elif not _holds_sine_periods(params.domain_length):
         v.append(
             f"domain_length must be a multiple of 8 for the sine profile, got {params.domain_length}"
         )
@@ -119,8 +130,6 @@ def validate_params(params):
         v.append(
             f"laplacian_sign must be one of {LAPLACIAN_SIGNS}, got {params.laplacian_sign!r}"
         )
-    if params.dealias not in DEALIAS_MODES:
-        v.append(f"dealias must be one of {DEALIAS_MODES}, got {params.dealias!r}")
     if params.irk_stages not in (1, 2, 3):
         v.append(f"irk_stages must be 1, 2, or 3, got {_show(params.irk_stages)}")
     if not params.stage_tol > 0:
@@ -134,10 +143,8 @@ def validate_params(params):
         if not (0 <= x < length):
             v.append(f"probe {_show(x)} outside [0, {length})")
             continue
-        if length > 0 and 0 < n <= _MAX_GRID_POINTS:
-            r = x * n / length
-            if abs(r - round(r)) > _REL_TOL * max(1.0, abs(r)):
-                v.append(f"probe {x} not on a grid node (x*N/L = {r})")
+        if length > 0 and 0 < n <= _MAX_GRID_POINTS and _probe_node(x, n, length) is None:
+            v.append(f"probe {x} not on a grid node (N = {n}, L = {length})")
     return v
 
 
@@ -222,8 +229,7 @@ class FieldState:
 
 def initial_state(params, grid):
     """Profile A*sin(pi x/4) at rest, exactly odd on the grid; L must keep it periodic."""
-    ratio = grid.length / 8.0
-    if grid.length <= 0 or abs(ratio - round(ratio)) > _REL_TOL or round(ratio) < 1:
+    if not _holds_sine_periods(grid.length):
         raise IncompatibleDomain(
             f"domain_length must be a positive multiple of 8 for the sine profile, got {grid.length}"
         )
@@ -292,11 +298,7 @@ def half_domain_masks(grid):
 
 
 def probe_indices(params, grid):
-    idx = []
-    for x in params.probes:
-        r = x * grid.n / grid.length
-        j = int(round(r))
-        if abs(r - j) > _REL_TOL * max(1.0, abs(r)) or not (0 <= j < grid.n):
-            raise InvalidGrid(f"probe {x} does not lie on a grid node")
-        idx.append(j)
+    idx = [_probe_node(x, grid.n, grid.length) for x in params.probes]
+    if None in idx:
+        raise InvalidGrid(f"probe {params.probes[idx.index(None)]} does not lie on a grid node")
     return idx

@@ -3,8 +3,8 @@
 The second-order field equation is reduced to du/dt = v,
 dv/dt = sigma*alpha*u_xx + mu*u - beta*u^3. In coefficient space the linear
 part acts on mode m as lambda_m = mu - sigma*alpha*k_m^2 (linear_symbol) and
-the cubic is dealiased (nonlinear_hat); the stage solver integrates exactly
-these two terms. sigma = +1 ("standard_wave") keeps the usual wave operator;
+the cubic is taken alias-free on a 2x grid (nonlinear_hat); the stage solver
+integrates exactly these two terms. sigma = +1 ("standard_wave") keeps the usual wave operator;
 the equation as written with a +alpha*u_xx term moved to the other side
 flips it. energy and momentum act along the last axis, so one call gives
 the value of every row of a stacked (S, N) block.
@@ -26,8 +26,8 @@ def linear_symbol(params, grid):
 
 
 def nonlinear_hat(uhat, params):
-    """-beta times the (dealiased) cube, in coefficient space."""
-    return -params.beta * cube_hat(uhat, params.dealias)
+    """-beta times the alias-free cube, in coefficient space."""
+    return -params.beta * cube_hat(uhat)
 
 
 def energy(u, v, params, grid):

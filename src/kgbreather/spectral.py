@@ -1,4 +1,4 @@
-"""Fourier collocation primitives: transforms, the derivative, and the dealiased cube.
+"""Fourier collocation primitives: transforms, the derivative, and the alias-free cube.
 
 Coefficient convention: a real field sampled at x_j = jL/N (N even) is held as
 its half-spectrum c = rfft(u)/N, the N/2 + 1 coefficients of the modes
@@ -45,40 +45,25 @@ def first_derivative(u, grid):
     return dft_inverse(mult * dft_forward(u))
 
 
-def _cube_hat_none(c):
-    """Pointwise cube on the native grid, back to coefficients. Aliased."""
-    u = np.fft.irfft(c, norm="forward")
-    return np.fft.rfft(u * u * u, norm="forward")
+def cube_hat(c):
+    """Half-spectra of u^3 from those of u (last axis), by synthesis on a 2x grid.
 
-
-def _cube_hat_pad2x(c):
-    """Cube via synthesis on a 2x grid; exact for inputs band-limited to |m| <= n/6.
-
-    On the padded grid the Nyquist coefficient stands for the two modes +n/2
-    and -n/2, so it is halved there: the padded field stays real and has the
-    same values at the original nodes, and both halves fold back into the one
+    Exact for inputs band-limited to |m| <= n/6: the padded grid holds every
+    product mode, so none aliases (Orszag, J. Atmos. Sci. 28, 1971). On the
+    padded grid the Nyquist coefficient stands for the two modes +n/2 and
+    -n/2, so it is halved there: the padded field stays real and has the same
+    values at the original nodes, and both halves fold back into the one
     output Nyquist coefficient. The only product that can still fold back is
     (Nyquist)^3 landing on -Nyquist; for any resolved field that term is far
-    below roundoff.
+    below roundoff. An overflowing cube comes back non-finite; the caller
+    checks for it.
     """
+    c = np.array(c, dtype=np.complex128)
     h = c.shape[-1] - 1
-    m = 4 * h
-    c = c.copy()
     c[..., h] *= 0.5
-    # irfft to m points zero-pads the half-spectrum to 2h + 1 coefficients
-    u = np.fft.irfft(c, m, norm="forward")
+    # irfft to 4h points zero-pads the half-spectrum to 2h + 1 coefficients
+    u = np.fft.irfft(c, 4 * h, norm="forward")
     w = np.fft.rfft(u * u * u, norm="forward")
     out = w[..., : h + 1]
     out[..., h] = 2.0 * w[..., h].real
     return out
-
-
-def cube_hat(c, mode):
-    """Half-spectra of u^3 from those of u (last axis), alias-free when mode='pad2x'.
-
-    An overflowing cube comes back non-finite; the caller checks for it.
-    """
-    c = np.asarray(c, dtype=np.complex128)
-    if mode == "pad2x":
-        return _cube_hat_pad2x(c)
-    return _cube_hat_none(c)

@@ -1,5 +1,6 @@
 """End-to-end command line behavior through subprocesses."""
 
+import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -11,7 +12,9 @@ import sys
 import pytest
 
 import kgbreather
-from kgbreather.runio import read_diagnostics, read_sweep
+from kgbreather import InvalidParams, SimParams
+from kgbreather.cli import run_members
+from kgbreather.runio import params_digest, read_diagnostics, read_sweep
 
 # the child process imports the same package source as this test process
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(kgbreather.__file__)))
@@ -251,6 +254,20 @@ def test_classify_and_plot_reject_params_that_miss_their_digest(finished_run, ed
         assert res.stdout == ""
 
 
+def test_classify_and_plot_name_the_retired_dealias_key(finished_run):
+    # a run written while dealias was a key has to be simulated again
+    def add_dealias(manifest):
+        manifest["params"]["dealias"] = "pad2x"
+        manifest["params_sha256"] = params_digest(manifest["params"])
+
+    edit_manifest(finished_run, add_dealias)
+    for command in ("classify", "plot"):
+        res = run_cli(command, "--out", finished_run)
+        assert res.returncode == 2, command
+        assert "unknown parameter keys: ['dealias']" in res.stderr
+        assert res.stdout == ""
+
+
 def test_classify_rejects_a_manifest_without_file_digests(finished_run):
     edit_manifest(finished_run, lambda m: m.pop("files"))
     path = os.path.join(finished_run, "diagnostics.csv")
@@ -361,6 +378,34 @@ def test_sweep_rejects_an_invalid_member_before_running_any(tmp_path, cfg64):
     assert res.returncode == 2
     assert "domain_length must be a multiple of 8" in res.stderr
     assert not out.exists()
+    # L/8 = 1e13 + 0.5 is half a sine period off, though within 1e-12 of L/8 relative
+    cfg.write_text("domain_length = 80000000000004.0\nprobes =\nt_end = 64\n", encoding="utf-8")
+    res = run_cli("sweep", "--config", str(cfg), "--out", str(out), "--amplitudes", "0.01")
+    assert res.returncode == 2
+    assert "domain_length must be a multiple of 8" in res.stderr
+    assert not out.exists()
+
+
+def test_run_members_rejects_members_that_differ_beyond_amplitude(tmp_path):
+    # the stack runs with one set of params: a member at its own mu would be
+    # integrated at the first member's mu and written with its own
+    base = SimParams(t_end=64.0)
+    dirs = [str(tmp_path / name) for name in ("a", "b", "c")]
+    with pytest.raises(InvalidParams) as err:
+        run_members([base, dataclasses.replace(base, mu=0.008)], dirs[:2])
+    assert err.value.violations == ["members may differ only in amplitude, not in mu"]
+    members = [
+        base,
+        dataclasses.replace(base, amplitude=0.08, mu=0.008),
+        dataclasses.replace(base, amplitude=0.12, dt=0.25),
+    ]
+    with pytest.raises(InvalidParams) as err:
+        run_members(members, dirs)
+    assert err.value.violations == [
+        "members may differ only in amplitude, not in mu",
+        "members may differ only in amplitude, not in dt",
+    ]
+    assert not any(os.path.exists(d) for d in dirs)
 
 
 def test_sweep_all_failures_exits_2_with_placeholder_rows(tmp_path):

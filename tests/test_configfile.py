@@ -34,7 +34,6 @@ t_end = 512        # shorter than usual
 grid_points = 256
 irk_stages = 3
 laplacian_sign = as_written
-dealias = none
 probes = 2, 6
 """
     p = parse_config_text(text)
@@ -44,7 +43,6 @@ probes = 2, 6
     assert p.grid_points == 256
     assert p.irk_stages == 3
     assert p.laplacian_sign == "as_written"
-    assert p.dealias == "none"
     assert p.probes == (2.0, 6.0)
 
 
@@ -53,6 +51,14 @@ def test_probes_list_forms():
     assert parse_config_text("probes = 2").probes == (2.0,)
     assert parse_config_text("probes =").probes == ()
     assert parse_config_text("probes =   ").probes == ()
+
+
+def test_retired_dealias_key_is_an_unknown_key():
+    # the cube is always the padded one; a config that still sets dealias fails loudly
+    with pytest.raises(ConfigParseError) as err:
+        parse_config_text("dealias = pad2x")
+    assert err.value.key == "dealias"
+    assert err.value.line == 1
 
 
 def test_unknown_key_reports_line():
@@ -106,6 +112,15 @@ def test_validation_failure_names_the_field():
     assert any("dt" in viol for viol in err.value.violations)
 
 
+def test_domain_length_half_a_sine_period_off_is_invalid():
+    # L/8 = 1e13 + 0.5: the profile is not periodic, so the config fails before a run starts
+    with pytest.raises(InvalidParams) as err:
+        parse_config_text("domain_length = 80000000000004.0\nprobes =\n")
+    assert err.value.violations == [
+        "domain_length must be a multiple of 8 for the sine profile, got 80000000000004.0"
+    ]
+
+
 def test_validation_failure_collects_every_violation():
     with pytest.raises(InvalidParams) as err:
         parse_config_text("dt = -1\nbeta = 0\nirk_stages = 9\n")
@@ -145,7 +160,7 @@ def test_readme_config_table_gives_every_key_its_default():
     rows = readme_config_rows()
     keys = [key for key, _ in rows]
     assert sorted(keys) == sorted(f.name for f in dataclasses.fields(SimParams))
-    assert len(keys) == 15
+    assert len(keys) == 14
     for key, default in rows:
         parsed = parse_config_text(f"{key} = {default}")
         assert getattr(parsed, key) == getattr(SimParams(), key), key

@@ -155,7 +155,8 @@ def test_validate_params_defaults_clean():
         ("stage_tol", 0.0, "stage_tol"),
         ("stage_max_iter", 0, "stage_max_iter"),
         ("laplacian_sign", "upside_down", "laplacian_sign"),
-        ("dealias", "pad3x", "dealias"),
+        # L/8 = 1e13 + 0.5 is within relative 1e-12 of an integer, but half a sine period off
+        ("domain_length", 80000000000004.0, "domain_length must be a multiple of 8"),
         ("probes", (2.51,), "probe"),
         ("probes", (-0.5,), "probe"),
         ("probes", (8.0,), "probe"),

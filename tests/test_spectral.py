@@ -1,4 +1,4 @@
-"""Half-spectrum transforms, spectral derivatives, and the dealiased cube."""
+"""Half-spectrum transforms, spectral derivatives, and the alias-free cube."""
 
 import ast
 import dataclasses
@@ -24,9 +24,9 @@ from kgbreather.dynamics import linear_symbol
 from kgbreather.spectral import cube_hat
 
 
-def cube(u, mode):
+def cube(u):
     """u^3 on the collocation grid through the stepper's coefficient-space cube."""
-    return dft_inverse(cube_hat(dft_forward(u), mode))
+    return dft_inverse(cube_hat(dft_forward(u)))
 
 
 def laplacian(u, grid):
@@ -139,9 +139,8 @@ def test_linear_symbol_is_mu_minus_sigma_alpha_k_squared():
 
 
 def test_cube_constant_both_modes():
-    for mode in ("none", "pad2x"):
-        out = cube(np.full(32, 2.0), mode)
-        assert np.max(np.abs(out - 8.0)) <= 1e-12
+    out = cube(np.full(32, 2.0))
+    assert np.max(np.abs(out - 8.0)) <= 1e-12
 
 
 def test_cube_sine_identity_exact():
@@ -151,7 +150,7 @@ def test_cube_sine_identity_exact():
         k = 2 * np.pi / 8.0
         u = np.sin(k * g.nodes)
         want = 0.75 * np.sin(k * g.nodes) - 0.25 * np.sin(3 * k * g.nodes)
-        out = cube(u, "pad2x")
+        out = cube(u)
         assert np.max(np.abs(out - want)) <= 1e-15
 
 
@@ -159,7 +158,7 @@ def test_cube_sine_identity_coefficientwise():
     # the exact half-spectrum of sin(2 pi x/8) on 32 nodes: c[1] = -0.5j
     c = np.zeros(17, dtype=complex)
     c[1] = -0.5j
-    c = cube_hat(c, "pad2x")
+    c = cube_hat(c)
     assert c.size == 17
     assert c[1] == pytest.approx(0.75 * (-0.5j), abs=1e-16)
     assert c[3] == pytest.approx(-0.25 * (-0.5j), abs=1e-16)
@@ -170,22 +169,22 @@ def test_cube_sine_identity_coefficientwise():
 
 def test_cube_modes_agree_for_narrow_band_inputs():
     # cubing triples the bandwidth, so inputs within n/6 stay alias-free and
-    # the padded and plain paths must coincide
+    # the padded cube and the pointwise (aliased) grid cube must coincide
     g = make_grid(96, 8.0)
     rng = np.random.default_rng(5)
     for _ in range(10):
         u = dft_inverse(random_band(rng, g, g.n // 6))
-        a = cube(u, "none")
-        b = cube(u, "pad2x")
+        a = u ** 3
+        b = cube(u)
         assert np.max(np.abs(a - b)) <= 1e-12 * max(1.0, np.max(np.abs(a)))
 
 
 def test_cube_modes_differ_at_highest_retained_mode():
     g = make_grid(16, 8.0)
     u = np.cos(g.wavenumbers[7] * g.nodes)  # highest non-Nyquist mode
-    a = cube(u, "none")
-    b = cube(u, "pad2x")
-    # aliased cos(3k) term folds back with mode none; pad2x removes it
+    a = u ** 3
+    b = cube(u)
+    # the aliased cos(3k) term folds back in the pointwise cube; padding removes it
     assert np.max(np.abs(a - b)) > 0.1
 
 
@@ -193,20 +192,17 @@ def test_cube_hermitian_output_round_trips():
     g = make_grid(64, 8.0)
     rng = np.random.default_rng(9)
     u = 0.05 * rng.standard_normal(g.n)
-    for mode in ("none", "pad2x"):
-        c = cube_hat(dft_forward(u), mode)
-        # a half-spectrum can only break the symmetry of a real field in the
-        # imaginary parts of its m = 0 and Nyquist coefficients
-        assert c.shape == (g.n // 2 + 1,)
-        assert c[0].imag == 0.0 and c[-1].imag == 0.0
-        out = dft_inverse(c)
-        assert out.shape == u.shape
-        assert np.all(np.isfinite(out))
-    assert np.max(np.abs(cube(u, "none") - u ** 3)) <= 1e-15
+    c = cube_hat(dft_forward(u))
+    # a half-spectrum can only break the symmetry of a real field in the
+    # imaginary parts of its m = 0 and Nyquist coefficients
+    assert c.shape == (g.n // 2 + 1,)
+    assert c[0].imag == 0.0 and c[-1].imag == 0.0
+    out = dft_inverse(c)
+    assert out.shape == u.shape
+    assert np.all(np.isfinite(out))
 
 
-@pytest.mark.parametrize("mode", ["none", "pad2x"])
-def test_stacked_half_spectra_act_row_by_row(mode):
+def test_stacked_half_spectra_act_row_by_row():
     # the stepper cubes and synthesizes its (s, N/2 + 1) stage block in one
     # call, and integrate takes every diagnostic of its (S, N) snapshots in one
     p = SimParams()
@@ -215,7 +211,7 @@ def test_stacked_half_spectra_act_row_by_row(mode):
     u = 0.05 * rng.standard_normal((3, g.n))
     v = 0.05 * rng.standard_normal((3, g.n))
     c = dft_forward(u)
-    cubes = cube_hat(c, mode)
+    cubes = cube_hat(c)
     samples = dft_inverse(c)
     du = first_derivative(u, g)
     e, mom = energy(u, v, p, g), momentum(u, v, p, g)
@@ -224,7 +220,7 @@ def test_stacked_half_spectra_act_row_by_row(mode):
     assert e.shape == mom.shape == (3,)
     for row in range(3):
         assert np.array_equal(c[row], dft_forward(u[row]))
-        assert np.array_equal(cubes[row], cube_hat(c[row], mode))
+        assert np.array_equal(cubes[row], cube_hat(c[row]))
         assert np.array_equal(samples[row], dft_inverse(c[row]))
         assert np.array_equal(du[row], first_derivative(u[row], g))
         assert e[row] == energy(u[row], v[row], p, g)
@@ -232,7 +228,7 @@ def test_stacked_half_spectra_act_row_by_row(mode):
 
 
 def test_dealiasing_premise_holds_over_the_default_run(default_run):
-    """pad2x cubes exactly only fields band-limited to |m| <= N/6 (_cube_hat_pad2x).
+    """cube_hat's 2x padding cubes exactly only fields band-limited to |m| <= N/6.
 
     The tail ratio of a snapshot is max |c_m| over m > N/6 divided by max |c|
     of its u. Over the default run it peaks at 3.79e-16, at t = 768. The
@@ -244,8 +240,8 @@ def test_dealiasing_premise_holds_over_the_default_run(default_run):
     assert np.max(c[:, tail].max(axis=1) / c.max(axis=1)) <= 1e-15
 
 
-def scaled_cube_hat_pad2x(c):
-    """_cube_hat_pad2x with the transforms' scalings as separate products."""
+def scaled_cube_hat(c):
+    """cube_hat with the transforms' scalings as separate products."""
     h = c.shape[-1] - 1
     m = 4 * h
     c = c.copy()
@@ -266,8 +262,7 @@ def test_norm_forward_equals_the_separate_scalings_at_powers_of_two(n):
     u = np.fft.irfft(c) * n
     assert np.array_equal(dft_forward(u), np.fft.rfft(u) / n)
     assert np.array_equal(dft_inverse(c), u)
-    assert np.array_equal(cube_hat(c, "pad2x"), scaled_cube_hat_pad2x(c))
-    assert np.array_equal(cube_hat(c, "none"), np.fft.rfft(u * u * u) / n)
+    assert np.array_equal(cube_hat(c), scaled_cube_hat(c))
 
 
 TRANSFORMS = {"fft", "ifft", "rfft", "irfft"}
