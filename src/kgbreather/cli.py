@@ -37,6 +37,7 @@ from .runio import (
     read_manifest,
     read_snapshots,
     read_tracers,
+    snapshot_index,
     verify_digests,
     write_diagnostics,
     write_manifest,
@@ -279,8 +280,9 @@ def cmd_plot(args):
     draw_phase = args.kind in ("phase", "both")
     names = [SNAPSHOTS_FILE, TRACERS_FILE] if draw_phase else [SNAPSHOTS_FILE]
     params = _read_verified_manifest(args.out, names)
-    nodes, states = read_snapshots(os.path.join(args.out, SNAPSHOTS_FILE))
-    times = states.t.tolist()
+    source = os.path.join(args.out, SNAPSHOTS_FILE)
+    index = snapshot_index(source)
+    times = index.t.tolist()
     sel = len(times) - 1
     if args.time is not None:
         matches = [k for k, t in enumerate(times) if abs(t - args.time) <= 1e-9]
@@ -288,7 +290,9 @@ def cmd_plot(args):
             have = ", ".join(fmt(t) for t in times[:8])
             raise MissingSnapshot(f"no snapshot at t={args.time}; run starts {have} ...")
         sel = matches[0]
-    state = FieldState(t=times[sel], u=states.u[sel], v=states.v[sel])
+    # the selected state and the one before it, which the waveform draws dotted
+    nodes, states = read_snapshots(source, max(sel - 1, 0), sel + 1, index)
+    state = FieldState(t=times[sel], u=states.u[-1], v=states.v[-1])
     written = []
     if args.kind in ("waveform", "both"):
         wave = waveform_svg(
@@ -296,7 +300,7 @@ def cmd_plot(args):
             params.domain_length,
             state.u,
             state.t,
-            u_prev=states.u[sel - 1] if sel > 0 else None,
+            u_prev=states.u[0] if sel > 0 else None,
             t_prev=times[sel - 1] if sel > 0 else None,
         )
         path = os.path.join(args.out, WAVEFORM_SVG)

@@ -5,13 +5,19 @@ reloads to the exact binary value. Every writer streams its text into a temp
 file, snapshots.csv one state at a time and the others in slices of one
 string, and publishes it with os.replace, so a crash never leaves a
 half-written file.
-Writers join cells with bare commas and never quote. One parser,
-numpy.loadtxt in _read_table, reads each CSV into one table and rejects a
-wrong header, a row with too few or too many cells, a blank line, a cell
-that is not a plain number (a quoted one included), and a file without a
-final newline, which was cut inside its last cell. A snapshot or a tracer track is a run of
-equal values in its key column (t or probe_x); snapshots travel as one
-stacked FieldState both ways.
+Writers join cells with bare commas and never quote. Every reader starts
+with one pass over the file's bytes, in 1 MiB blocks, that finds where each
+line starts. It rejects a wrong header, a blank line and a file without a
+final newline, which was cut inside its last cell. One parser,
+numpy.loadtxt, then reads a range of lines into one table, and rejects a
+row with too few or too many cells and a cell that is not a plain number (a
+quoted one included). A tracer track is a run of equal values in its
+probe_x column. snapshots.csv holds states of n rows each, one row per
+node, every row of a state at its t, and no state at the t of the one
+before it; snapshot_index finds n and each state's t from the byte pass and
+a parse of each state's first row, so read_snapshots can parse the rows of
+a range of states alone. Snapshots travel as one stacked FieldState both
+ways.
 """
 
 import hashlib
@@ -19,7 +25,7 @@ import io
 import json
 import os
 import tempfile
-import warnings
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,6 +38,8 @@ DIAGNOSTICS_FILE = "diagnostics.csv"
 TRACERS_FILE = "tracers.csv"
 MANIFEST_FILE = "manifest.json"
 SWEEP_FILE = "sweep.csv"
+
+SNAPSHOT_COLUMNS = ("t", "x", "u", "v")
 
 SWEEP_COLUMNS = ("A", "label", "m_left", "m_right", "rot_left", "rot_origin", "max_drift")
 
@@ -79,73 +87,90 @@ def _csv_text(header, rows):
     return buf.getvalue()
 
 
-def _line_count(fh):
-    """(lines from fh's position to its end, the last one counted even without a newline, and
-    whether it has one)."""
-    count = 0
-    last = "\n"
-    for block in iter(lambda: fh.read(1 << 16), ""):
-        count += block.count("\n")
-        last = block[-1]
-    return count + (last != "\n"), last == "\n"
+class _Body:
+    """The body of one CSV file, indexed by one pass over its bytes and parsed a range of lines at a time.
 
-
-def _bad_line_error(path, fh, width, parse, exc):
-    """InsufficientData naming the file line of the first body row that parse rejects.
-
-    numpy's own row numbers count neither from the header nor alike for
-    every fault, so the body is parsed again one line at a time.
+    The pass reads 1 MiB binary blocks and finds the newlines in each. It
+    checks the header and the structure that a read of part of the body
+    relies on: a final newline and no blank line. Body line k (0 is the line
+    after the header, file line k + 2) spans bytes starts[k] to starts[k + 1].
     """
-    fh.seek(0)
-    fh.readline()
-    for k, line in enumerate(fh, 2):
+
+    def __init__(self, path, header, dtype=np.float64):
+        self.path = path
+        self.width = len(header)
+        self.fields = dtype if np.dtype(dtype).names is not None else [(name, dtype) for name in header]
+        with open(path, "rb") as fh:
+            first = fh.readline()
+            if not first:
+                raise InsufficientData(f"{path} is empty")
+            names = first.decode("utf-8").rstrip("\n").split(",")
+            if names != list(header):
+                raise InsufficientData(f"{path} has header {names}, expected {list(header)}")
+            if not first.endswith(b"\n"):
+                raise InsufficientData(f"{path}, line 1: no final newline, cut inside its last cell")
+            ends, size = [np.array([len(first)])], len(first)
+            for block in iter(lambda: fh.read(1 << 20), b""):
+                ends.append(np.flatnonzero(np.frombuffer(block, np.uint8) == 10) + (size + 1))
+                size += len(block)
+        self.starts = np.concatenate(ends)
+        self.count = len(self.starts) - 1
+        if size > self.starts[-1]:
+            # a cut row that no longer parses is named for its fault, one that still parses for the cut
+            self.starts = np.append(self.starts, size)
+            self.rows(range(self.count, self.count + 1))
+            raise InsufficientData(f"{path}, line {self.count + 2}: no final newline, cut inside its last cell")
+        blank = np.flatnonzero(np.diff(self.starts) == 1)
+        if blank.size:  # np.loadtxt would skip it without a word
+            raise InsufficientData(f"{path}, line {blank[0] + 2}: blank line")
+
+    def _parse(self, lines, count):
+        return np.loadtxt(lines, self.fields, delimiter=",", comments=None, ndmin=1, max_rows=count)
+
+    def _text(self, lines):
+        """Each body line in the range lines as str, each read from its own offset."""
+        with open(self.path, "rb", buffering=0) as fh:
+            for k in lines:
+                fh.seek(self.starts[k])
+                yield fh.read(self.starts[k + 1] - self.starts[k]).decode("utf-8")
+
+    def rows(self, lines):
+        """The body lines in the range lines as (len(lines),) records, parsed by one numpy.loadtxt call.
+
+        Each line parses into one field per header name, so a row with too
+        few or too many cells fails. A failure names the file line of the
+        first line that does not parse, counting the header as line 1.
+        """
+        if not len(lines):
+            return np.empty(0, self.fields)
         try:
-            parse([line])
-        except ValueError as line_exc:
-            cells = line.rstrip("\n").count(",") + 1
-            if cells != width:
-                return InsufficientData(f"{path}, line {k}: {cells} cells, expected {width}")
-            return InsufficientData(f"{path}, line {k}: {str(line_exc).replace(' at row 0,', ' in')}")
-    return InsufficientData(f"{path}: {exc}")
+            if lines.step != 1:
+                return self._parse(self._text(lines), len(lines))
+            with open(self.path, "rb") as raw:  # one run streams from its first line on
+                raw.seek(self.starts[lines.start])
+                with io.TextIOWrapper(raw, encoding="utf-8") as fh:
+                    return self._parse(fh, len(lines))
+        except ValueError as exc:
+            # numpy's own row numbers count neither from the header nor alike
+            # for every fault, so the lines are parsed again one at a time
+            for k, line in zip(lines, self._text(lines)):
+                try:
+                    self._parse([line], 1)
+                except ValueError as line_exc:
+                    cells = line.rstrip("\n").count(",") + 1
+                    if cells != self.width:
+                        detail = f"{cells} cells, expected {self.width}"
+                    else:
+                        detail = str(line_exc).replace(" at row 0,", " in")
+                    raise InsufficientData(f"{self.path}, line {k + 2}: {detail}") from None
+            raise InsufficientData(f"{self.path}: {exc}") from None
 
 
 def _read_table(path, header, dtype=np.float64):
-    """Data rows as one (rows, columns) array of dtype, or as (rows,) records if dtype is structured.
-
-    The body parses into one field per header name, so a row with too few
-    or too many cells fails, and so does a blank line. A failure names the
-    file line of the first row that does not parse, counting the header as
-    line 1.
-    """
-    records = np.dtype(dtype).names is not None
-    fields = dtype if records else [(name, dtype) for name in header]
-
-    def parse(lines):
-        return np.loadtxt(lines, fields, delimiter=",", comments=None, ndmin=1)
-
-    with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline()
-        if not first:
-            raise InsufficientData(f"{path} is empty")
-        names = first.rstrip("\n").split(",")
-        if names != list(header):
-            raise InsufficientData(f"{path} has header {names}, expected {list(header)}")
-        with warnings.catch_warnings():
-            # a header-only file is an empty table, not a warning
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            try:
-                table = parse(fh)
-            except ValueError as exc:
-                raise _bad_line_error(path, fh, len(header), parse, exc) from None
-        fh.seek(0)
-        lines, newline_at_end = _line_count(fh)
-        if not newline_at_end:
-            raise InsufficientData(f"{path}, line {lines}: no final newline, cut inside its last cell")
-        if lines != 1 + len(table):  # np.loadtxt skips a blank line without a word
-            fh.seek(0)
-            k = next(k for k, line in enumerate(fh, 1) if line == "\n")
-            raise InsufficientData(f"{path}, line {k}: blank line")
-    return table if records else table.view(dtype).reshape(-1, len(header))
+    """Data rows as one (rows, columns) array of dtype, or as (rows,) records if dtype is structured."""
+    body = _Body(path, header, dtype)
+    table = body.rows(range(body.count))
+    return table if np.dtype(dtype).names is not None else table.view(dtype).reshape(-1, len(header))
 
 
 def _runs(key):
@@ -164,26 +189,79 @@ def write_snapshots(path, snapshots, grid):
     xs = [fmt(x) for x in grid.nodes.tolist()]
 
     def chunks():
-        yield "t,x,u,v\n"
+        yield ",".join(SNAPSHOT_COLUMNS) + "\n"
         for t, u, v in zip(map(fmt, snapshots.t.tolist()), snapshots.u, snapshots.v):
             yield "".join(f"{t},{x},{a!r},{b!r}\n" for x, a, b in zip(xs, u.tolist(), v.tolist()))
 
     _publish(path, chunks())
 
 
-def read_snapshots(path):
-    """Returns (node array, stacked FieldState), one state per run of equal t."""
-    t, x, u, v = _read_table(path, ("t", "x", "u", "v")).T
-    if not len(t):
+class SnapshotIndex(NamedTuple):
+    """Where the states of a snapshots.csv lie: n rows a state, state k from body line k * n on, at t[k]."""
+
+    body: _Body
+    n: int
+    t: np.ndarray
+
+
+def snapshot_index(path):
+    """SnapshotIndex of the snapshots.csv at path, parsing only the rows it needs.
+
+    A state is a run of n rows of equal t, n the length of the first run.
+    The body must be whole states, and no state may have the t of the one
+    before it. Each state's t is the t cell of its first row, parsed with
+    the same fields as every row.
+    """
+    body = _Body(path, SNAPSHOT_COLUMNS)
+    if not body.count:
         raise InsufficientData(f"{path} has no data rows")
-    runs = _runs(t)
-    nodes = x[slice(*runs[0])].copy()
-    for a, b in runs:
-        if not np.array_equal(x[a:b], nodes):
-            raise InsufficientData(f"{path}: snapshot at t={float(t[a])} has inconsistent nodes")
-    # every run holds the nodes, so the rows split into states of nodes.size
-    n = nodes.size
-    return nodes, FieldState(t=t[::n], u=u.reshape(-1, n), v=v.reshape(-1, n))
+    head = 0
+    while True:  # the first run of equal t, in parses of doubling length
+        head = min(2 * head or 256, body.count)
+        t = body.rows(range(head))["t"]
+        change = np.flatnonzero(t[1:] != t[0])
+        if change.size or head == body.count:
+            break
+    n = int(change[0]) + 1 if change.size else head
+    if body.count % n:
+        line = body.count - body.count % n + 2
+        raise InsufficientData(f"{path}, line {line}: a state of {body.count % n} rows, expected {n}")
+    t = body.rows(range(0, body.count, n))["t"]
+    again = np.flatnonzero(t[1:] == t[:-1])
+    if again.size:
+        k = int(again[0]) + 1
+        raise InsufficientData(f"{path}, line {k * n + 2}: the state at t={float(t[k])} repeats the t before it")
+    return SnapshotIndex(body, n, t)
+
+
+def read_snapshots(path, start=0, stop=None, index=None):
+    """Returns (node array, stacked FieldState) of states start to stop - 1, every state by default.
+
+    Their rows parse in one numpy.loadtxt call. Each state must keep one t
+    in every row and the nodes of the first state read. index is
+    snapshot_index(path), for a caller that holds it already.
+    """
+    if index is None:
+        index = snapshot_index(path)
+    n = index.n
+    a, b, _ = slice(start, stop).indices(len(index.t))
+    if a >= b:
+        raise InsufficientData(f"{path} has no state in {start}:{stop}")
+    table = index.body.rows(range(a * n, b * n))
+    t, x, u, v = (table[name].reshape(-1, n) for name in SNAPSHOT_COLUMNS)
+    off = np.flatnonzero(t != t[:, :1])
+    if off.size:
+        k = off[0]
+        raise InsufficientData(
+            f"{path}, line {a * n + k + 2}: t={float(t.flat[k])} inside the state at t={float(t[k // n, 0])}"
+        )
+    off = np.flatnonzero(x != x[0])
+    if off.size:
+        k = off[0]
+        raise InsufficientData(
+            f"{path}, line {a * n + k + 2}: snapshot at t={float(t[k // n, 0])} has inconsistent nodes"
+        )
+    return x[0].copy(), FieldState(t=t[:, 0], u=u, v=v)
 
 
 def write_diagnostics(path, rows):

@@ -6,15 +6,24 @@ import importlib.util
 import json
 import os
 import pathlib
+import shutil
 import subprocess
 import sys
 
 import pytest
 
 import kgbreather
-from kgbreather import InvalidParams, SimParams
-from kgbreather.cli import run_members
-from kgbreather.runio import params_digest, read_diagnostics, read_sweep
+from kgbreather import FieldState, InvalidParams, SimParams, fixed_points, params_from_dict
+from kgbreather.cli import main, run_members
+from kgbreather.runio import (
+    file_digest,
+    params_digest,
+    read_diagnostics,
+    read_snapshots,
+    read_sweep,
+    read_tracers,
+)
+from kgbreather.svgplot import phase_svg, waveform_svg
 
 # the child process imports the same package source as this test process
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(kgbreather.__file__)))
@@ -332,6 +341,82 @@ def test_plot_is_byte_deterministic(finished_run):
     run_cli("plot", "--out", finished_run)
     second = pathlib.Path(finished_run, "phase.svg").read_bytes()
     assert first == second
+
+
+@pytest.fixture(scope="module")
+def record_run(tmp_path_factory):
+    """A short run with a snapshot at each of its 32 steps: 33 states of 32 rows."""
+    base = tmp_path_factory.mktemp("record")
+    cfg = base / "run.cfg"
+    cfg.write_text("grid_points = 32\nt_end = 4\nsnapshot_every = 0.125\namplitude = 0.1195\n", encoding="utf-8")
+    assert main(["simulate", "--config", str(cfg), "--out", str(base / "run")]) == 0
+    return base / "run"
+
+
+def svgs_of_the_full_read(run, sel):
+    """The waveform and phase SVG bytes of state sel, drawn from the full read_snapshots stack."""
+    params = params_from_dict(json.loads((run / "manifest.json").read_text())["params"])
+    nodes, states = read_snapshots(run / "snapshots.csv")
+    state = FieldState(t=states.t[sel], u=states.u[sel], v=states.v[sel])
+    prev = dict(u_prev=states.u[sel - 1], t_prev=float(states.t[sel - 1])) if sel else {}
+    wave = waveform_svg(nodes, params.domain_length, state.u, state.t, **prev)
+    track = read_tracers(run / "tracers.csv")[0]
+    keep = track.t <= state.t + 1e-9
+    phase = phase_svg(state, fixed_points(params).as_list(), trail_u=track.u[keep], trail_v=track.v[keep])
+    return wave.encode(), phase.encode()
+
+
+@pytest.mark.parametrize("time, sel", [(None, 32), ("0", 0), ("2", 16), ("4", 32)])
+def test_plot_draws_what_the_full_read_draws(record_run, time, sel):
+    # plot parses only the selected state and the one before it
+    assert main(["plot", "--out", str(record_run), *(["--time", time] if time else [])]) == 0
+    wave, phase = svgs_of_the_full_read(record_run, sel)
+    assert (record_run / "waveform.svg").read_bytes() == wave
+    assert (record_run / "phase.svg").read_bytes() == phase
+
+
+def test_plot_at_a_missing_time_names_the_first_eight(record_run, capsys):
+    assert main(["plot", "--out", str(record_run), "--time", "0.3"]) == 2
+    have = "0.0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875"
+    assert capsys.readouterr().err == f"error: no snapshot at t=0.3; run starts {have} ...\n"
+
+
+def drop_last_row(text):
+    return text[: text.rstrip("\n").rfind("\n") + 1]
+
+
+def blank_line_after_line_100(text):
+    lines = text.splitlines(keepends=True)
+    return "".join(lines[:100] + ["\n"] + lines[100:])
+
+
+def other_t_on_line_1030(text):
+    # the last state, at t = 4, takes lines 1026 to 1057
+    lines = text.splitlines(keepends=True)
+    assert lines[1029].startswith("4.0,")
+    lines[1029] = "4.5" + lines[1029][len("4.0") :]
+    return "".join(lines)
+
+
+@pytest.mark.parametrize(
+    "edit, fault",
+    [
+        (drop_last_row, "line 1026: a state of 31 rows, expected 32"),
+        (blank_line_after_line_100, "line 101: blank line"),
+        (lambda text: text[:-1], "line 1057: no final newline, cut inside its last cell"),
+        (other_t_on_line_1030, "line 1030: t=4.5 inside the state at t=4.0"),
+    ],
+    ids=["not_whole_states", "blank_line", "cut_final_newline", "other_t_in_the_drawn_state"],
+)
+def test_plot_rejects_a_broken_snapshots_file_whose_digest_matches(record_run, tmp_path, capsys, edit, fault):
+    run = tmp_path / "run"
+    shutil.copytree(record_run, run, ignore=shutil.ignore_patterns("*.svg"))
+    path = run / "snapshots.csv"
+    path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8")
+    edit_manifest(run, lambda m: m["files"].update({"snapshots.csv": file_digest(path)}))
+    assert main(["plot", "--out", str(run)]) == 2
+    assert capsys.readouterr().err == f"error: {path}, {fault}\n"
+    assert not (run / "waveform.svg").exists()
 
 
 def test_sweep_runs_each_amplitude(tmp_path, cfg64):

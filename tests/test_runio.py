@@ -29,6 +29,7 @@ from kgbreather.runio import (
     read_snapshots,
     read_sweep,
     read_tracers,
+    snapshot_index,
     verify_digests,
     write_diagnostics,
     write_manifest,
@@ -163,6 +164,71 @@ def test_snapshots_reject_inconsistent_nodes(tmp_path):
     path.write_text("".join(lines), encoding="utf-8")
     with pytest.raises(InsufficientData, match="t=16.0 has inconsistent nodes"):
         read_snapshots(path)
+
+
+def test_a_range_of_states_reads_the_rows_of_the_full_read(tmp_path):
+    grid = make_grid(16, 8.0)
+    states = sample_states(grid)
+    path = tmp_path / "snapshots.csv"
+    write_snapshots(path, states, grid)
+    index = snapshot_index(path)
+    assert index.n == 16
+    assert index.t.tolist() == [0.0, 16.0, 32.0]
+    _, full = read_snapshots(path)
+    for start, stop in [(0, 1), (1, 3), (2, None), (-2, -1)]:
+        nodes, part = read_snapshots(path, start, stop, index)
+        assert bits(nodes) == bits(grid.nodes)
+        assert bits(part.t) == bits(full.t[start:stop])
+        assert bits(part.u) == bits(full.u[start:stop])
+        assert bits(part.v) == bits(full.v[start:stop])
+    with pytest.raises(InsufficientData, match="has no state in 3:None"):
+        read_snapshots(path, 3)
+
+
+def test_states_longer_than_the_first_parse_are_found(tmp_path):
+    # the first run of equal t is sought in parses of 256, 512, ... rows
+    grid = make_grid(384, 8.0)
+    path = tmp_path / "snapshots.csv"
+    write_snapshots(path, random_states(np.random.default_rng(7), 2, grid, 0.5), grid)
+    assert snapshot_index(path).n == 384
+    write_snapshots(path, random_states(np.random.default_rng(7), 1, grid, 0.5), grid)
+    assert snapshot_index(path).n == 384
+
+
+def test_snapshots_that_are_not_whole_states_are_rejected(tmp_path):
+    grid = make_grid(16, 8.0)
+    path = tmp_path / "snapshots.csv"
+    write_snapshots(path, sample_states(grid), grid)
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text[: text.rstrip("\n").rfind("\n") + 1], encoding="utf-8")  # drop the last row
+    with pytest.raises(InsufficientData, match="snapshots.csv, line 34: a state of 15 rows, expected 16$"):
+        snapshot_index(path)
+
+
+def test_a_state_with_a_row_of_another_t_is_rejected_where_it_is_read(tmp_path):
+    grid = make_grid(16, 8.0)
+    path = tmp_path / "snapshots.csv"
+    write_snapshots(path, sample_states(grid), grid)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    # line 0 is the header; the snapshot at t = 16 takes lines 17 to 32
+    lines[20] = "16.5" + lines[20][len("16.0") :]
+    path.write_text("".join(lines), encoding="utf-8")
+    index = snapshot_index(path)  # the first row of each state holds its t
+    assert index.t.tolist() == [0.0, 16.0, 32.0]
+    for start, stop in [(0, None), (1, 2)]:
+        with pytest.raises(InsufficientData, match="snapshots.csv, line 21: t=16.5 inside the state at t=16.0$"):
+            read_snapshots(path, start, stop, index)
+    _, part = read_snapshots(path, 2, 3, index)
+    assert part.t.tolist() == [32.0]
+
+
+def test_a_state_that_repeats_the_t_before_it_is_rejected(tmp_path):
+    grid = make_grid(16, 8.0)
+    states = sample_states(grid)
+    path = tmp_path / "snapshots.csv"
+    write_snapshots(path, FieldState(t=[0.0, 16.0, 16.0], u=states.u, v=states.v), grid)
+    with pytest.raises(InsufficientData, match="snapshots.csv, line 34: the state at t=16.0 repeats the t before it$"):
+        snapshot_index(path)
 
 
 def test_snapshots_read_peaks_below_three_tables(tmp_path):
