@@ -17,7 +17,11 @@ node, every row of a state at its t, and no state at the t of the one
 before it; snapshot_index finds n and each state's t from the byte pass and
 a parse of each state's first row, so read_snapshots can parse the rows of
 a range of states alone. Snapshots travel as one stacked FieldState both
-ways.
+ways; one state is written as a stack of one, and a state with another node
+count than the grid is rejected. Of a state's u or v whose right half is its
+left half negated bit for bit, as in every state of an exactly odd run, only
+nodes 0..N/2 are formatted and node N - j takes the text of node j with its
+sign flipped: the bytes are those of formatting every value.
 """
 
 import hashlib
@@ -30,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import DIAGNOSTICS_COLUMNS, DiagnosticsRow, FieldState
-from .errors import InsufficientData
+from .errors import InsufficientData, LengthMismatch
 from .geometry import TracerTrack
 
 SNAPSHOTS_FILE = "snapshots.csv"
@@ -181,17 +185,66 @@ def _runs(key):
     return list(zip([0, *cuts], [*cuts, len(key)]))
 
 
-def write_snapshots(path, snapshots, grid):
-    """Write a stacked FieldState as t,x,u,v rows, one run of grid.n rows per state.
+# the sign bit of a float64 as int64: x ^ _SIGN is -x bit for bit
+_SIGN = np.int64(-(1 << 63))
+# states whose oddness is decided by one set of array operations, so no
+# temporary grows with the run
+_ODD_BLOCK = 256
 
-    One chunk per state streams into the file, so no more than one state's text is held at once.
+
+def _mirrored(block):
+    """For each row of a (states, N) block: True if node N - j holds -(node j) bit for bit, 0 < j < N/2."""
+    bits = block.view(np.int64)
+    h = bits.shape[-1] // 2
+    return (bits[:, h + 1 :] == bits[:, h - 1 : 0 : -1] ^ _SIGN).all(axis=-1)
+
+
+def _texts(row, odd):
+    """fmt of each value of row. Of a mirrored row, only nodes 0..N/2 are formatted.
+
+    Node N - j then takes the text of node j with its sign flipped, which is
+    fmt(-x) for every finite x, -0.0 and exponent forms included; FieldState
+    holds no other.
     """
-    xs = [fmt(x) for x in grid.nodes.tolist()]
+    if not odd:
+        return list(map(repr, row.tolist()))
+    h = len(row) // 2
+    left = list(map(repr, row[: h + 1].tolist()))
+    return left + [s[1:] if s[0] == "-" else "-" + s for s in left[h - 1 : 0 : -1]]
+
+
+def write_snapshots(path, snapshots, grid):
+    """Write a FieldState, one state or a stack, as t,x,u,v rows, one run of grid.n rows per state.
+
+    One chunk per state streams into the file, so no more than one state's
+    text is held at once. Of a u or v whose right half is its left half negated
+    bit for bit, as in every state of an odd run, only the left half is
+    formatted; the bytes are those of formatting every value.
+    """
+    n = snapshots.u.shape[-1]
+    if n != grid.n:
+        raise LengthMismatch(f"states of {n} nodes for a grid of {grid.n}")
+    t, u, v = np.reshape(snapshots.t, -1), snapshots.u.reshape(-1, n), snapshots.v.reshape(-1, n)
+    # row k of a state is slots 6k..6k+5: t, ",x,", u, ",", v, "\n"
+    slots = [None] * (6 * n)
+    slots[1::6] = [f",{fmt(x)}," for x in grid.nodes.tolist()]
+    slots[3::6] = [","] * n
+    slots[5::6] = ["\n"] * n
 
     def chunks():
         yield ",".join(SNAPSHOT_COLUMNS) + "\n"
-        for t, u, v in zip(map(fmt, snapshots.t.tolist()), snapshots.u, snapshots.v):
-            yield "".join(f"{t},{x},{a!r},{b!r}\n" for x, a, b in zip(xs, u.tolist(), v.tolist()))
+        for a in range(0, len(t), _ODD_BLOCK):
+            block = slice(a, a + _ODD_BLOCK)
+            rows = zip(
+                map(fmt, t[block].tolist()),
+                u[block], _mirrored(u[block]).tolist(),
+                v[block], _mirrored(v[block]).tolist(),
+            )
+            for tk, uk, u_odd, vk, v_odd in rows:
+                slots[0::6] = [tk] * n
+                slots[2::6] = _texts(uk, u_odd)
+                slots[4::6] = _texts(vk, v_odd)
+                yield "".join(slots)
 
     _publish(path, chunks())
 

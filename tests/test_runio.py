@@ -14,10 +14,13 @@ from kgbreather import (
     DiagnosticsRow,
     FieldState,
     InsufficientData,
+    LengthMismatch,
     SimParams,
     TracerTrack,
     make_grid,
 )
+from kgbreather import runio
+from kgbreather.cli import main
 from kgbreather.runio import (
     SWEEP_COLUMNS,
     atomic_write_text,
@@ -84,6 +87,103 @@ def test_snapshots_round_trip_exactly(tmp_path):
     assert back.t.tolist() == states.t.tolist() == [0.0, 16.0, 32.0]
     assert bits(back.u) == bits(states.u)
     assert bits(back.v) == bits(states.v)
+
+
+def reference_snapshots_text(states, grid):
+    """snapshots.csv as formatting every value of every row gives it."""
+    n = grid.n
+    lines = ["t,x,u,v\n"]
+    t, u, v = np.reshape(states.t, -1), states.u.reshape(-1, n), states.v.reshape(-1, n)
+    for t, u, v in zip(t.tolist(), u.tolist(), v.tolist()):
+        lines += [f"{t!r},{x!r},{a!r},{b!r}\n" for x, a, b in zip(grid.nodes.tolist(), u, v)]
+    return "".join(lines)
+
+
+def mirror(left):
+    """Rows whose nodes N/2+1..N-1 are the bitwise negations of nodes N/2-1..1; left holds nodes 0..N/2."""
+    left = np.atleast_2d(left)
+    return np.concatenate([left, -left[:, -2:0:-1]], axis=-1)
+
+
+def odd_cases():
+    """Writer byte-test params: states, grid, and whether each state's u and each state's v is mirrored."""
+    grid = make_grid(8, 8.0)
+    rng = np.random.default_rng(3)
+    odd = mirror(rng.standard_normal((2, 5)))
+    pos_zero = odd.copy()
+    pos_zero[:, [1, 7]] = 0.0  # equal in value to their negations, not bit for bit
+    signed = mirror([[0.5, 0.0, -0.0, 1.0, -2.0], [-0.0, -0.0, 0.0, 0.0, 0.0]])
+    awkward = mirror([[5e-324, 1e-05, 1.5e16, -2.5e-300, 3.0], [-5e-324, -1e-05, -1.5e16, 2.5e-300, 0.0]])
+    plain = rng.standard_normal((2, 8))
+    # 300 states, so the stack spans more than one block of the writer's oddness check
+    mixed_u = mirror(rng.standard_normal((300, 5)))
+    mixed_u[::3] = rng.standard_normal((100, 8))
+    mixed_v = mirror(rng.standard_normal((300, 5)))
+    mixed_v[1::3] = rng.standard_normal((100, 8))
+    two, none = [True, True], [False, False]
+    return [
+        pytest.param(FieldState(t=[0.0, 0.125], u=odd, v=-odd), grid, two, two, id="odd"),
+        pytest.param(FieldState(t=[0.0, 0.125], u=pos_zero, v=odd), grid, none, two, id="positive zeros"),
+        pytest.param(FieldState(t=[0.0, 1e-05], u=signed, v=signed[::-1]), grid, two, two, id="signed zeros"),
+        pytest.param(FieldState(t=[1.5e16, 2.5e-300], u=awkward, v=awkward[::-1]), grid, two, two, id="exponents"),
+        pytest.param(FieldState(t=[0.0, 1.0], u=plain, v=plain[::-1]), grid, none, none, id="not odd"),
+        pytest.param(
+            FieldState(t=0.125 * np.arange(300), u=mixed_u, v=mixed_v),
+            grid,
+            (np.arange(300) % 3 != 0).tolist(),
+            (np.arange(300) % 3 != 1).tolist(),
+            id="mixed stack",
+        ),
+        pytest.param(FieldState(t=2.0, u=odd[0], v=plain[0]), grid, [True], [False], id="one state"),
+    ]
+
+
+@pytest.mark.parametrize("states, grid, u_odd, v_odd", odd_cases())
+def test_snapshots_write_the_bytes_of_formatting_every_value(tmp_path, states, grid, u_odd, v_odd):
+    # a mirrored u or v has only its left half formatted, and must still write these bytes
+    n = grid.n
+    assert runio._mirrored(states.u.reshape(-1, n)).tolist() == u_odd
+    assert runio._mirrored(states.v.reshape(-1, n)).tolist() == v_odd
+    path = tmp_path / "snapshots.csv"
+    write_snapshots(path, states, grid)
+    assert path.read_text(encoding="utf-8") == reference_snapshots_text(states, grid)
+
+
+def test_simulate_writes_the_bytes_of_formatting_every_value(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("t_end = 4\nsnapshot_every = 0.125\n", encoding="utf-8")
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    path = out / "snapshots.csv"
+    p = SimParams()
+    grid = make_grid(p.grid_points, p.domain_length)
+    nodes, states = read_snapshots(path)
+    assert bits(nodes) == bits(grid.nodes)
+    # every state after the first, whose v is all +0.0, is written from its left halves
+    assert runio._mirrored(states.u).all() and runio._mirrored(states.v)[1:].all()
+    assert path.read_text(encoding="utf-8") == reference_snapshots_text(states, grid)
+
+
+def test_one_state_reads_back_as_a_stack_of_one(tmp_path):
+    grid = make_grid(16, 8.0)
+    state = FieldState(t=3.0, u=np.sin(grid.nodes), v=np.cos(grid.nodes))
+    path = tmp_path / "snapshots.csv"
+    write_snapshots(path, state, grid)
+    nodes, back = read_snapshots(path)
+    assert bits(nodes) == bits(grid.nodes)
+    assert back.t.tolist() == [3.0]
+    assert back.u.shape == back.v.shape == (1, grid.n)
+    assert bits(back.u) == bits(state.u)
+    assert bits(back.v) == bits(state.v)
+
+
+def test_snapshots_on_another_grid_are_rejected(tmp_path):
+    # they would be cut to the grid's rows, or leave rows without a node
+    states = random_states(np.random.default_rng(2), 2, make_grid(128, 8.0), 1.0)
+    path = tmp_path / "snapshots.csv"
+    with pytest.raises(LengthMismatch, match="states of 128 nodes for a grid of 64$"):
+        write_snapshots(path, states, make_grid(64, 8.0))
+    assert not path.exists()
 
 
 def test_snapshots_reject_wrong_header(tmp_path):
