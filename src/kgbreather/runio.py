@@ -2,9 +2,9 @@
 
 Floats are written as their shortest round-tripping decimal so every file
 reloads to the exact binary value. Every writer streams its text into a temp
-file, snapshots.csv one state at a time and the others in slices of one
-string, and publishes it with os.replace, so a crash never leaves a
-half-written file.
+file and publishes it with os.replace, so a crash never leaves a
+half-written file: snapshots.csv one state at a time, the other CSVs
+_ROWS rows at a time, and the manifest and SVGs in slices of one string.
 Writers join cells with bare commas and never quote. Every reader starts
 with one pass over the file's bytes, in 1 MiB blocks, that finds where each
 line starts. It rejects a wrong header, a blank line and a file without a
@@ -26,6 +26,7 @@ sign flipped: the bytes are those of formatting every value.
 
 import hashlib
 import io
+import itertools
 import json
 import os
 import tempfile
@@ -83,12 +84,20 @@ def atomic_write_text(path, text):
     _publish(path, (text[i : i + (1 << 16)] for i in range(0, len(text), 1 << 16)))
 
 
-def _csv_text(header, rows):
-    """Comma-joined lines; no cell a writer emits holds a comma, quote or newline."""
-    buf = io.StringIO()
-    buf.write(",".join(header) + "\n")
-    buf.writelines(",".join(row) + "\n" for row in rows)
-    return buf.getvalue()
+# rows of tracers.csv, diagnostics.csv and sweep.csv formatted into one chunk,
+# so a writer holds that many rows' text at a time, not the file's
+_ROWS = 512
+
+
+def _csv_chunks(header, rows):
+    """The header line, then the rows (tuples of cell texts) as comma-joined lines, _ROWS lines a chunk.
+
+    No cell a writer emits holds a comma, quote or newline.
+    """
+    yield ",".join(header) + "\n"
+    rows = iter(rows)
+    while chunk := list(itertools.islice(rows, _ROWS)):
+        yield "".join(",".join(row) + "\n" for row in chunk)
 
 
 class _Body:
@@ -321,7 +330,7 @@ def write_diagnostics(path, rows):
     payload = (
         tuple(fmt(getattr(r, name)) for name in DIAGNOSTICS_COLUMNS) for r in rows
     )
-    atomic_write_text(path, _csv_text(DIAGNOSTICS_COLUMNS, payload))
+    _publish(path, _csv_chunks(DIAGNOSTICS_COLUMNS, payload))
 
 
 def read_diagnostics(path):
@@ -329,15 +338,16 @@ def read_diagnostics(path):
 
 
 def write_tracers(path, tracks):
-    buf = io.StringIO()
-    buf.write("probe_x,t,u,v\n")
-    for trk in tracks:
-        # a track's probe cell is one string, and {!r} of a float is fmt's text; the
-        # columns become Python floats 512 rows at a time, which bounds the memory
-        row = fmt(trk.probe_x) + ",{!r},{!r},{!r}\n"
-        for i in range(0, len(trk), 512):
-            buf.writelines(map(row.format, *(x[i : i + 512].tolist() for x in (trk.t, trk.u, trk.v))))
-    atomic_write_text(path, buf.getvalue())
+    def chunks():
+        yield "probe_x,t,u,v\n"
+        for trk in tracks:
+            # a track's probe cell is one string, and {!r} of a float is fmt's text; the
+            # columns become Python floats _ROWS rows at a time, which bounds the memory
+            row = fmt(trk.probe_x) + ",{!r},{!r},{!r}\n"
+            for i in range(0, len(trk), _ROWS):
+                yield "".join(map(row.format, *(x[i : i + _ROWS].tolist() for x in (trk.t, trk.u, trk.v))))
+
+    _publish(path, chunks())
 
 
 def read_tracers(path):
@@ -354,7 +364,7 @@ def write_sweep(path, entries):
         tuple(e["label"] if c == "label" else fmt(e[c]) for c in SWEEP_COLUMNS)
         for e in entries
     )
-    atomic_write_text(path, _csv_text(SWEEP_COLUMNS, rows))
+    _publish(path, _csv_chunks(SWEEP_COLUMNS, rows))
 
 
 def read_sweep(path):

@@ -56,8 +56,10 @@ the block's tracer columns and snapshot rows into preallocated
 block as the zero state, which converges in one sweep, so the member axis
 is the same from the first step to the last. Its outcome is its first
 failure: its solve's, or a non-finite sample's at an earlier step, with that
-step's t. Each member's snapshot rows become one stacked FieldState, so
-each diagnostics column is one call.
+step's t. Each member's snapshot rows become one stacked FieldState before
+the diagnostics pass, which frees the (M, 2, S, N) block, and the pass takes
+energy, momentum and the margins of _BLOCK snapshots per call: every one acts
+row by row, so the rows are those of one call over the whole stack.
 """
 
 import math
@@ -84,7 +86,8 @@ from .spectral import dft_forward, dft_inverse
 
 # Consecutive non-decreasing sweep residuals before declaring divergence.
 _STALL_LIMIT = 5
-# Member-steps of samples that integrate synthesizes in one call.
+# Member-steps of samples that integrate synthesizes in one call, and
+# snapshots that it takes the diagnostics of in one call.
 _BLOCK = 64
 
 
@@ -382,10 +385,17 @@ def integrate(params, grid=None, state=None):
         if len(errors) == m:
             break
 
+    # each member's snapshot rows become one stacked FieldState, a copy, so the
+    # (M, 2, S, N) block is released before the diagnostics pass
+    stacks = [
+        None if k in errors else FieldState(t=t_axis[k, ::sps], u=snap[k, 0], v=snap[k, 1]) for k in range(m)
+    ]
+    del snap
+
     def outcome(k):
         if k in errors:
             return errors[k][1]
-        snapshots = FieldState(t=t_axis[k, ::sps], u=snap[k, 0], v=snap[k, 1])
+        snapshots = stacks[k]
         # turns of the first probe about the origin and of each of the first two
         # probes about the vacuum on its starting side, at every snapshot
         tu, tv = trk[k]
@@ -395,14 +405,21 @@ def integrate(params, grid=None, state=None):
             rot_left = _turns(tu[0], tv[0], vacuum_on_side(params, tu[0, 0]))[::sps]
         if len(idx) > 1:
             rot_right = _turns(tu[1], tv[1], vacuum_on_side(params, tu[1, 0]))[::sps]
-        u, v = snapshots.u, snapshots.v
-        e = energy(u, v, params, grid)
+        # energy, momentum and the margins of _BLOCK snapshots at a time, so no
+        # temporary grows with the run; each acts row by row, so the rows are
+        # those of one call over the stack
+        cols = np.empty((snapshots.t.size, 6))
+        for a in range(0, len(cols), _BLOCK):
+            u, v = snapshots.u[a : a + _BLOCK], snapshots.v[a : a + _BLOCK]
+            cols[a : a + _BLOCK] = np.column_stack(
+                [energy(u, v, params, grid), momentum(u, v, params, grid)]
+                + [u[:, mask_left].min(axis=1), u[:, mask_left].max(axis=1)]
+                + [u[:, mask_right].min(axis=1), u[:, mask_right].max(axis=1)]
+            )
+        e = cols[:, 0]
         drift = energy_drift(e, e[0])
         table = np.column_stack(
-            [snapshots.t, e, momentum(u, v, params, grid), drift]
-            + [u[:, mask_left].min(axis=1), u[:, mask_left].max(axis=1)]
-            + [u[:, mask_right].min(axis=1), u[:, mask_right].max(axis=1)]
-            + [rot_origin, rot_left, rot_right]
+            [snapshots.t, e, cols[:, 1], drift, cols[:, 2:], rot_origin, rot_left, rot_right]
         )
         diagnostics = [DiagnosticsRow(*row) for row in table.tolist()]
         tracks = [

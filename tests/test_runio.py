@@ -348,9 +348,9 @@ def test_snapshots_read_peaks_below_three_tables(tmp_path):
     assert peak < 3 * table_bytes, f"peak {peak / table_bytes:.2f} tables"
 
 
-def test_snapshots_write_peaks_below_two_and_a_half_files(tmp_path):
-    # one state's rows at a time are formatted into one buffer, so the peak
-    # stays near twice the file's size (2.02 times, measured)
+def test_snapshots_write_peaks_below_half_a_file(tmp_path):
+    # one state's text at a time streams into the file, so the peak is a
+    # small share of the file's size (0.145 times, measured)
     grid = make_grid(128, 8.0)
     states = random_states(np.random.default_rng(5), 256, grid, 0.125)
     path = tmp_path / "snapshots.csv"
@@ -361,7 +361,27 @@ def test_snapshots_write_peaks_below_two_and_a_half_files(tmp_path):
     finally:
         tracemalloc.stop()
     size = path.stat().st_size
-    assert peak < 2.5 * size, f"peak {peak / size:.2f} times the file's size"
+    assert peak < 0.5 * size, f"peak {peak / size:.2f} times the file's size"
+
+
+def test_tracers_write_peaks_below_half_a_file(tmp_path):
+    # rows stream into the file runio._ROWS at a time, so the peak is a small
+    # share of the file's size (0.09 times, measured), not a copy of its text
+    rng = np.random.default_rng(3)
+    t = 0.125 * np.arange(16385)
+    tracks = [
+        TracerTrack(probe_x=px, t=t, u=rng.standard_normal(t.size), v=rng.standard_normal(t.size))
+        for px in (2.0, 6.0)
+    ]
+    path = tmp_path / "tracers.csv"
+    tracemalloc.start()
+    try:
+        write_tracers(path, tracks)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert peak < 0.5 * size, f"peak {peak / size:.2f} times the file's size"
 
 
 def cut_inside_last_row(path):
@@ -536,6 +556,97 @@ def test_sweep_row_short_of_cells_is_rejected(tmp_path):
     path.write_text(text[: text.rindex(",")] + "\n", encoding="utf-8")
     with pytest.raises(InsufficientData, match="sweep.csv, line 3: 6 cells, expected 7$"):
         read_sweep(path)
+
+
+def reference_csv_text(header, rows):
+    """A CSV as formatting each value on its own gives it: repr of each float cell, a str cell as it is."""
+    return "".join(
+        ",".join(c if isinstance(c, str) else repr(float(c)) for c in row) + "\n" for row in [header, *rows]
+    )
+
+
+# values whose text is easy to get wrong: signed zeros, the smallest
+# subnormal and exponent forms of both signs
+EDGE_VALUES = (0.0, -0.0, 5e-324, -5e-324, 1e-05, -2.5e-300, 1.5e16, 1.7976931348623157e308)
+
+
+def edge_column(rng, count):
+    """count values: EDGE_VALUES first, then random normals."""
+    return np.r_[EDGE_VALUES, rng.standard_normal(count)][:count]
+
+
+def tracer_cases():
+    rng = np.random.default_rng(23)
+    long = 2 * runio._ROWS + 3  # spans three chunks, the last one short
+    t = 0.125 * np.arange(long)
+    return [
+        pytest.param([], id="no probes"),
+        pytest.param(
+            [TracerTrack(probe_x=2.0, t=t[:9], u=edge_column(rng, 9), v=-edge_column(rng, 9)[::-1])],
+            id="edge values",
+        ),
+        pytest.param(
+            [
+                TracerTrack(probe_x=px, t=t, u=edge_column(rng, long), v=rng.standard_normal(long))
+                for px in (2.0, 6.0)
+            ],
+            id="longer than a chunk",
+        ),
+        pytest.param(
+            [TracerTrack(probe_x=0.0, t=t[: runio._ROWS], u=np.zeros(runio._ROWS), v=np.ones(runio._ROWS))],
+            id="one full chunk",
+        ),
+    ]
+
+
+@pytest.mark.parametrize("tracks", tracer_cases())
+def test_tracers_write_the_bytes_of_formatting_every_value(tmp_path, tracks):
+    path = tmp_path / "tracers.csv"
+    write_tracers(path, tracks)
+    rows = [
+        (trk.probe_x, t, u, v) for trk in tracks for t, u, v in zip(trk.t.tolist(), trk.u.tolist(), trk.v.tolist())
+    ]
+    assert path.read_text(encoding="utf-8") == reference_csv_text(("probe_x", "t", "u", "v"), rows)
+
+
+def test_a_run_without_probes_writes_a_header_only_tracers_file(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("t_end = 1\nprobes = \n", encoding="utf-8")
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    assert (out / "tracers.csv").read_text(encoding="utf-8") == "probe_x,t,u,v\n"
+
+
+@pytest.mark.parametrize("count", [0, 5, 2 * runio._ROWS + 3], ids=["header only", "short", "longer than a chunk"])
+def test_diagnostics_write_the_bytes_of_formatting_every_value(tmp_path, count):
+    rng = np.random.default_rng(29)
+    columns = [edge_column(rng, count) for _ in DIAGNOSTICS_COLUMNS]
+    rows = [DiagnosticsRow(*row) for row in zip(*(c.tolist() for c in columns))]
+    path = tmp_path / "diagnostics.csv"
+    write_diagnostics(path, rows)
+    expected = reference_csv_text(DIAGNOSTICS_COLUMNS, [dataclasses.astuple(r) for r in rows])
+    assert path.read_text(encoding="utf-8") == expected
+
+
+@pytest.mark.parametrize("count", [3, 2 * runio._ROWS + 3], ids=["short", "longer than a chunk"])
+def test_sweep_writes_the_bytes_of_formatting_every_value(tmp_path, count):
+    # every third entry is a failed member's, with NaN evidence
+    rng = np.random.default_rng(31)
+    nan = float("nan")
+    numeric = [c for c in SWEEP_COLUMNS if c != "label"]
+    columns = {c: edge_column(rng, count).tolist() for c in numeric}
+    entries = [
+        {
+            "label": "indeterminate" if k % 3 else "breather",
+            **{c: nan if k % 3 == 2 and c != "A" else columns[c][k] for c in numeric},
+        }
+        for k in range(count)
+    ]
+    path = tmp_path / "sweep.csv"
+    write_sweep(path, entries)
+    text = path.read_text(encoding="utf-8")
+    assert text == reference_csv_text(SWEEP_COLUMNS, [tuple(e[c] for c in SWEEP_COLUMNS) for e in entries])
+    assert ",nan,nan,nan,nan,nan\n" in text
 
 
 def test_manifest_round_trip_and_digests(tmp_path):

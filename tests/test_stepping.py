@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -27,7 +28,7 @@ from kgbreather import (
     momentum,
 )
 from kgbreather import accel
-from kgbreather.core import is_odd, odd_part, probe_indices, reflect
+from kgbreather.core import half_domain_masks, is_odd, odd_part, probe_indices, reflect
 from kgbreather.errors import LengthMismatch, NonFinite
 from kgbreather.stepping import StageSolver, StepReport
 
@@ -383,12 +384,15 @@ def test_integrate_runs_from_the_start_state_time():
     [
         {"amplitude": 0.1195, "t_end": 8.0, "snapshot_every": 0.125},
         {"t_end": 16.0, "snapshot_every": 1.0, "offset": 1e-3},
+        # 3 * 64 + 1 snapshots: four row blocks of the diagnostics pass, the last of one row
+        {"amplitude": 0.1195, "t_end": 24.0, "snapshot_every": 0.125, "offset": 1e-3},
     ],
-    ids=["record_shaped", "non_odd_start"],
+    ids=["record_shaped", "non_odd_start", "several_row_blocks"],
 )
 def test_diagnostics_rows_match_the_functionals_of_their_snapshots(case):
-    # integrate takes energy and momentum of all snapshots in one stacked call;
-    # each row must equal the 1-d functional of its own snapshot bit for bit
+    # integrate takes energy, momentum and the margins of the snapshots in row
+    # blocks; each row must equal both the 1-d functional of its own snapshot
+    # and one call over the whole stack, bit for bit
     case = dict(case)
     offset = case.pop("offset", 0.0)
     p = SimParams(**case)
@@ -404,6 +408,36 @@ def test_diagnostics_rows_match_the_functionals_of_their_snapshots(case):
         assert row.energy == e
         assert row.momentum == momentum(u, v, p, g)
         assert row.energy_drift == energy_drift(e, e0)
+    u, v = snapshots.u, snapshots.v
+    left, right = half_domain_masks(g)
+    whole = {
+        "energy": energy(u, v, p, g),
+        "momentum": momentum(u, v, p, g),
+        "u_min_left": u[:, left].min(axis=1),
+        "u_max_left": u[:, left].max(axis=1),
+        "u_min_right": u[:, right].min(axis=1),
+        "u_max_right": u[:, right].max(axis=1),
+    }
+    for name, column in whole.items():
+        got = np.array([getattr(row, name) for row in diagnostics])
+        assert got.tobytes() == column.tobytes(), name
+
+
+def test_integrate_peaks_below_two_and_a_half_snapshot_blocks():
+    # the snapshot block is freed once its FieldState copy exists, and the
+    # diagnostics take row blocks, so the block, its copy and full-stack
+    # temporaries are never alive together (2.15 blocks, measured)
+    p = SimParams(amplitude=0.1195, t_end=256.0, snapshot_every=0.125)
+    g = make_grid(p.grid_points, p.domain_length)
+    block = 2 * (int(p.t_end / p.snapshot_every) + 1) * g.n * 8  # u and v of every snapshot
+    tracemalloc.start()
+    try:
+        _, snapshots, _, _ = integrate(p, g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert snapshots.u.nbytes + snapshots.v.nbytes == block
+    assert peak < 2.5 * block, f"peak {peak / block:.2f} snapshot blocks"
 
 
 def test_integrate_snapshot_cadence_and_tracks():
