@@ -3,7 +3,6 @@
 from .configfile import parse_config, parse_config_text
 from .core import (
     DIAGNOSTICS_COLUMNS,
-    DiagnosticsRow,
     FieldState,
     Grid,
     SimParams,

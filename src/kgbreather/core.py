@@ -270,24 +270,15 @@ def odd_part(u):
     return 0.5 * (u - reflect(u))
 
 
-@dataclass(frozen=True)
-class DiagnosticsRow:
-    """Per-output-time conserved quantities, confinement margins, rotation counts."""
-
-    t: float
-    energy: float
-    momentum: float
-    energy_drift: float
-    u_min_left: float
-    u_max_left: float
-    u_min_right: float
-    u_max_right: float
-    rot_origin: float
-    rot_left: float
-    rot_right: float
-
-
-DIAGNOSTICS_COLUMNS = tuple(f.name for f in fields(DiagnosticsRow))
+# The diagnostics of a run, one float64 field per name in this order: the
+# fields of the read-only (S,) numpy.recarray that integrate returns and
+# read_diagnostics reads, one record per snapshot (conserved quantities,
+# confinement margins, rotation counts), and the columns of diagnostics.csv.
+DIAGNOSTICS_COLUMNS = (
+    "t", "energy", "momentum", "energy_drift",
+    "u_min_left", "u_max_left", "u_min_right", "u_max_right",
+    "rot_origin", "rot_left", "rot_right",
+)
 
 
 def half_domain_masks(grid):

@@ -217,32 +217,32 @@ def vacuum_on_side(params, u0):
 def classify_mode(diagnostics, track, params):
     """Label a finished run as breather, ordinary, or indeterminate.
 
-    Confinement margins use diagnostics rows from the last seven eighths of the
-    run (the first eighth is transient): m_left is the worst (smallest) left
-    half minimum of u, m_right the worst (largest) right half maximum.
-    Rotation counts are the _turns of the full first-probe track, as in the
-    rot_* columns: rot_left about the vacuum on its starting side, rot_origin
-    about the origin. Breather: left half stays positive, right half stays
-    negative, and the tracer completes at least one turn about its vacuum.
-    Ordinary: at least one full turn about the origin while confinement fails
-    on either side.
+    diagnostics is the (S,) record of integrate or read_diagnostics. final_t
+    is the last snapshot's t, and the margins use the snapshots of the last
+    seven eighths of it (the first eighth is transient): m_left is the worst
+    (smallest) left half minimum of u, m_right the worst (largest) right half
+    maximum. Rotation counts are the _turns of the whole first-probe track, as
+    in the rot_* columns, so they run past the last snapshot to t_end when
+    snapshot_every does not divide it: rot_left about the vacuum on its
+    starting side, rot_origin about the origin. Breather: left half stays
+    positive, right half stays negative, and the tracer completes at least one
+    turn about its vacuum. Ordinary: at least one full turn about the origin
+    while confinement fails on either side.
     """
-    if not diagnostics:
+    if not len(diagnostics):
         raise InsufficientData("no diagnostics rows")
     if track is None or len(track) < 2:
         raise InsufficientData("first-probe track missing or too short")
-    final_t = diagnostics[-1].t
+    final_t = float(diagnostics.t[-1])
     if final_t < 4.0 * params.snapshot_every:
         raise InsufficientData(
             f"run covers t={final_t}; need at least 4 snapshot intervals "
             f"({4.0 * params.snapshot_every})"
         )
-    t_skip = final_t / 8.0
-    kept = [row for row in diagnostics if row.t >= t_skip]
-    if not kept:
+    kept = diagnostics[diagnostics.t >= final_t / 8.0]
+    if not len(kept):
         raise InsufficientData("no diagnostics rows past the transient window")
-    m_left = min(row.u_min_left for row in kept)
-    m_right = max(row.u_max_right for row in kept)
+    m_left, m_right = float(kept.u_min_left.min()), float(kept.u_max_right.max())
     fixed_points(params)  # the label needs the vacua: InvalidParams without a double well
     rot_left = float(_turns(track.u, track.v, vacuum_on_side(params, track.u[0]))[-1])
     rot_origin = float(_turns(track.u, track.v, (0.0, 0.0))[-1])

@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import DIAGNOSTICS_COLUMNS, DiagnosticsRow, FieldState
+from .core import DIAGNOSTICS_COLUMNS, FieldState
 from .errors import InsufficientData, LengthMismatch
 from .geometry import TracerTrack
 
@@ -45,6 +45,7 @@ MANIFEST_FILE = "manifest.json"
 SWEEP_FILE = "sweep.csv"
 
 SNAPSHOT_COLUMNS = ("t", "x", "u", "v")
+TRACER_COLUMNS = ("probe_x", "t", "u", "v")
 
 SWEEP_COLUMNS = ("A", "label", "m_left", "m_right", "rot_left", "rot_origin", "max_drift")
 
@@ -180,10 +181,9 @@ class _Body:
 
 
 def _read_table(path, header, dtype=np.float64):
-    """Data rows as one (rows, columns) array of dtype, or as (rows,) records if dtype is structured."""
+    """Data rows as (rows,) records, one field per header name, each of dtype unless dtype is structured."""
     body = _Body(path, header, dtype)
-    table = body.rows(range(body.count))
-    return table if np.dtype(dtype).names is not None else table.view(dtype).reshape(-1, len(header))
+    return body.rows(range(body.count))
 
 
 def _runs(key):
@@ -326,20 +326,24 @@ def read_snapshots(path, start=0, stop=None, index=None):
     return x[0].copy(), FieldState(t=t[:, 0], u=u, v=v)
 
 
-def write_diagnostics(path, rows):
-    payload = (
-        tuple(fmt(getattr(r, name)) for name in DIAGNOSTICS_COLUMNS) for r in rows
+def write_diagnostics(path, diagnostics):
+    """Write the (S,) diagnostics record, whose fields become Python floats _ROWS records at a time."""
+    rows = (
+        map(fmt, row) for a in range(0, len(diagnostics), _ROWS) for row in diagnostics[a : a + _ROWS].tolist()
     )
-    _publish(path, _csv_chunks(DIAGNOSTICS_COLUMNS, payload))
+    _publish(path, _csv_chunks(DIAGNOSTICS_COLUMNS, rows))
 
 
 def read_diagnostics(path):
-    return [DiagnosticsRow(*row) for row in _read_table(path, DIAGNOSTICS_COLUMNS).tolist()]
+    """The rows of diagnostics.csv as one read-only (S,) numpy.recarray, the form integrate returns."""
+    diagnostics = _read_table(path, DIAGNOSTICS_COLUMNS).view(np.recarray)
+    diagnostics.setflags(write=False)
+    return diagnostics
 
 
 def write_tracers(path, tracks):
     def chunks():
-        yield "probe_x,t,u,v\n"
+        yield ",".join(TRACER_COLUMNS) + "\n"
         for trk in tracks:
             # a track's probe cell is one string, and {!r} of a float is fmt's text; the
             # columns become Python floats _ROWS rows at a time, which bounds the memory
@@ -352,7 +356,8 @@ def write_tracers(path, tracks):
 
 def read_tracers(path):
     """Returns TracerTracks, one per run of equal probe_x, in file order."""
-    px, t, u, v = _read_table(path, ("probe_x", "t", "u", "v")).T
+    table = _read_table(path, TRACER_COLUMNS)
+    px, t, u, v = (table[name] for name in TRACER_COLUMNS)
     return [
         TracerTrack(probe_x=float(px[a]), t=t[a:b], u=u[a:b], v=v[a:b]) for a, b in _runs(px)
     ]

@@ -70,7 +70,7 @@ import numpy as np
 
 from . import accel
 from .core import (
-    DiagnosticsRow,
+    DIAGNOSTICS_COLUMNS,
     FieldState,
     half_domain_masks,
     initial_state,
@@ -302,8 +302,9 @@ def integrate(params, grid=None, state=None):
     The run starts at the state's t and ends at t + round(t_end/dt)*dt.
     Returns (RunSummary, snapshots, diagnostics, tracks): snapshots is one
     stacked FieldState of the start and every snapshot_every after it, row k
-    at time snapshots.t[k]; diagnostics one DiagnosticsRow per snapshot;
-    tracks one per-step TracerTrack per probe. A start that is exactly odd
+    at time snapshots.t[k]; diagnostics one read-only (S,) numpy.recarray of a
+    float64 field per DIAGNOSTICS_COLUMNS name, record k of snapshot k; tracks
+    one per-step TracerTrack per probe. A start that is exactly odd
     (u(L - x) = -u(x), likewise v) stays exactly odd at every step. Every
     step after the first starts its stages from the extrapolation of the
     step before (see the module docstring). Every failure carries its t: a
@@ -418,10 +419,11 @@ def integrate(params, grid=None, state=None):
             )
         e = cols[:, 0]
         drift = energy_drift(e, e[0])
-        table = np.column_stack(
-            [snapshots.t, e, cols[:, 1], drift, cols[:, 2:], rot_origin, rot_left, rot_right]
+        diagnostics = np.rec.fromarrays(
+            [snapshots.t, e, cols[:, 1], drift, *cols[:, 2:].T, rot_origin, rot_left, rot_right],
+            names=DIAGNOSTICS_COLUMNS,
         )
-        diagnostics = [DiagnosticsRow(*row) for row in table.tolist()]
+        diagnostics.setflags(write=False)
         tracks = [
             TracerTrack(probe_x=params.probes[p], t=t_axis[k], u=tu[p], v=tv[p])
             for p in range(len(idx))

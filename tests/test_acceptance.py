@@ -259,7 +259,7 @@ def test_criterion_9_determinism_and_io(tmp_path):
         and np.array_equal(back_states.u, snapshots.u)
         and np.array_equal(back_states.v, snapshots.v)
         and np.array_equal(back_states.t, snapshots.t)
-        and read_diagnostics(rt / "diagnostics.csv") == diagnostics
+        and read_diagnostics(rt / "diagnostics.csv").tobytes() == diagnostics.tobytes()
         and all(
             np.array_equal(a.u, b.u) and np.array_equal(a.v, b.v) and np.array_equal(a.t, b.t)
             for a, b in zip(tracks, read_tracers(rt / "tracers.csv"))

@@ -7,8 +7,6 @@ import numpy as np
 import pytest
 
 from kgbreather import (
-    DIAGNOSTICS_COLUMNS,
-    DiagnosticsRow,
     FieldState,
     IncompatibleDomain,
     InvalidGrid,
@@ -292,7 +290,3 @@ def test_probe_indices_defaults():
     g = make_grid(p.grid_points, p.domain_length)
     assert probe_indices(p, g) == [32, 96]
 
-
-def test_diagnostics_columns_match_row_fields():
-    names = tuple(f.name for f in dataclasses.fields(DiagnosticsRow))
-    assert names == DIAGNOSTICS_COLUMNS

@@ -9,8 +9,8 @@ import pytest
 from kgbreather import (
     CenterOnLoop,
     CenterOnTrack,
+    DIAGNOSTICS_COLUMNS,
     DegenerateLoop,
-    DiagnosticsRow,
     FieldState,
     InsufficientData,
     InvalidParams,
@@ -392,22 +392,15 @@ def test_axis_decomposition_on_a_simulated_loop(default_run):
 
 
 def rows_every_16(n_rows, m_left, m_right):
-    return [
-        DiagnosticsRow(
-            t=16.0 * i,
-            energy=0.0,
-            momentum=0.0,
-            energy_drift=0.0,
-            u_min_left=m_left,
-            u_max_left=m_left + 0.05,
-            u_min_right=m_right - 0.05,
-            u_max_right=m_right,
-            rot_origin=0.0,
-            rot_left=0.0,
-            rot_right=0.0,
-        )
-        for i in range(n_rows)
-    ]
+    columns = dict.fromkeys(DIAGNOSTICS_COLUMNS, 0.0)
+    columns.update(
+        t=16.0 * np.arange(n_rows),
+        u_min_left=m_left,
+        u_max_left=m_left + 0.05,
+        u_min_right=m_right - 0.05,
+        u_max_right=m_right,
+    )
+    return np.rec.fromarrays([np.broadcast_to(c, n_rows) for c in columns.values()], names=DIAGNOSTICS_COLUMNS)
 
 
 def test_classify_confined_rotating_track_is_breather(default_params):
@@ -441,7 +434,7 @@ def test_classify_confined_but_not_rotating_is_indeterminate(default_params):
 def test_classify_transient_window_is_discarded(default_params):
     # a bad excursion strictly before t_skip = 32 must not affect the margins
     rows = rows_every_16(17, 0.02, -0.02)
-    spoiled = rows_every_16(2, -5.0, 5.0) + rows[2:]
+    spoiled = np.concatenate([rows_every_16(2, -5.0, 5.0), rows[2:]]).view(np.recarray)
     res = classify_mode(spoiled, circle_track(2.25, radius=0.01, cu=U_STAR), default_params)
     assert res.label is ModeLabel.BREATHER
     assert res.m_left == 0.02
@@ -449,8 +442,8 @@ def test_classify_transient_window_is_discarded(default_params):
 
 def test_classify_insufficient_data(default_params):
     good_track = circle_track(2.0, radius=0.01, cu=U_STAR)
-    with pytest.raises(InsufficientData):
-        classify_mode([], good_track, default_params)
+    with pytest.raises(InsufficientData, match="no diagnostics rows"):
+        classify_mode(rows_every_16(0, 0.02, -0.02), good_track, default_params)
     with pytest.raises(InsufficientData):
         classify_mode(rows_every_16(17, 0.02, -0.02), None, default_params)
     short = TracerTrack(probe_x=2.0, t=np.array([0.0]), u=np.array([0.1]), v=np.array([0.0]))

@@ -11,12 +11,12 @@ import pytest
 
 from kgbreather import (
     DIAGNOSTICS_COLUMNS,
-    DiagnosticsRow,
     FieldState,
     InsufficientData,
     LengthMismatch,
     SimParams,
     TracerTrack,
+    integrate,
     make_grid,
 )
 from kgbreather import runio
@@ -242,14 +242,14 @@ def test_a_bad_row_inside_the_body_is_named_by_its_file_line(tmp_path, row, deta
 
 def test_header_only_diagnostics_and_tracers_read_back_empty(tmp_path):
     diagnostics = tmp_path / "diagnostics.csv"
-    write_diagnostics(diagnostics, [])
+    write_diagnostics(diagnostics, sample_rows()[:0])
     tracers = tmp_path / "tracers.csv"
     write_tracers(tracers, [])
     assert diagnostics.read_text(encoding="utf-8").count("\n") == 1
     assert tracers.read_text(encoding="utf-8") == "probe_x,t,u,v\n"
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # numpy warns on a file with no data rows
-        assert read_diagnostics(diagnostics) == []
+        assert len(read_diagnostics(diagnostics)) == 0
         assert read_tracers(tracers) == []
 
 
@@ -384,6 +384,23 @@ def test_tracers_write_peaks_below_half_a_file(tmp_path):
     assert peak < 0.5 * size, f"peak {peak / size:.2f} times the file's size"
 
 
+def test_diagnostics_write_peaks_below_half_a_file(tmp_path):
+    # records become Python floats runio._ROWS at a time, so the peak is a small
+    # share of the file's size (0.19 times, measured); one .tolist() of the
+    # whole record would hold 1.8 times the file
+    columns = np.random.default_rng(5).standard_normal((len(DIAGNOSTICS_COLUMNS), 16385))
+    diagnostics = np.rec.fromarrays(columns, names=DIAGNOSTICS_COLUMNS)
+    path = tmp_path / "diagnostics.csv"
+    tracemalloc.start()
+    try:
+        write_diagnostics(path, diagnostics)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert peak < 0.5 * size, f"peak {peak / size:.2f} times the file's size"
+
+
 def cut_inside_last_row(path):
     """Drop the end of the file from the middle of the last row's second cell."""
     text = path.read_text(encoding="utf-8")
@@ -467,32 +484,38 @@ def test_cut_final_newline_after_a_blank_line_is_named_by_its_file_line(tmp_path
 
 
 def sample_rows():
-    rng = np.random.default_rng(13)
-    return [
-        DiagnosticsRow(
-            t=16.0 * i,
-            energy=float(rng.standard_normal()),
-            momentum=float(rng.standard_normal() * 1e-12),
-            energy_drift=float(rng.standard_normal() * 1e-9),
-            u_min_left=float(rng.standard_normal()),
-            u_max_left=float(rng.standard_normal()),
-            u_min_right=float(rng.standard_normal()),
-            u_max_right=float(rng.standard_normal()),
-            rot_origin=float(rng.standard_normal()),
-            rot_left=float(rng.standard_normal()),
-            rot_right=float(rng.standard_normal()),
-        )
-        for i in range(5)
-    ]
+    """Five diagnostics records, every 16 time units, of random values."""
+    values = np.random.default_rng(13).standard_normal((5, 10)) * [1.0, 1e-12, 1e-9, *[1.0] * 7]
+    return np.rec.fromarrays([16.0 * np.arange(5), *values.T], names=DIAGNOSTICS_COLUMNS)
 
 
 def test_diagnostics_round_trip_exactly(tmp_path):
-    rows = [*sample_rows(), DiagnosticsRow(80.0, *AWKWARD, *AWKWARD, *AWKWARD[:2])]
+    awkward = np.rec.fromarrays([[x] for x in (80.0, *AWKWARD, *AWKWARD, *AWKWARD[:2])], names=DIAGNOSTICS_COLUMNS)
+    rows = np.concatenate([sample_rows(), awkward]).view(np.recarray)
     path = tmp_path / "diagnostics.csv"
     write_diagnostics(path, rows)
     back = read_diagnostics(path)
-    assert back == rows
-    assert bits([dataclasses.astuple(r) for r in back]) == bits([dataclasses.astuple(r) for r in rows])
+    assert back.dtype == rows.dtype
+    assert back.tobytes() == rows.tobytes()
+
+
+def test_integrate_and_read_diagnostics_share_one_record_dtype(tmp_path):
+    # one read-only (S,) record of a float64 field per column both ways; a
+    # header-only file reads back as an empty one
+    _, _, diagnostics, _ = integrate(SimParams(grid_points=32, t_end=64.0))
+    path = tmp_path / "diagnostics.csv"
+    write_diagnostics(path, diagnostics)
+    back = read_diagnostics(path)
+    path.write_text(",".join(DIAGNOSTICS_COLUMNS) + "\n", encoding="utf-8")
+    empty = read_diagnostics(path)
+    assert len(diagnostics) == len(back) == 5 and len(empty) == 0
+    for record in (diagnostics, back, empty):
+        assert isinstance(record, np.recarray)
+        assert record.dtype.names == DIAGNOSTICS_COLUMNS
+        assert all(record.dtype[name] == np.float64 for name in DIAGNOSTICS_COLUMNS)
+        assert record.dtype == diagnostics.dtype
+        assert not record.flags.writeable
+    assert back[-1].rot_left == back.rot_left[-1] == diagnostics.rot_left[-1]
 
 
 def test_tracers_round_trip_exactly(tmp_path):
@@ -621,10 +644,9 @@ def test_a_run_without_probes_writes_a_header_only_tracers_file(tmp_path):
 def test_diagnostics_write_the_bytes_of_formatting_every_value(tmp_path, count):
     rng = np.random.default_rng(29)
     columns = [edge_column(rng, count) for _ in DIAGNOSTICS_COLUMNS]
-    rows = [DiagnosticsRow(*row) for row in zip(*(c.tolist() for c in columns))]
     path = tmp_path / "diagnostics.csv"
-    write_diagnostics(path, rows)
-    expected = reference_csv_text(DIAGNOSTICS_COLUMNS, [dataclasses.astuple(r) for r in rows])
+    write_diagnostics(path, np.rec.fromarrays(columns, names=DIAGNOSTICS_COLUMNS))
+    expected = reference_csv_text(DIAGNOSTICS_COLUMNS, zip(*columns))
     assert path.read_text(encoding="utf-8") == expected
 
 

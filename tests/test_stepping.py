@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import pathlib
 import tracemalloc
 import warnings
 
@@ -345,7 +346,22 @@ def test_integrate_is_deterministic():
     assert np.array_equal(a.final_state.u, b.final_state.u)
     assert np.array_equal(a.final_state.v, b.final_state.v)
     assert snaps_a.u.shape == snaps_b.u.shape
-    assert diags_a == diags_b
+    assert diags_a.tobytes() == diags_b.tobytes()
+
+
+def test_readme_library_block_runs_as_documented(capsys):
+    # the README's "Library use" block as it stands: it prints the drift, the
+    # last snapshot's rot_left from the diagnostics record, and the label
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library use\n\n```python\n", 1)[1].split("```", 1)[0]
+    scope = {}
+    exec(block, scope)
+    drift, rot_left, label = capsys.readouterr().out.splitlines()
+    summary, diagnostics = scope["summary"], scope["diagnostics"]
+    assert float(drift) == summary.max_abs_drift
+    assert isinstance(diagnostics, np.recarray) and len(diagnostics) == 33
+    assert float(rot_left) == diagnostics.rot_left[-1] == diagnostics[-1].rot_left
+    assert label == "indeterminate"
 
 
 def test_integrate_zero_length_run():
@@ -634,7 +650,8 @@ def assert_same_results(got, want):
         for name in ("t", "u", "v"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
     assert [trk.probe_x for trk in tracks] == [trk.probe_x for trk in solo_tracks]
-    assert diagnostics == solo_diagnostics
+    assert diagnostics.dtype == solo_diagnostics.dtype
+    assert diagnostics.tobytes() == solo_diagnostics.tobytes()
     for name in ("steps", "max_abs_drift", "max_residual", "total_sweeps", "sweep_counts"):
         assert getattr(summary, name) == getattr(solo, name)
 
