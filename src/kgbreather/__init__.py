@@ -17,7 +17,6 @@ from .core import (
 from .dynamics import FixedPointSet, energy, energy_drift, fixed_points, momentum
 from .errors import (
     CenterOnLoop,
-    CenterOnTrack,
     ConfigParseError,
     DegenerateLoop,
     IncompatibleDomain,

@@ -52,10 +52,6 @@ class CenterOnLoop(KgError):
     """Winding center coincides with a loop point."""
 
 
-class CenterOnTrack(KgError):
-    """Rotation center coincides with a track sample."""
-
-
 class NonIntegerWinding(KgError):
     """Accumulated angle is not close to a whole number of turns."""
 

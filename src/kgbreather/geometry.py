@@ -3,11 +3,11 @@
 At a fixed time the field traces the closed curve x -> (u(x), v(x)) over one
 period, so the loop of a one-state FieldState is its own (u, v); a tracer at
 a fixed x traces an open track t -> (u(t), v(t)). Both are treated as
-polylines. Winding numbers and rotation counts come from summed
-principal-value angle increments (_turns); a tracer turns about the origin
-and about the vacuum on its starting side (vacuum_on_side), in the rot_*
-columns and in classify_mode alike. Crossings come from exact segment-pair
-intersection with a tolerance scaled to the loop diameter.
+polylines. Winding numbers and rotation counts sum principal-value angle
+steps (_turns); a track sample within CENTER_EPS of the center carries none.
+A tracer turns about the origin and the vacuum on its starting side
+(vacuum_on_side), alike in the rot_* columns and in cumulative_rotation,
+which classify_mode uses. Crossings are exact segment-pair intersections.
 """
 
 import enum
@@ -20,7 +20,6 @@ from .core import clean_samples
 from .dynamics import fixed_points
 from .errors import (
     CenterOnLoop,
-    CenterOnTrack,
     DegenerateLoop,
     InsufficientData,
     InvalidParams,
@@ -113,13 +112,10 @@ def winding_number(state, center):
 
 
 def cumulative_rotation(track, center):
-    """Signed rotation, in turns, accumulated along an open track about center."""
-    cu, cv = float(center[0]), float(center[1])
+    """Signed turns of an open track about center; a sample within CENTER_EPS of it carries no angle."""
     if len(track) < 2:
         raise InsufficientData(f"track has {len(track)} samples; need at least 2")
-    if float(np.min(np.hypot(track.u - cu, track.v - cv))) < CENTER_EPS:
-        raise CenterOnTrack(f"center ({cu}, {cv}) lies on the track")
-    return float(_turns(track.u, track.v, (cu, cv))[-1])
+    return float(_turns(track.u, track.v, center)[-1])
 
 
 @dataclass(frozen=True)
@@ -217,17 +213,17 @@ def vacuum_on_side(params, u0):
 def classify_mode(diagnostics, track, params):
     """Label a finished run as breather, ordinary, or indeterminate.
 
-    diagnostics is the (S,) record of integrate or read_diagnostics. final_t
-    is the last snapshot's t, and the margins use the snapshots of the last
-    seven eighths of it (the first eighth is transient): m_left is the worst
-    (smallest) left half minimum of u, m_right the worst (largest) right half
-    maximum. Rotation counts are the _turns of the whole first-probe track, as
-    in the rot_* columns, so they run past the last snapshot to t_end when
-    snapshot_every does not divide it: rot_left about the vacuum on its
-    starting side, rot_origin about the origin. Breather: left half stays
-    positive, right half stays negative, and the tracer completes at least one
-    turn about its vacuum. Ordinary: at least one full turn about the origin
-    while confinement fails on either side.
+    diagnostics is the (S,) record of integrate or read_diagnostics. final_t is the
+    last snapshot's t, and the margins use the snapshots of the last seven eighths of
+    it (the first eighth is transient): m_left is the worst (smallest) left half
+    minimum of u, m_right the worst (largest) right half maximum. The turns are the
+    cumulative_rotation of the whole first-probe track, where a sample within
+    CENTER_EPS of the center carries no angle, and equal the last rot_* row, so they
+    run past the last snapshot to t_end when snapshot_every does not divide it:
+    rot_left about the vacuum on its starting side, rot_origin about the origin.
+    Breather: left half stays positive, right half stays negative, and the tracer
+    completes at least one turn about its vacuum. Ordinary: at least one full turn
+    about the origin while confinement fails on either side.
     """
     if not len(diagnostics):
         raise InsufficientData("no diagnostics rows")
@@ -244,8 +240,8 @@ def classify_mode(diagnostics, track, params):
         raise InsufficientData("no diagnostics rows past the transient window")
     m_left, m_right = float(kept.u_min_left.min()), float(kept.u_max_right.max())
     fixed_points(params)  # the label needs the vacua: InvalidParams without a double well
-    rot_left = float(_turns(track.u, track.v, vacuum_on_side(params, track.u[0]))[-1])
-    rot_origin = float(_turns(track.u, track.v, (0.0, 0.0))[-1])
+    rot_left = cumulative_rotation(track, vacuum_on_side(params, track.u[0]))
+    rot_origin = cumulative_rotation(track, (0.0, 0.0))
     if m_left > 0.0 and m_right < 0.0 and abs(rot_left) >= 1.0:
         label = ModeLabel.BREATHER
     elif abs(rot_origin) >= 1.0 and (m_left <= 0.0 or m_right >= 0.0):

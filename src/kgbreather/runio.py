@@ -128,6 +128,7 @@ class _Body:
                 ends.append(np.flatnonzero(np.frombuffer(block, np.uint8) == 10) + (size + 1))
                 size += len(block)
         self.starts = np.concatenate(ends)
+        del ends  # the per-block arrays would otherwise outlive the blank-line scan below
         self.count = len(self.starts) - 1
         if size > self.starts[-1]:
             # a cut row that no longer parses is named for its fault, one that still parses for the cut

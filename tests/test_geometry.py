@@ -8,7 +8,6 @@ import pytest
 
 from kgbreather import (
     CenterOnLoop,
-    CenterOnTrack,
     DIAGNOSTICS_COLUMNS,
     DegenerateLoop,
     FieldState,
@@ -238,12 +237,6 @@ def test_rotation_is_additive_over_concatenation():
     assert parts == pytest.approx(whole, abs=1e-12)
 
 
-def test_rotation_center_on_track_raises():
-    trk = circle_track(1.0)
-    with pytest.raises(CenterOnTrack):
-        cumulative_rotation(trk, (float(trk.u[3]), float(trk.v[3])))
-
-
 def test_sample_on_the_center_carries_no_angle():
     trk = circle_track(1.5, m=97, radius=0.5, cu=0.25)
     k = 40
@@ -255,8 +248,7 @@ def test_sample_on_the_center_carries_no_angle():
     assert with_it[k] == with_it[k - 1]
     assert np.array_equal(np.delete(with_it, k), without)
     assert cumulative_rotation(TracerTrack(probe_x=2.0, t=np.arange(96.0), u=u, v=v), center) == without[-1]
-    with pytest.raises(CenterOnTrack):
-        cumulative_rotation(trk, center)
+    assert cumulative_rotation(trk, center) == with_it[-1] == without[-1]
 
 
 def test_rotation_needs_two_samples():
@@ -493,6 +485,18 @@ def test_classify_skips_a_track_sample_on_the_vacuum(default_params):
     assert res.rot_left == classify_mode(rows, track, default_params).rot_left
 
 
+def test_a_tracer_on_its_vacuum_makes_no_turn():
+    # a uniform start at (u*, 0) stays within CENTER_EPS of it, so every
+    # sample carries no angle: the public count, the label's and the column read 0
+    params = SimParams(t_end=64.0)
+    n = params.grid_points
+    start = FieldState(t=0.0, u=np.full(n, U_STAR), v=np.zeros(n))
+    _, _, diagnostics, tracks = integrate(params, state=start)
+    assert cumulative_rotation(tracks[0], (U_STAR, 0.0)) == 0.0
+    assert classify_mode(diagnostics, tracks[0], params).rot_left == 0.0
+    assert diagnostics[-1].rot_left == 0.0
+
+
 @pytest.mark.parametrize("field,value", [("mu", 0.0), ("mu", -0.001), ("beta", 0.0)])
 def test_no_double_well_turns_about_the_origin_and_has_no_label(field, value):
     # integrate still writes rot_left / rot_right about the origin; classify,
@@ -521,3 +525,26 @@ def test_classify_counts_the_physics_not_the_grid():
         m_left.append(res.m_left)
     # measured 3.755e-3, 1.797e-3, 8.887e-4
     assert m_left[0] > m_left[1] > m_left[2] > 0.0
+
+
+def test_seven_odd_modes_carry_the_label_and_three_do_not():
+    """How many modes the finite-dimensional representation needs, at mu = 0.005 and A = 0.04.
+
+    An odd field on N nodes has N/2 - 1 free modes. From 7 of them (N = 16)
+    on, the run is a breather and the x = 2 tracer's turns about its vacuum
+    agree within 1e-5: -1.024922, -1.024925 and -1.024925 at N = 16, 32 and
+    128, measured. With 3 (N = 8) the run stays confined but the tracer makes
+    -0.022087 turns, so the label is indeterminate: that is where the
+    representation fails.
+    """
+    turns = {}
+    for n in (8, 16, 32, 128):
+        params = SimParams(mu=0.005, amplitude=0.04, t_end=512.0, grid_points=n)
+        _, _, diagnostics, tracks = integrate(params)
+        res = classify_mode(diagnostics, tracks[0], params)
+        assert res.label is (ModeLabel.INDETERMINATE if n == 8 else ModeLabel.BREATHER)
+        turns[n] = res.rot_left
+    assert turns[16] == pytest.approx(turns[128], abs=1e-5)
+    assert turns[32] == pytest.approx(turns[128], abs=1e-5)
+    assert turns[128] == pytest.approx(-1.024925, abs=1e-6)
+    assert turns[8] == pytest.approx(-0.022087, abs=1e-6)

@@ -348,6 +348,26 @@ def test_snapshots_read_peaks_below_three_tables(tmp_path):
     assert peak < 3 * table_bytes, f"peak {peak / table_bytes:.2f} tables"
 
 
+def test_snapshot_index_peaks_below_three_indexes(tmp_path):
+    # the byte pass keeps one int64 start per line; its per-block newline arrays
+    # are freed once concatenated, so the blank-line scan does not hold a second
+    # copy of the index (2.15 times the index, measured; 3.15 with the copy)
+    grid = make_grid(128, 8.0)
+    states = random_states(np.random.default_rng(5), 2048, grid, 0.125)
+    path = tmp_path / "snapshots.csv"
+    write_snapshots(path, states, grid)
+    del states
+    tracemalloc.start()
+    try:
+        index = snapshot_index(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert index.body.count == 1 << 18
+    index_bytes = index.body.starts.nbytes
+    assert peak < 3 * index_bytes, f"peak {peak / index_bytes:.2f} indexes"
+
+
 def test_snapshots_write_peaks_below_half_a_file(tmp_path):
     # one state's text at a time streams into the file, so the peak is a
     # small share of the file's size (0.145 times, measured)

@@ -19,3 +19,12 @@ def test_traced_target_resolves(name):
     for part in path.split("."):
         owner = getattr(owner, part)
     assert callable(owner)
+
+
+def test_counted_writer_is_the_one_cli_binds():
+    # install() also rebinds runio.atomic_write_text by identity to count the
+    # bytes written; cli must hold that same object for its SVGs to be counted
+    runio = importlib.import_module("kgbreather.runio")
+    cli = importlib.import_module("kgbreather.cli")
+    assert callable(runio.atomic_write_text)
+    assert cli.atomic_write_text is runio.atomic_write_text
