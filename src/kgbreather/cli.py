@@ -15,7 +15,6 @@ from .core import (
     FieldState,
     SimParams,
     initial_state,
-    make_grid,
     params_from_dict,
     params_to_dict,
     validate_params,
@@ -90,11 +89,7 @@ def _load_params(args):
     return parse_config(args.config) if args.config else SimParams()
 
 
-def _grid_entry(grid):
-    return {"n": grid.n, "length": grid.length, "dx": grid.dx}
-
-
-def write_run(params, grid, out_dir, outcome, wall):
+def write_run(params, out_dir, outcome, wall):
     """Write one run's artifacts into out_dir and return (manifest, classify result).
 
     outcome is what integrate gives for the run: its results, or the
@@ -108,7 +103,7 @@ def write_run(params, grid, out_dir, outcome, wall):
         "tool_version": __version__,
         "params": params_to_dict(params),
         "params_sha256": params_digest(params_to_dict(params)),
-        "grid": _grid_entry(grid),
+        "grid": {"n": params.grid.n, "length": params.grid.length, "dx": params.grid.dx},
         "wall_clock_seconds": wall,
     }
     if isinstance(outcome, Exception):
@@ -126,7 +121,7 @@ def write_run(params, grid, out_dir, outcome, wall):
         write_manifest(os.path.join(out_dir, MANIFEST_FILE), manifest)
         return manifest, None
     summary, snapshots, diagnostics, tracks = outcome
-    write_snapshots(os.path.join(out_dir, SNAPSHOTS_FILE), snapshots, grid)
+    write_snapshots(os.path.join(out_dir, SNAPSHOTS_FILE), snapshots, params.grid)
     write_diagnostics(os.path.join(out_dir, DIAGNOSTICS_FILE), diagnostics)
     write_tracers(os.path.join(out_dir, TRACERS_FILE), tracks)
     try:
@@ -165,14 +160,13 @@ def run_members(members, out_dirs):
     ]
     if differ:
         raise InvalidParams([f"members may differ only in amplitude, not in {name}" for name in differ])
-    grid = make_grid(first.grid_points, first.domain_length)
     start = time.monotonic()
-    starts = [initial_state(params, grid) for params in members]
+    starts = [initial_state(params) for params in members]
     stack = FieldState(t=[s.t for s in starts], u=[s.u for s in starts], v=[s.v for s in starts])
-    outcomes = integrate(first, grid, stack)
+    outcomes = integrate(first, stack)
     wall = time.monotonic() - start
     return [
-        (outcome, *write_run(params, grid, out_dir, outcome, wall))
+        (outcome, *write_run(params, out_dir, outcome, wall))
         for params, out_dir, outcome in zip(members, out_dirs, outcomes)
     ]
 

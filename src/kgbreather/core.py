@@ -47,6 +47,11 @@ class SimParams:
         """Sign of the dispersive term: +1 keeps the standard wave operator."""
         return 1.0 if self.laplacian_sign == "standard_wave" else -1.0
 
+    @functools.cached_property
+    def grid(self):
+        """make_grid(grid_points, domain_length), built once per params; not a field."""
+        return make_grid(self.grid_points, self.domain_length)
+
 
 def _is_integer_multiple(value, unit):
     """value / unit is a positive integer to relative tolerance; unit must be positive."""
@@ -227,8 +232,9 @@ class FieldState:
         object.__setattr__(self, "v", v)
 
 
-def initial_state(params, grid):
-    """Profile A*sin(pi x/4) at rest, exactly odd on the grid; L must keep it periodic."""
+def initial_state(params):
+    """Profile A*sin(pi x/4) at rest, exactly odd on params.grid; L must keep it periodic."""
+    grid = params.grid
     if not _holds_sine_periods(grid.length):
         raise IncompatibleDomain(
             f"domain_length must be a positive multiple of 8 for the sine profile, got {grid.length}"
@@ -288,8 +294,8 @@ def half_domain_masks(grid):
     return (x > 0) & (x < half), (x > half) & (x < grid.length)
 
 
-def probe_indices(params, grid):
-    idx = [_probe_node(x, grid.n, grid.length) for x in params.probes]
+def probe_indices(params):
+    idx = [_probe_node(x, params.grid.n, params.grid.length) for x in params.probes]
     if None in idx:
         raise InvalidGrid(f"probe {params.probes[idx.index(None)]} does not lie on a grid node")
     return idx

@@ -20,9 +20,9 @@ from .errors import InvalidParams, NonFinite
 from .spectral import cube_hat, first_derivative
 
 
-def linear_symbol(params, grid):
-    """lambda_m = mu - sigma*alpha*k_m^2, the linear force on each half-spectrum mode."""
-    return params.mu - params.sigma * params.alpha * grid.wavenumbers ** 2
+def linear_symbol(params):
+    """lambda_m = mu - sigma*alpha*k_m^2, the linear force on each half-spectrum mode of params.grid."""
+    return params.mu - params.sigma * params.alpha * params.grid.wavenumbers ** 2
 
 
 def nonlinear_hat(uhat, params):
@@ -30,24 +30,24 @@ def nonlinear_hat(uhat, params):
     return -params.beta * cube_hat(uhat)
 
 
-def energy(u, v, params, grid):
+def energy(u, v, params):
     """Discrete energy dx * sum(v^2/2 + sigma*alpha*(Du)^2/2 - mu*u^2/2 + beta*u^4/4) of each row."""
-    du = first_derivative(u, grid)
+    du = first_derivative(u, params.grid)
     dens = (
         0.5 * v ** 2
         + 0.5 * params.sigma * params.alpha * du ** 2
         - 0.5 * params.mu * u ** 2
         + 0.25 * params.beta * u ** 4
     )
-    val = grid.dx * np.sum(dens, axis=-1)
+    val = params.grid.dx * np.sum(dens, axis=-1)
     if not np.all(np.isfinite(val)):
         raise NonFinite("energy non-finite")
     return val
 
 
-def momentum(u, v, params, grid):
+def momentum(u, v, params):
     """Discrete field momentum dx * sum(v * Du) of each row; quadratic, so Gauss steps preserve it."""
-    val = grid.dx * np.sum(v * first_derivative(u, grid), axis=-1)
+    val = params.grid.dx * np.sum(v * first_derivative(u, params.grid), axis=-1)
     if not np.all(np.isfinite(val)):
         raise NonFinite("momentum non-finite")
     return val

@@ -218,8 +218,8 @@ def classify_mode(diagnostics, track, params):
     it (the first eighth is transient): m_left is the worst (smallest) left half
     minimum of u, m_right the worst (largest) right half maximum. The turns are the
     cumulative_rotation of the whole first-probe track, where a sample within
-    CENTER_EPS of the center carries no angle, and equal the last rot_* row, so they
-    run past the last snapshot to t_end when snapshot_every does not divide it:
+    CENTER_EPS of the center carries no angle. They run to t_end, so they equal the
+    last rot_* row only when snapshot_every divides t_end, and else run past it:
     rot_left about the vacuum on its starting side, rot_origin about the origin.
     Breather: left half stays positive, right half stays negative, and the tracer
     completes at least one turn about its vacuum. Ordinary: at least one full turn

@@ -75,7 +75,6 @@ from .core import (
     half_domain_masks,
     initial_state,
     is_odd,
-    make_grid,
     odd_part,
     probe_indices,
 )
@@ -137,16 +136,16 @@ class StepReport(NamedTuple):
 
 
 class StageSolver:
-    """Per-mode stage maps for one (params, grid); integrate reuses one for every step.
+    """Per-mode stage maps for one SimParams, on its grid; integrate reuses one for every step.
 
     The members of a stack share them, since they differ only in their states.
     """
 
-    def __init__(self, params, grid):
+    def __init__(self, params):
         self.params = params
         self.dt = dt = params.dt
         self.tableau = gauss_tableau(params.irk_stages)
-        lam, a, b, s = linear_symbol(params, grid), self.tableau.a, self.tableau.b, self.tableau.stages
+        lam, a, b, s = linear_symbol(params), self.tableau.a, self.tableau.b, self.tableau.stages
         # Lagrange basis on the nodes (0, c_1..c_s) of one step, evaluated at
         # the next step's nodes 1 + c_j: row j extrapolates stage j
         nodes = [0.0, *self.tableau.c.tolist()]
@@ -261,19 +260,19 @@ class StageSolver:
             return (self.update @ f.view(float)).view(complex), outcomes, start
 
 
-def irk_step(state, params, grid, solver=None):
-    """Advance one grid.n-point state one step of size params.dt; returns (state, report).
+def irk_step(state, solver):
+    """Advance one N-point state one step of solver.dt; returns (state, report).
 
-    The state runs as a stack of one through the solver, and a failure
-    raises that member's exception; a returned state that is not finite
-    raises NonFinite at t + dt, as in integrate. With no previous step to
+    The solver carries its params, whose grid_points is N. The state runs
+    as a stack of one through the solver, and a failure raises that
+    member's exception; a returned state that is not finite raises
+    NonFinite at t + dt, as in integrate. With no previous step to
     extrapolate from, every stage starts from uhat, as the first step of
     integrate does.
     """
-    if state.u.shape != (grid.n,):
-        raise LengthMismatch(f"a start is one {grid.n}-point state, got shape {state.u.shape}")
-    if solver is None:
-        solver = StageSolver(params, grid)
+    n = solver.params.grid_points
+    if state.u.shape != (n,):
+        raise LengthMismatch(f"a start is one {n}-point state, got shape {state.u.shape}")
     t = state.t + solver.dt
     c, (outcome,), _ = solver.step(dft_forward(np.stack([state.u, state.v]))[None], [(state.t, t)])
     if not isinstance(outcome, StepReport):
@@ -296,7 +295,7 @@ class RunSummary:
     sweep_counts: tuple
 
 
-def integrate(params, grid=None, state=None):
+def integrate(params, state=None):
     """March from the given (or default) state with round(t_end/dt) fixed steps of dt.
 
     The run starts at the state's t and ends at t + round(t_end/dt)*dt.
@@ -312,24 +311,24 @@ def integrate(params, grid=None, state=None):
     A state whose samples turn non-finite fails with NonFinite at the first
     such step.
 
-    The start is one grid.n-point state, or a stack of M of them (u and v
-    (M, N), t (M,)) with M >= 1, else LengthMismatch. A stack runs as M members through
-    one step loop and returns a list of M outcomes: each is the tuple that
+    The grid is params.grid. The start is one N-point state, N =
+    params.grid_points, or a stack of M of them (u and v (M, N), t (M,))
+    with M >= 1, else LengthMismatch. A stack runs as M members through one
+    step loop and returns a list of M outcomes: each is the tuple that
     member returns alone, bit for bit, or the exception it raises alone. A
     failed member stays in the stack as the zero state, which converges in
     one sweep; its outcome is its first failure.
     """
-    if grid is None:
-        grid = make_grid(params.grid_points, params.domain_length)
+    grid = params.grid
     if state is None:
-        state = initial_state(params, grid)
+        state = initial_state(params)
     if state.u.ndim > 2 or state.u.shape[-1] != grid.n or not state.u.size:
         raise LengthMismatch(
             f"a start is one {grid.n}-point state or a stack of them, got shape {state.u.shape}"
         )
     steps = int(round(params.t_end / params.dt))
     sps = int(round(params.snapshot_every / params.dt))
-    solver = StageSolver(params, grid)
+    solver = StageSolver(params)
     w = np.stack([state.u, state.v], axis=-2).reshape(-1, 2, grid.n)  # (M, 2, N)
     m = len(w)
     # The exact flow and the scheme both commute with x -> L - x, so an odd
@@ -338,7 +337,7 @@ def integrate(params, grid=None, state=None):
     odd = [k for k, x in enumerate(w) if is_odd(x)]
     odd = slice(None) if len(odd) == m else np.array(odd, dtype=np.intp)
     mask_left, mask_right = half_domain_masks(grid)
-    idx = probe_indices(params, grid)
+    idx = probe_indices(params)
     # one time axis per member: tracers sample every step of it, snapshots
     # every sps-th; trk[k, 0] holds member k's tracer samples of u and
     # trk[k, 1] those of v, likewise snap
@@ -413,7 +412,7 @@ def integrate(params, grid=None, state=None):
         for a in range(0, len(cols), _BLOCK):
             u, v = snapshots.u[a : a + _BLOCK], snapshots.v[a : a + _BLOCK]
             cols[a : a + _BLOCK] = np.column_stack(
-                [energy(u, v, params, grid), momentum(u, v, params, grid)]
+                [energy(u, v, params), momentum(u, v, params)]
                 + [u[:, mask_left].min(axis=1), u[:, mask_left].max(axis=1)]
                 + [u[:, mask_right].min(axis=1), u[:, mask_right].max(axis=1)]
             )

@@ -4,14 +4,14 @@ import time
 
 import pytest
 
-from kgbreather import SimParams, dft_forward, dft_inverse, integrate, make_grid
+from kgbreather import SimParams, dft_forward, dft_inverse, integrate
 from kgbreather.dynamics import linear_symbol, nonlinear_hat
 
 
-def force(u, params, grid):
-    """dv/dt of the field equation at the samples u: the stage solver's two terms, in physical space."""
+def force(u, params):
+    """dv/dt at the samples u on params.grid: the stage solver's two terms, in physical space."""
     uhat = dft_forward(u)
-    return dft_inverse(linear_symbol(params, grid) * uhat + nonlinear_hat(uhat, params))
+    return dft_inverse(linear_symbol(params) * uhat + nonlinear_hat(uhat, params))
 
 
 @pytest.fixture()
@@ -24,11 +24,8 @@ class DefaultRun:
 
     def __init__(self):
         self.params = SimParams()
-        self.grid = make_grid(self.params.grid_points, self.params.domain_length)
         start = time.monotonic()
-        self.summary, self.snapshots, self.diagnostics, self.tracks = integrate(
-            self.params, self.grid
-        )
+        self.summary, self.snapshots, self.diagnostics, self.tracks = integrate(self.params)
         self.wall_seconds = time.monotonic() - start
 
 

@@ -25,7 +25,6 @@ from kgbreather import (
     half_domain_masks,
     initial_state,
     integrate,
-    make_grid,
     self_intersections,
     winding_number,
 )
@@ -78,9 +77,9 @@ def oscillator_error(dt, stages):
         irk_stages=stages,
         probes=(),
     )
-    g = make_grid(16, length)
+    g = p.grid
     s0 = FieldState(t=0.0, u=np.sin(g.nodes), v=np.zeros(16))
-    summary, _, _, _ = integrate(p, g, s0)
+    summary, _, _, _ = integrate(p, s0)
     exact = math.cos(0.5 * 50.0) * np.sin(g.nodes)
     return float(np.max(np.abs(summary.final_state.u - exact)))
 
@@ -99,10 +98,10 @@ def test_criterion_2_integrator_order():
 
 def smooth_run_final_u(n, dt):
     p = SimParams(grid_points=n, dt=dt, t_end=64.0, snapshot_every=64.0, probes=())
-    g = make_grid(n, 8.0)
+    g = p.grid
     u0 = 0.025 * np.exp(0.8 * np.sin(2.0 * np.pi * g.nodes / 8.0))
     s0 = FieldState(t=0.0, u=u0, v=np.zeros(n))
-    summary, _, _, _ = integrate(p, g, s0)
+    summary, _, _, _ = integrate(p, s0)
     return summary.final_state.u
 
 
@@ -121,9 +120,9 @@ def test_criterion_3_spectral_accuracy():
 
 def test_criterion_4_equilibrium_preservation():
     p = SimParams(t_end=1250.0, snapshot_every=1250.0, probes=())
-    g = make_grid(p.grid_points, p.domain_length)
+    g = p.grid
     s0 = FieldState(t=0.0, u=np.full(g.n, U_STAR), v=np.zeros(g.n))
-    summary, _, _, _ = integrate(p, g, s0)
+    summary, _, _, _ = integrate(p, s0)
     assert summary.steps == 10000
     du = float(np.max(np.abs(summary.final_state.u - U_STAR)))
     dv = float(np.max(np.abs(summary.final_state.v)))
@@ -184,11 +183,10 @@ def test_criterion_6_evidence_tracer_stays_below_the_vacuum(default_run):
 
 def test_criterion_7_time_reversibility():
     p = SimParams(t_end=256.0, snapshot_every=256.0)
-    g = make_grid(p.grid_points, p.domain_length)
-    s0 = initial_state(p, g)
-    fwd, _, _, _ = integrate(p, g, s0)
+    s0 = initial_state(p)
+    fwd, _, _, _ = integrate(p, s0)
     flipped = FieldState(t=0.0, u=fwd.final_state.u, v=-fwd.final_state.v)
-    back, _, _, _ = integrate(p, g, flipped)
+    back, _, _, _ = integrate(p, flipped)
     err = float(np.max(np.abs(back.final_state.u - s0.u)))
     ok = err <= 1e-6
     assert verdict(7, ok, f"max|u_back - u_0|={err:.3e} (tol 1e-6)")
@@ -244,10 +242,10 @@ def test_criterion_8_geometry_oracles():
 
 def test_criterion_9_determinism_and_io(tmp_path):
     p = SimParams(t_end=64.0)
-    g = make_grid(p.grid_points, p.domain_length)
+    g = p.grid
 
     # lossless csv round trip of real run output
-    summary, snapshots, diagnostics, tracks = integrate(p, g)
+    summary, snapshots, diagnostics, tracks = integrate(p)
     rt = tmp_path / "roundtrip"
     os.makedirs(rt)
     write_snapshots(rt / "snapshots.csv", snapshots, g)

@@ -1,11 +1,15 @@
 """Grid construction, parameter validation, and state containers."""
 
 import dataclasses
+import importlib
+import inspect
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 
+import kgbreather
 from kgbreather import (
     FieldState,
     IncompatibleDomain,
@@ -15,6 +19,7 @@ from kgbreather import (
     SimParams,
     half_domain_masks,
     initial_state,
+    integrate,
     make_grid,
     params_from_dict,
     params_to_dict,
@@ -66,8 +71,7 @@ def test_make_grid_rejects_bad_shapes(n, length):
 
 def test_initial_state_probe_values():
     p = SimParams()
-    g = make_grid(p.grid_points, p.domain_length)
-    s = initial_state(p, g)
+    s = initial_state(p)
     assert s.t == 0.0
     assert s.u[32] == pytest.approx(0.04, abs=1e-17)   # x = 2
     assert abs(s.u[64]) <= 1e-17                        # x = 4
@@ -77,8 +81,7 @@ def test_initial_state_probe_values():
 
 def test_initial_state_longer_periodic_domain():
     p = dataclasses.replace(SimParams(), domain_length=16.0, grid_points=256)
-    g = make_grid(256, 16.0)
-    s = initial_state(p, g)
+    s = initial_state(p)
     # same profile repeated; x = 2 sits at index 32 again
     assert s.u[32] == pytest.approx(0.04, abs=1e-17)
     assert s.u[32 + 128] == pytest.approx(0.04, abs=1e-17)
@@ -87,7 +90,7 @@ def test_initial_state_longer_periodic_domain():
 @pytest.mark.parametrize("length,n", [(8.0, 128), (16.0, 256), (8.0, 8)])
 def test_initial_state_is_exactly_odd(length, n):
     p = dataclasses.replace(SimParams(), domain_length=length, grid_points=n)
-    s = initial_state(p, make_grid(n, length))
+    s = initial_state(p)
     # u(L - x) = -u(x) bit for bit, with exact zeros at x = 0 and x = L/2
     assert np.array_equal(s.u[1:][::-1], -s.u[1:])
     assert s.u[0] == 0.0 and s.u[n // 2] == 0.0
@@ -123,11 +126,9 @@ def test_block_projection_matches_rows():
 
 @pytest.mark.parametrize("length", [4.0, 7.0, 12.0])
 def test_initial_state_rejects_non_multiple_domain(length):
-    n = 128
     p = dataclasses.replace(SimParams(), domain_length=length)
-    g = make_grid(n, length)
     with pytest.raises(IncompatibleDomain):
-        initial_state(p, g)
+        initial_state(p)
 
 
 def test_validate_params_defaults_clean():
@@ -286,7 +287,47 @@ def test_half_domain_masks_are_strict_interiors():
 
 
 def test_probe_indices_defaults():
-    p = SimParams()
-    g = make_grid(p.grid_points, p.domain_length)
-    assert probe_indices(p, g) == [32, 96]
+    assert probe_indices(SimParams()) == [32, 96]
 
+
+
+def test_params_carry_their_grid():
+    # N and L are stated once, in the params; the grid is built from them
+    p = SimParams(grid_points=64)
+    want = make_grid(64, 8.0)
+    assert (p.grid.n, p.grid.length, p.grid.dx) == (want.n, want.length, want.dx)
+    assert p.grid.nodes.tobytes() == want.nodes.tobytes()
+    assert p.grid.wavenumbers.tobytes() == want.wavenumbers.tobytes()
+    assert p.grid is p.grid  # built once per params
+    # not a field, so the manifest's params and their digest do not change
+    assert "grid" not in params_to_dict(p)
+    _, snapshots, _, _ = integrate(SimParams(grid_points=64, t_end=4.0))
+    assert snapshots.u.shape == (1, 64)
+    with pytest.raises(InvalidGrid):
+        SimParams(grid_points=7).grid
+
+
+def test_no_function_takes_a_grid_or_a_solver_beside_its_params():
+    # a grid or a solver passed beside the params could disagree with them;
+    # params.grid and solver.params are the one source of each
+    both = []
+    for info in pkgutil.iter_modules(kgbreather.__path__):
+        module = importlib.import_module(f"kgbreather.{info.name}")
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = [(name, obj)]
+            if inspect.isclass(obj):  # the class's own signature is its __init__'s
+                members += [
+                    (f"{name}.{k}", v) for k, v in vars(obj).items() if inspect.isfunction(v) and k != "__init__"
+                ]
+            for qualname, fn in members:
+                if not callable(fn):
+                    continue
+                try:
+                    names = set(inspect.signature(fn).parameters)
+                except (TypeError, ValueError):
+                    continue
+                if "params" in names and names & {"grid", "solver"}:
+                    both.append(f"{module.__name__}.{qualname}")
+    assert both == []

@@ -14,7 +14,6 @@ from kgbreather import (
     energy_drift,
     fixed_points,
     initial_state,
-    make_grid,
     momentum,
 )
 
@@ -25,7 +24,7 @@ U_STAR = math.sqrt(0.00305)  # 0.05522680508593630
 @pytest.fixture()
 def setup():
     p = SimParams()
-    g = make_grid(p.grid_points, p.domain_length)
+    g = p.grid
     return p, g
 
 
@@ -42,20 +41,20 @@ def _bandlimited(rng, g, width, scale=1.0):
 def test_rhs_vanishes_at_all_fixed_points(setup):
     p, g = setup
     for u0 in (0.0, U_STAR, -U_STAR):
-        dv = force(np.full(g.n, u0), p, g)
+        dv = force(np.full(g.n, u0), p)
         assert np.max(np.abs(dv)) <= 1e-15
 
 
 def test_rhs_constant_field_arithmetic(setup):
     p, g = setup
-    dv = force(np.full(g.n, 0.01), p, g)
+    dv = force(np.full(g.n, 0.01), p)
     assert np.max(np.abs(dv - 2.95e-5)) <= 1e-17
 
 
 def test_rhs_default_profile_linear_coefficient(setup):
-    p, g = setup
-    s = initial_state(p, g)
-    dv = force(s.u, p, g)
+    p, _ = setup
+    s = initial_state(p)
+    dv = force(s.u, p)
     coeff = -p.alpha * (math.pi / 4.0) ** 2 + p.mu
     assert coeff == pytest.approx(6.40e-4, abs=5e-7)
     # the single-mode cube is band-limited, so the pointwise cube is exact
@@ -64,11 +63,11 @@ def test_rhs_default_profile_linear_coefficient(setup):
 
 
 def test_rhs_sign_mode_flips_laplacian(setup):
-    p, g = setup
-    s = initial_state(p, g)
+    p, _ = setup
+    s = initial_state(p)
     p_flip = dataclasses.replace(p, laplacian_sign="as_written")
-    dv_std = force(s.u, p, g)
-    dv_flip = force(s.u, p_flip, g)
+    dv_std = force(s.u, p)
+    dv_flip = force(s.u, p_flip)
     k1 = 2 * np.pi / p.domain_length
     # difference is exactly twice the laplacian term
     want = 2.0 * p.alpha * (-(k1 ** 2)) * s.u
@@ -77,21 +76,21 @@ def test_rhs_sign_mode_flips_laplacian(setup):
 
 def test_energy_zero_state(setup):
     p, g = setup
-    assert energy(np.zeros(g.n), np.zeros(g.n), p, g) == 0.0
+    assert energy(np.zeros(g.n), np.zeros(g.n), p) == 0.0
 
 
 def test_energy_vacuum_value(setup):
     p, g = setup
-    e = energy(np.full(g.n, U_STAR), np.zeros(g.n), p, g)
+    e = energy(np.full(g.n, U_STAR), np.zeros(g.n), p)
     want = -2.0 * p.mu ** 2  # L * (-mu^2/(4 beta)) with L = 8, beta = 1
     assert e == pytest.approx(want, rel=1e-12)
     assert want == pytest.approx(-1.8605e-5, abs=1e-9)
 
 
 def test_energy_matches_fine_trapezoid_oracle(setup):
-    p, g = setup
-    s = initial_state(p, g)
-    e = energy(s.u, s.v, p, g)
+    p, _ = setup
+    s = initial_state(p)
+    e = energy(s.u, s.v, p)
     m = 4096
     x = np.arange(m) * (p.domain_length / m)
     u = p.amplitude * np.sin(np.pi * x / 4.0)
@@ -102,16 +101,16 @@ def test_energy_matches_fine_trapezoid_oracle(setup):
 
 
 def test_momentum_zero_velocity(setup):
-    p, g = setup
-    s = initial_state(p, g)
-    assert momentum(s.u, s.v, p, g) == 0.0
+    p, _ = setup
+    s = initial_state(p)
+    assert momentum(s.u, s.v, p) == 0.0
 
 
 def test_momentum_sine_cosine_pair(setup):
     p, g = setup
     k = 2 * np.pi / 8.0
     u, v = np.sin(k * g.nodes), np.cos(k * g.nodes)
-    assert momentum(u, v, p, g) == pytest.approx(math.pi, rel=1e-12)
+    assert momentum(u, v, p) == pytest.approx(math.pi, rel=1e-12)
 
 
 def test_energy_momentum_cyclic_shift_invariance(setup):
@@ -119,11 +118,11 @@ def test_energy_momentum_cyclic_shift_invariance(setup):
     rng = np.random.default_rng(17)
     u = _bandlimited(rng, g, g.n // 3)
     v = _bandlimited(rng, g, g.n // 3)
-    e0, p0 = energy(u, v, p, g), momentum(u, v, p, g)
+    e0, p0 = energy(u, v, p), momentum(u, v, p)
     for shift in (1, 7, 64):
         us, vs = np.roll(u, shift), np.roll(v, shift)
-        assert energy(us, vs, p, g) == pytest.approx(e0, rel=1e-12)
-        assert momentum(us, vs, p, g) == pytest.approx(p0, rel=1e-12, abs=1e-14)
+        assert energy(us, vs, p) == pytest.approx(e0, rel=1e-12)
+        assert momentum(us, vs, p) == pytest.approx(p0, rel=1e-12, abs=1e-14)
 
 
 def test_discrete_gradient_consistency(setup):
@@ -136,12 +135,12 @@ def test_discrete_gradient_consistency(setup):
         v0 = _bandlimited(rng, g, width, 3.0)
         du_dir = _bandlimited(rng, g, width, 3.0)
         dv_dir = _bandlimited(rng, g, width, 3.0)
-        dv = force(u0, p, g)
+        dv = force(u0, p)
         pairing = g.dx * (float(np.dot(v0, dv_dir)) - float(np.dot(dv, du_dir)))
         errs = []
         for eps in (1e-4, 1e-5):
-            ep = energy(u0 + eps * du_dir, v0 + eps * dv_dir, p, g)
-            em = energy(u0 - eps * du_dir, v0 - eps * dv_dir, p, g)
+            ep = energy(u0 + eps * du_dir, v0 + eps * dv_dir, p)
+            em = energy(u0 - eps * du_dir, v0 - eps * dv_dir, p)
             errs.append(abs((ep - em) / (2 * eps) - pairing))
         assert errs[1] <= 1e-9
         # O(eps^2): tenfold smaller eps shrinks the error about a hundredfold
@@ -150,16 +149,17 @@ def test_discrete_gradient_consistency(setup):
 
 def test_linearized_mode_satisfies_rhs(setup):
     p, _ = setup
-    length = 2 * math.pi
-    g = make_grid(32, length)
     m_coef = 1.0
-    p_lin = dataclasses.replace(p, alpha=1.0, beta=0.0, mu=-(m_coef ** 2), domain_length=length)
+    p_lin = dataclasses.replace(
+        p, alpha=1.0, beta=0.0, mu=-(m_coef ** 2), domain_length=2 * math.pi, grid_points=32
+    )
+    g = p_lin.grid
     k = 2.0
     omega = math.sqrt(p_lin.alpha * k ** 2 + m_coef ** 2)
     for t in (0.0, 0.3, 1.7):
         u = np.sin(k * g.nodes) * math.cos(omega * t)
         v = -omega * np.sin(k * g.nodes) * math.sin(omega * t)
-        dv = force(u, p_lin, g)
+        dv = force(u, p_lin)
         assert np.max(np.abs(dv - (-(omega ** 2)) * u)) <= 1e-12
 
 

@@ -22,7 +22,6 @@ from kgbreather import (
     cumulative_rotation,
     initial_state,
     integrate,
-    make_grid,
     self_intersections,
     winding_number,
 )
@@ -77,8 +76,8 @@ def test_phase_loop_preserves_the_field_state():
     # the loop of a one-state FieldState is its own (u, v); a row of a stack,
     # as plot takes one, is such a state
     p = SimParams()
-    g = make_grid(p.grid_points, p.domain_length)
-    s = initial_state(p, g)
+    g = p.grid
+    s = initial_state(p)
     stack = FieldState(t=[s.t, 16.0], u=np.stack([s.u, -s.u]), v=np.stack([s.v, s.v]))
     loop = FieldState(t=stack.t[0], u=stack.u[0], v=stack.v[0])
     assert loop.t == 0.0
@@ -470,6 +469,26 @@ def test_classify_turns_equal_the_last_diagnostics_row_bit_for_bit():
     assert mres.rot_origin == pytest.approx(res.rot_origin, abs=1e-12)
 
 
+def test_classify_turns_run_past_the_last_row_to_t_end():
+    """When snapshot_every does not divide t_end, the turns run past the last row.
+
+    At A = 0.12, t_end = 100 and a snapshot every 16, the last row is at
+    t = 96 and the track ends at 100. Measured: rot_left -1.4900981 from
+    classify_mode against -1.4846747 in the last row, rot_origin -1.4738358
+    against -1.4093877.
+    """
+    params = SimParams(amplitude=0.12, t_end=100.0, snapshot_every=16.0)
+    _, _, diagnostics, tracks = integrate(params)
+    res = classify_mode(diagnostics, tracks[0], params)
+    assert res.final_t == diagnostics[-1].t == 96.0
+    assert tracks[0].t[-1] == 100.0
+    assert res.rot_left == cumulative_rotation(tracks[0], (U_STAR, 0.0))
+    assert res.rot_left == pytest.approx(-1.4900981, abs=1e-7)
+    assert diagnostics[-1].rot_left == pytest.approx(-1.4846747, abs=1e-7)
+    assert res.rot_origin == pytest.approx(-1.4738358, abs=1e-7)
+    assert diagnostics[-1].rot_origin == pytest.approx(-1.4093877, abs=1e-7)
+
+
 def test_classify_skips_a_track_sample_on_the_vacuum(default_params):
     # one sample exactly on (u*, 0) carries no angle; it must not zero the count
     track = circle_track(2.25, radius=0.01, cu=U_STAR)
@@ -525,6 +544,25 @@ def test_classify_counts_the_physics_not_the_grid():
         m_left.append(res.m_left)
     # measured 3.755e-3, 1.797e-3, 8.887e-4
     assert m_left[0] > m_left[1] > m_left[2] > 0.0
+
+
+def test_m_left_is_a_node_value():
+    """m_left * N stays constant on a confined run, so m_left is the node next to the zero at x = 0.
+
+    At the default mu, A = 0.04 and t_end = 512, m_left * N measured
+    0.064877, 0.064762, 0.064710 and 0.064695 at N = 16, 32, 64 and 128, a
+    spread of 0.28%; the label is indeterminate at each N.
+    """
+    base = SimParams(t_end=512.0)
+    scaled = []
+    for n in (16, 32, 64, 128):
+        params = dataclasses.replace(base, grid_points=n)
+        _, _, diagnostics, tracks = integrate(params)
+        res = classify_mode(diagnostics, tracks[0], params)
+        assert res.label is ModeLabel.INDETERMINATE
+        assert res.m_left > 0.0 and res.m_right == -res.m_left
+        scaled.append(res.m_left * n)
+    assert max(scaled) <= 1.005 * min(scaled)
 
 
 def test_seven_odd_modes_carry_the_label_and_three_do_not():

@@ -431,7 +431,7 @@ def cut_inside_last_row(path):
 
 def test_snapshots_cut_mid_row_are_rejected(tmp_path):
     p = SimParams(grid_points=16)
-    g = make_grid(p.grid_points, p.domain_length)
+    g = p.grid
     path = tmp_path / "snapshots.csv"
     write_snapshots(path, FieldState(t=[0.0], u=[np.sin(g.nodes)], v=[np.cos(g.nodes)]), g)
     cut_inside_last_row(path)
@@ -478,7 +478,7 @@ def test_tracers_with_a_blank_line_are_rejected(tmp_path):
 
 def test_snapshots_with_a_blank_line_are_rejected(tmp_path):
     p = SimParams(grid_points=16)
-    g = make_grid(p.grid_points, p.domain_length)
+    g = p.grid
     path = tmp_path / "snapshots.csv"
     states = FieldState(t=[0.0, 1.0], u=[np.sin(g.nodes)] * 2, v=[np.cos(g.nodes)] * 2)
     write_snapshots(path, states, g)

@@ -30,8 +30,8 @@ def cube(u):
 
 
 def laplacian(u, grid):
-    """u_xx from the force: with alpha = 1 and mu = beta = 0, dv/dt is the laplacian term."""
-    return force(u, SimParams(alpha=1.0, mu=0.0, beta=0.0), grid)
+    """u_xx on grid from the force: with alpha = 1 and mu = beta = 0, dv/dt is the laplacian term."""
+    return force(u, SimParams(alpha=1.0, mu=0.0, beta=0.0, grid_points=grid.n, domain_length=grid.length))
 
 
 def random_band(rng, grid, width):
@@ -60,9 +60,7 @@ def test_forward_single_sine():
 
 
 def test_forward_default_profile_is_one_mode_pair():
-    p = SimParams()
-    g = make_grid(p.grid_points, p.domain_length)
-    c = dft_forward(initial_state(p, g).u)
+    c = dft_forward(initial_state(SimParams()).u)
     assert abs(c[1]) == pytest.approx(0.02, abs=1e-15)
     mask = np.ones(c.size, bool)
     mask[1] = False
@@ -128,13 +126,12 @@ def test_rhs_laplacian_matches_twice_first_derivative():
 
 
 def test_linear_symbol_is_mu_minus_sigma_alpha_k_squared():
-    g = make_grid(16, 8.0)
-    p = SimParams()
-    k = g.wavenumbers
-    lam = linear_symbol(p, g)
+    p = SimParams(grid_points=16)
+    k = p.grid.wavenumbers
+    lam = linear_symbol(p)
     assert lam.shape == (9,)
     assert np.array_equal(lam, p.mu - p.alpha * k ** 2)  # Nyquist included
-    flipped = linear_symbol(dataclasses.replace(p, laplacian_sign="as_written"), g)
+    flipped = linear_symbol(dataclasses.replace(p, laplacian_sign="as_written"))
     assert np.array_equal(flipped, p.mu + p.alpha * k ** 2)
 
 
@@ -205,8 +202,8 @@ def test_cube_hermitian_output_round_trips():
 def test_stacked_half_spectra_act_row_by_row():
     # the stepper cubes and synthesizes its (s, N/2 + 1) stage block in one
     # call, and integrate takes every diagnostic of its (S, N) snapshots in one
-    p = SimParams()
-    g = make_grid(64, 8.0)
+    p = SimParams(grid_points=64)
+    g = p.grid
     rng = np.random.default_rng(11)
     u = 0.05 * rng.standard_normal((3, g.n))
     v = 0.05 * rng.standard_normal((3, g.n))
@@ -214,7 +211,7 @@ def test_stacked_half_spectra_act_row_by_row():
     cubes = cube_hat(c)
     samples = dft_inverse(c)
     du = first_derivative(u, g)
-    e, mom = energy(u, v, p, g), momentum(u, v, p, g)
+    e, mom = energy(u, v, p), momentum(u, v, p)
     assert cubes.shape == c.shape == (3, g.n // 2 + 1)
     assert samples.shape == du.shape == (3, g.n)
     assert e.shape == mom.shape == (3,)
@@ -223,8 +220,8 @@ def test_stacked_half_spectra_act_row_by_row():
         assert np.array_equal(cubes[row], cube_hat(c[row]))
         assert np.array_equal(samples[row], dft_inverse(c[row]))
         assert np.array_equal(du[row], first_derivative(u[row], g))
-        assert e[row] == energy(u[row], v[row], p, g)
-        assert mom[row] == momentum(u[row], v[row], p, g)
+        assert e[row] == energy(u[row], v[row], p)
+        assert mom[row] == momentum(u[row], v[row], p)
 
 
 def test_dealiasing_premise_holds_over_the_default_run(default_run):
@@ -236,7 +233,7 @@ def test_dealiasing_premise_holds_over_the_default_run(default_run):
     the premise: its ratio reaches 7.1e-8 at t = 135.4.
     """
     c = np.abs(dft_forward(default_run.snapshots.u))
-    tail = np.arange(c.shape[-1]) > default_run.grid.n / 6
+    tail = np.arange(c.shape[-1]) > default_run.params.grid_points / 6
     assert np.max(c[:, tail].max(axis=1) / c.max(axis=1)) <= 1e-15
 
 

@@ -25,7 +25,6 @@ from kgbreather import (
     initial_state,
     integrate,
     irk_step,
-    make_grid,
     momentum,
 )
 from kgbreather import accel
@@ -51,7 +50,7 @@ def linear_mode_setup(dt, stages):
         snapshot_every=dt,
         irk_stages=stages,
     )
-    g = make_grid(n, length)
+    g = p.grid
     s0 = FieldState(t=0.0, u=np.sin(2.0 * g.nodes), v=np.zeros(n))
     return p, g, s0
 
@@ -107,9 +106,9 @@ def test_tableau_arrays_are_read_only():
 
 def test_equilibrium_is_a_fixed_point_of_the_step():
     p = SimParams()
-    g = make_grid(p.grid_points, p.domain_length)
+    g = p.grid
     s0 = FieldState(t=0.0, u=np.full(g.n, U_STAR), v=np.zeros(g.n))
-    s1, report = irk_step(s0, p, g)
+    s1, report = irk_step(s0, StageSolver(p))
     assert report.iterations == 1
     assert np.array_equal(s1.u, s0.u)
     assert np.max(np.abs(s1.v)) <= 1e-18
@@ -130,7 +129,7 @@ def test_one_step_error_halving_ratio(stages, dt, lo, hi):
 
     def state_error(step):
         p, g, s0 = linear_mode_setup(step, stages)
-        s1, _ = irk_step(s0, p, g)
+        s1, _ = irk_step(s0, StageSolver(p))
         ue = math.cos(omega * step) * np.sin(2.0 * g.nodes)
         ve = -omega * math.sin(omega * step) * np.sin(2.0 * g.nodes)
         return max(
@@ -167,8 +166,7 @@ def test_work_precision_against_a_three_stage_reference():
 
 def test_default_first_step_converges_fast():
     p = SimParams()
-    g = make_grid(p.grid_points, p.domain_length)
-    s1, report = irk_step(initial_state(p, g), p, g)
+    s1, report = irk_step(initial_state(p), StageSolver(p))
     assert report.iterations <= 10
     assert report.residual <= 1e-13
     assert np.all(np.isfinite(s1.u))
@@ -176,11 +174,11 @@ def test_default_first_step_converges_fast():
 
 def test_explicit_solver_matches_fresh_one():
     p = SimParams()
-    g = make_grid(p.grid_points, p.domain_length)
-    s0 = initial_state(p, g)
-    solver = StageSolver(p, g)
-    a, _ = irk_step(s0, p, g, solver)
-    b, _ = irk_step(s0, p, g)
+    s0 = initial_state(p)
+    solver = StageSolver(p)
+    irk_step(s0, solver)  # a solver holds no state from step to step
+    a, _ = irk_step(s0, solver)
+    b, _ = irk_step(s0, StageSolver(p))
     assert np.array_equal(a.u, b.u)
     assert np.array_equal(a.v, b.v)
 
@@ -190,13 +188,12 @@ def test_integrate_and_chained_irk_steps_agree(stages):
     # a non-odd start, so integrate leaves the run unprojected; it then
     # differs from chained irk_step calls only by the samples' round trip
     p = SimParams(t_end=8.0, snapshot_every=8.0, irk_stages=stages)
-    g = make_grid(p.grid_points, p.domain_length)
-    s0 = initial_state(p, g)
+    s0 = initial_state(p)
     st = FieldState(t=0.0, u=s0.u + 1e-10, v=s0.v)
-    summary, _, _, _ = integrate(p, g, st)
-    solver = StageSolver(p, g)
+    summary, _, _, _ = integrate(p, st)
+    solver = StageSolver(p)
     for _ in range(summary.steps):
-        st, _ = irk_step(st, p, g, solver)
+        st, _ = irk_step(st, solver)
     assert st.t == summary.final_state.t
     assert np.max(np.abs(st.u - summary.final_state.u)) <= 1e-12
     assert np.max(np.abs(st.v - summary.final_state.v)) <= 1e-12
@@ -207,7 +204,7 @@ def test_stage_extrapolation_reproduces_polynomials_of_degree_s(stages):
     # the s + 1 nodes (0, c_1..c_s) fix every polynomial of degree <= s, so
     # the extrapolation to 1 + c_j is exact for all of them
     p = SimParams(irk_stages=stages)
-    solver = StageSolver(p, make_grid(p.grid_points, p.domain_length))
+    solver = StageSolver(p)
     c = solver.tableau.c
     nodes = np.concatenate([[0.0], c])
     assert solver.extrap.shape == (stages, stages + 1)
@@ -222,11 +219,10 @@ def test_stage_extrapolation_reproduces_polynomials_of_degree_s(stages):
 def test_integrate_first_step_matches_irk_step_bit_for_bit(stages):
     # integrate's first step has no previous stages, so it starts from uhat as irk_step does
     p = SimParams(t_end=0.125, snapshot_every=0.125, irk_stages=stages)
-    g = make_grid(p.grid_points, p.domain_length)
-    s0 = initial_state(p, g)
+    s0 = initial_state(p)
     start = FieldState(t=0.0, u=s0.u + 1e-10, v=s0.v)  # not odd, so left unprojected
-    summary, _, _, _ = integrate(p, g, start)
-    s1, report = irk_step(start, p, g)
+    summary, _, _, _ = integrate(p, start)
+    s1, report = irk_step(start, StageSolver(p))
     assert summary.steps == 1
     assert summary.total_sweeps == report.iterations
     assert np.array_equal(summary.final_state.u, s1.u)
@@ -236,9 +232,9 @@ def test_integrate_first_step_matches_irk_step_bit_for_bit(stages):
 @pytest.mark.parametrize("stages", [1, 2, 3])
 def test_stage_solver_returns_stage_blocks(stages):
     p = SimParams(irk_stages=stages)
-    g = make_grid(p.grid_points, p.domain_length)
-    s0 = initial_state(p, g)
-    stage_u, nl, (report,), start = StageSolver(p, g).solve(
+    g = p.grid
+    s0 = initial_state(p)
+    stage_u, nl, (report,), start = StageSolver(p).solve(
         np.stack([dft_forward(s0.u), dft_forward(s0.v)])[None], np.zeros((1, 2))
     )
     # the start is the cube of the next step's stage guesses
@@ -252,10 +248,10 @@ def test_reduced_stage_system_solves_the_first_order_stages(stages):
     # with V = v 1 + dt A (lam U + N), the Gauss stage equation U = u 1 + dt A V
     # holds up to dt A applied to the last sweep's residual (<= stage_tol)
     p = SimParams(irk_stages=stages, amplitude=0.12)
-    g = make_grid(p.grid_points, p.domain_length)
-    s0 = initial_state(p, g)
+    g = p.grid
+    s0 = initial_state(p)
     c = np.stack([dft_forward(s0.u), dft_forward(0.01 * np.sin(np.pi * g.nodes / 4.0))])
-    solver = StageSolver(p, g)
+    solver = StageSolver(p)
     stage_u, nl, (report,), _ = solver.solve(c[None], np.zeros((1, 2)))
     stage_u, nl = stage_u[0], nl[0]
     a = solver.tableau.a
@@ -267,40 +263,38 @@ def test_reduced_stage_system_solves_the_first_order_stages(stages):
 
 def test_stage_solver_reports_divergence_with_time():
     p = SimParams(stage_max_iter=1)
-    g = make_grid(p.grid_points, p.domain_length)
-    s0 = initial_state(p, g)
+    s0 = initial_state(p)
     with pytest.raises(StageSolveDiverged) as err:
-        irk_step(s0, p, g)
+        irk_step(s0, StageSolver(p))
     assert err.value.t == 0.0
     assert "1 sweeps" in str(err.value)
 
 
-def not_one_grid_state(grid):
-    """Starts that are not one grid.n-point state: too few points, and a stack."""
-    s64 = initial_state(SimParams(grid_points=64), make_grid(64, grid.length))
-    s0 = initial_state(SimParams(), grid)
+def not_one_default_state():
+    """Starts that are not one state of the default grid: too few points, and a stack."""
+    s64 = initial_state(SimParams(grid_points=64))
+    s0 = initial_state(SimParams())
     return [s64, FieldState(t=[0.0, 0.0], u=np.stack([s0.u, s0.u]), v=np.stack([s0.v, s0.v]))]
 
 
 def test_integrate_rejects_a_start_that_is_not_grid_states():
     # one state or a stack of them, each of grid.n points
     p = SimParams(t_end=1.0)
-    g = make_grid(128, 8.0)
-    s64, stack = not_one_grid_state(g)
+    g = p.grid
+    s64, stack = not_one_default_state()
     s64_stack = FieldState(t=[0.0], u=[s64.u], v=[s64.v])
     block = FieldState(t=[[0.0, 0.0]], u=[stack.u], v=[stack.v])
     empty = FieldState(t=np.empty(0), u=np.empty((0, g.n)), v=np.empty((0, g.n)))
     for start in (s64, s64_stack, block, empty):
         with pytest.raises(LengthMismatch):
-            integrate(p, g, start)
+            integrate(p, start)
 
 
 def test_irk_step_rejects_a_start_that_is_not_one_grid_state():
     p = SimParams()
-    g = make_grid(128, 8.0)
-    for start in not_one_grid_state(g):
+    for start in not_one_default_state():
         with pytest.raises(LengthMismatch):
-            irk_step(start, p, g)
+            irk_step(start, StageSolver(p))
 
 
 def test_integrate_tags_failure_time():
@@ -315,12 +309,12 @@ def test_integrate_tags_failure_time():
 def test_quadratic_action_is_conserved_on_linear_problem():
     p, g, st = linear_mode_setup(0.25, 2)
     omega = math.sqrt(5.0)
-    solver = StageSolver(p, g)
+    solver = StageSolver(p)
     c0 = np.fft.fft(st.u)[2] / g.n
     act0 = abs(c0) ** 2
     worst = 0.0
     for _ in range(256):
-        st, _ = irk_step(st, p, g, solver)
+        st, _ = irk_step(st, solver)
         cu = np.fft.fft(st.u)[2] / g.n
         cv = np.fft.fft(st.v)[2] / g.n
         act = abs(cu) ** 2 + abs(cv / omega) ** 2
@@ -330,12 +324,11 @@ def test_quadratic_action_is_conserved_on_linear_problem():
 
 def test_short_run_is_time_reversible():
     p = SimParams(t_end=8.0, snapshot_every=8.0)
-    g = make_grid(p.grid_points, p.domain_length)
-    s0 = initial_state(p, g)
-    fwd, _, _, _ = integrate(p, g, s0)
+    s0 = initial_state(p)
+    fwd, _, _, _ = integrate(p, s0)
     mid = fwd.final_state
     back_start = FieldState(t=0.0, u=mid.u, v=-mid.v)
-    back, _, _, _ = integrate(p, g, back_start)
+    back, _, _, _ = integrate(p, back_start)
     assert np.max(np.abs(back.final_state.u - s0.u)) <= 1e-12
 
 
@@ -379,14 +372,13 @@ def test_integrate_zero_length_run():
 def test_integrate_runs_from_the_start_state_time():
     # snapshots, tracers and the final state share the start's time axis
     p = SimParams(t_end=1.0, snapshot_every=0.5)
-    g = make_grid(p.grid_points, p.domain_length)
-    s0 = initial_state(p, g)
+    s0 = initial_state(p)
     st = FieldState(t=5.0, u=s0.u, v=s0.v)
-    summary, snapshots, diagnostics, tracks = integrate(p, g, st)
-    solver = StageSolver(p, g)
+    summary, snapshots, diagnostics, tracks = integrate(p, st)
+    solver = StageSolver(p)
     times = [st.t]
     for _ in range(summary.steps):
-        st, _ = irk_step(st, p, g, solver)
+        st, _ = irk_step(st, solver)
         times.append(st.t)
     assert times[-1] == 6.0
     assert snapshots.t.tolist() == times[::4]
@@ -412,23 +404,23 @@ def test_diagnostics_rows_match_the_functionals_of_their_snapshots(case):
     case = dict(case)
     offset = case.pop("offset", 0.0)
     p = SimParams(**case)
-    g = make_grid(p.grid_points, p.domain_length)
-    s0 = initial_state(p, g)
+    g = p.grid
+    s0 = initial_state(p)
     start = FieldState(t=0.0, u=s0.u + offset * np.cos(np.pi * g.nodes / 4.0), v=s0.v)
-    _, snapshots, diagnostics, _ = integrate(p, g, start)
+    _, snapshots, diagnostics, _ = integrate(p, start)
     assert len(diagnostics) == snapshots.t.size == int(p.t_end / p.snapshot_every) + 1
-    e0 = energy(snapshots.u[0], snapshots.v[0], p, g)
+    e0 = energy(snapshots.u[0], snapshots.v[0], p)
     for t, u, v, row in zip(snapshots.t, snapshots.u, snapshots.v, diagnostics):
-        e = energy(u, v, p, g)
+        e = energy(u, v, p)
         assert row.t == t
         assert row.energy == e
-        assert row.momentum == momentum(u, v, p, g)
+        assert row.momentum == momentum(u, v, p)
         assert row.energy_drift == energy_drift(e, e0)
     u, v = snapshots.u, snapshots.v
     left, right = half_domain_masks(g)
     whole = {
-        "energy": energy(u, v, p, g),
-        "momentum": momentum(u, v, p, g),
+        "energy": energy(u, v, p),
+        "momentum": momentum(u, v, p),
         "u_min_left": u[:, left].min(axis=1),
         "u_max_left": u[:, left].max(axis=1),
         "u_min_right": u[:, right].min(axis=1),
@@ -444,11 +436,11 @@ def test_integrate_peaks_below_two_and_a_half_snapshot_blocks():
     # diagnostics take row blocks, so the block, its copy and full-stack
     # temporaries are never alive together (2.15 blocks, measured)
     p = SimParams(amplitude=0.1195, t_end=256.0, snapshot_every=0.125)
-    g = make_grid(p.grid_points, p.domain_length)
+    g = p.grid
     block = 2 * (int(p.t_end / p.snapshot_every) + 1) * g.n * 8  # u and v of every snapshot
     tracemalloc.start()
     try:
-        _, snapshots, _, _ = integrate(p, g)
+        _, snapshots, _, _ = integrate(p)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -607,10 +599,9 @@ def test_even_perturbation_grows_at_the_instability_rate(resolution):
     # seed would not do: to first order it only translates the profile, which
     # does not grow.)
     p = SimParams(t_end=512.0, **resolution)
-    g = make_grid(p.grid_points, p.domain_length)
-    s0 = initial_state(p, g)
+    s0 = initial_state(p)
     start = FieldState(t=0.0, u=s0.u + 1e-10, v=s0.v)
-    _, snapshots, _, _ = integrate(p, g, start)
+    _, snapshots, _, _ = integrate(p, start)
     t = snapshots.t
     defect = np.max(np.abs(snapshots.u + reflect(snapshots.u)), axis=1)
     assert defect[0] == pytest.approx(2e-10, rel=1e-6)
@@ -622,7 +613,7 @@ def test_even_perturbation_grows_at_the_instability_rate(resolution):
 
 def test_stage_matvec_on_a_stack_equals_one_call_per_member_bit_for_bit():
     rng = np.random.default_rng(3)
-    solver = StageSolver(SimParams(irk_stages=3), make_grid(128, 8.0))
+    solver = StageSolver(SimParams(irk_stages=3))
     x = rng.standard_normal((4, 3, 65)) + 1j * rng.standard_normal((4, 3, 65))
     got = accel.stage_matvec(solver.map_nl, x)
     assert got.shape == (4, 6, 65)
@@ -635,9 +626,9 @@ def test_stage_matvec_on_a_stack_equals_one_call_per_member_bit_for_bit():
 MEMBER_AMPLITUDES = (0.02, 0.04, 0.1, 0.12)
 
 
-def stacked_start(params, grid, amplitudes):
+def stacked_start(params, amplitudes):
     """One stacked FieldState of the default start at each amplitude."""
-    starts = [initial_state(dataclasses.replace(params, amplitude=a), grid) for a in amplitudes]
+    starts = [initial_state(dataclasses.replace(params, amplitude=a)) for a in amplitudes]
     return FieldState(t=[s.t for s in starts], u=[s.u for s in starts], v=[s.v for s in starts])
 
 
@@ -659,11 +650,10 @@ def assert_same_results(got, want):
 @pytest.mark.parametrize("stages", [1, 2, 3])
 def test_each_member_of_a_stack_equals_its_solo_run_bit_for_bit(stages):
     p = SimParams(t_end=16.0, snapshot_every=4.0, irk_stages=stages)
-    g = make_grid(p.grid_points, p.domain_length)
-    outcomes = integrate(p, g, stacked_start(p, g, MEMBER_AMPLITUDES))
+    outcomes = integrate(p, stacked_start(p, MEMBER_AMPLITUDES))
     assert len(outcomes) == len(MEMBER_AMPLITUDES)
     for a, got in zip(MEMBER_AMPLITUDES, outcomes):
-        assert_same_results(got, integrate(dataclasses.replace(p, amplitude=a), g))
+        assert_same_results(got, integrate(dataclasses.replace(p, amplitude=a)))
     # the members took different numbers of sweeps, so some left a solve before others
     assert len({summary.sweep_counts for summary, _, _, _ in outcomes}) > 1
 
@@ -673,9 +663,8 @@ def test_a_member_that_converges_early_keeps_the_stages_of_its_own_sweep(monkeyp
     # after two; the second sweep runs on both members, and A = 0.02 keeps
     # the stages, cubes and next start of its first
     p = SimParams()
-    g = make_grid(p.grid_points, p.domain_length)
-    stack = stacked_start(p, g, (0.02, 0.12))
-    solver = StageSolver(p, g)
+    stack = stacked_start(p, (0.02, 0.12))
+    solver = StageSolver(p)
     c, _, start = solver.step(dft_forward(np.stack([stack.u, stack.v], axis=1)), np.zeros((2, 2)))
     times = np.array([[p.dt, 2 * p.dt]] * 2)
     rows = []
@@ -708,10 +697,9 @@ def test_an_overflowing_member_fails_on_its_own_residual_inside_one_solve():
     # A = 1e200 overflows its cube; beside it A = 0.04 gets the stages,
     # cubes and report of its solo solve, and no numpy warning escapes
     p = SimParams()
-    g = make_grid(p.grid_points, p.domain_length)
-    start = stacked_start(p, g, (0.04, 1e200))
+    start = stacked_start(p, (0.04, 1e200))
     c = dft_forward(np.stack([start.u, start.v], axis=1))
-    solver = StageSolver(p, g)
+    solver = StageSolver(p)
     times = np.array([[3.0, 3.0 + p.dt]] * 2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -732,29 +720,28 @@ def test_a_cube_overflow_in_integrate_carries_the_time_of_its_record_row():
     # step 6. At dt = 0.1 the record's time 6 * 0.1 is one ulp above
     # 5 * 0.1 + 0.1, so the failure must take its t from the run's time axis.
     p = SimParams(mu=100.0, beta=1e-300, dt=0.1, t_end=1.0, snapshot_every=0.1)
-    g = make_grid(p.grid_points, p.domain_length)
+    g = p.grid
     zero = np.zeros(g.n)
     stack = FieldState(t=[0.0, 0.0], u=[zero, np.full(g.n, 7.3e99)], v=[zero, zero])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        (_, _, _, tracks), failure = integrate(p, g, stack)
+        (_, _, _, tracks), failure = integrate(p, stack)
     assert isinstance(failure, NonFinite) and str(failure) == "cubic term overflowed"
     assert tracks[0].t[6] != 5 * p.dt + p.dt
     assert failure.t == tracks[0].t[6]
     with pytest.raises(NonFinite) as solo:
-        integrate(p, g, FieldState(t=0.0, u=stack.u[1], v=zero))
+        integrate(p, FieldState(t=0.0, u=stack.u[1], v=zero))
     assert solo.value.t == failure.t
 
 
 def test_irk_step_overflow_fails_at_the_end_of_the_step_as_in_integrate():
     # NonFinite.t is the end of the failed step, StageSolveDiverged.t its start
     p = SimParams(amplitude=1e200, t_end=1.0)
-    g = make_grid(p.grid_points, p.domain_length)
     with pytest.raises(NonFinite, match="^cubic term overflowed$") as err:
-        irk_step(initial_state(p, g), p, g)
+        irk_step(initial_state(p), StageSolver(p))
     assert err.value.t == 0.125
     with pytest.raises(NonFinite) as solo:
-        integrate(p, g)
+        integrate(p)
     assert solo.value.t == err.value.t
 
 
@@ -771,11 +758,11 @@ def overflowing_update_start(grid):
 def test_irk_step_rejects_a_state_that_turns_non_finite():
     # the update overflows inside the step's errstate, so no numpy warning escapes
     p = OVERFLOWING_UPDATE
-    g = make_grid(p.grid_points, p.domain_length)
+    g = p.grid
     start = overflowing_update_start(g)
     with warnings.catch_warnings(), pytest.raises(NonFinite, match="non-finite field") as err:
         warnings.simplefilter("error")
-        irk_step(start, p, g)
+        irk_step(start, StageSolver(p))
     assert err.value.t == start.t + p.dt
 
 
@@ -784,10 +771,10 @@ def test_a_non_finite_sample_inside_a_pending_block_keeps_its_own_t():
     # in step 2, where the pending block is flushed; its NonFinite still
     # carries the t of step 1, and member 0, the zero state, runs to the end
     p = OVERFLOWING_UPDATE
-    g = make_grid(p.grid_points, p.domain_length)
+    g = p.grid
     bad = overflowing_update_start(g)
     stack = FieldState(t=[0.0, 0.0], u=[np.zeros(g.n), bad.u], v=[bad.v, bad.v])
-    solver = StageSolver(p, g)
+    solver = StageSolver(p)
     c, reports, start = solver.step(dft_forward(np.stack([stack.u, stack.v], axis=1)), np.zeros((2, 2)))
     assert all(isinstance(r, StepReport) for r in reports)
     assert np.isfinite(c[0]).all() and not np.isfinite(c[1]).all()
@@ -795,20 +782,20 @@ def test_a_non_finite_sample_inside_a_pending_block_keeps_its_own_t():
     assert isinstance(second, NonFinite) and second.t == 2 * p.dt
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        zero, failure = integrate(p, g, stack)
+        zero, failure = integrate(p, stack)
     assert isinstance(zero, tuple) and zero[0].steps == 4 and not zero[0].final_state.u.any()
     assert isinstance(failure, NonFinite) and str(failure) == "non-finite field entries at t=1e-160"
     assert failure.t == p.dt
 
 
-def per_step_record(params, grid, start):
+def per_step_record(params, start):
     """(snapshots, tracer samples, final samples, sweeps) of one start, synthesized and recorded step by step.
 
     The loop drives StageSolver.step by hand and synthesizes every step's
     samples from its projected coefficients: the reference for integrate,
     which synthesizes them a block of steps at a time.
     """
-    solver = StageSolver(params, grid)
+    solver = StageSolver(params)
     steps = round(params.t_end / params.dt)
     t = start.t + np.arange(steps + 1) * params.dt
     w = np.stack([start.u, start.v])[None]
@@ -826,15 +813,15 @@ def per_step_record(params, grid, start):
         sweeps.append(report.iterations)
     samples = np.array(samples)
     sps = round(params.snapshot_every / params.dt)
-    return samples[::sps], samples[..., probe_indices(params, grid)], samples[-1], sweeps
+    return samples[::sps], samples[..., probe_indices(params)], samples[-1], sweeps
 
 
 def test_the_block_built_record_equals_a_per_step_record():
     # 150 steps fill neither the 12-step blocks of five members nor the
     # 64-step blocks of one, and a snapshot every 3 steps divides neither
     p = SimParams(t_end=150 * 0.125, snapshot_every=3 * 0.125)
-    g = make_grid(p.grid_points, p.domain_length)
-    stack = stacked_start(p, g, (0.02, 0.06, 0.1, 0.12, 0.16))
+    g = p.grid
+    stack = stacked_start(p, (0.02, 0.06, 0.1, 0.12, 0.16))
     uneven = 1e-10 * np.cos(g.nodes * 2 * math.pi / p.domain_length)
     starts = [
         FieldState(t=0.25 * k, u=u + (uneven if k % 2 else 0.0), v=v)
@@ -842,9 +829,9 @@ def test_the_block_built_record_equals_a_per_step_record():
     ]
     stack = FieldState(t=[s.t for s in starts], u=[s.u for s in starts], v=[s.v for s in starts])
     assert [is_odd(s.u) for s in starts] == [True, False, True, False, True]
-    runs = list(zip(starts, integrate(p, g, stack))) + [(starts[0], integrate(p, g, starts[0]))]
+    runs = list(zip(starts, integrate(p, stack))) + [(starts[0], integrate(p, starts[0]))]
     for start, (summary, snapshots, _, tracks) in runs:
-        snaps, probes, final, sweeps = per_step_record(p, g, start)
+        snaps, probes, final, sweeps = per_step_record(p, start)
         assert snapshots.t.size == 51
         assert np.array_equal(snapshots.u, snaps[:, 0]) and np.array_equal(snapshots.v, snaps[:, 1])
         for k, trk in enumerate(tracks):
@@ -859,18 +846,17 @@ def test_a_failing_member_stops_at_its_own_time_and_the_others_march_on():
     # alone at N = 64: A = 1e200 overflows the cube in its first step, A = 25
     # stalls (its residual grows) at t = 0 and A = 16 runs out of sweeps at t = 0.375
     p = SimParams(grid_points=64, t_end=49.0)
-    g = make_grid(p.grid_points, p.domain_length)
     amplitudes = (0.02, 16.0, 25.0, 0.12, 1e200)
-    outcomes = integrate(p, g, stacked_start(p, g, amplitudes))
+    outcomes = integrate(p, stacked_start(p, amplitudes))
     for a, got in zip(amplitudes, outcomes):
         solo = dataclasses.replace(p, amplitude=a)
         if isinstance(got, Exception):
             with pytest.raises(type(got)) as err:
-                integrate(solo, g)
+                integrate(solo)
             assert str(got) == str(err.value)
             assert got.t == err.value.t
         else:
-            assert_same_results(got, integrate(solo, g))
+            assert_same_results(got, integrate(solo))
     assert [type(o).__name__ for o in outcomes] == [
         "tuple", "StageSolveDiverged", "StageSolveDiverged", "tuple", "NonFinite"
     ]
@@ -884,7 +870,6 @@ def test_a_stack_that_fails_entirely_stops_at_its_last_failure(monkeypatch):
     # runs all three members; the run stops at the fourth step, where the
     # last member (A = 16) fails
     p = SimParams(grid_points=64, t_end=49.0)
-    g = make_grid(p.grid_points, p.domain_length)
     members = []
     step = StageSolver.step
 
@@ -893,7 +878,7 @@ def test_a_stack_that_fails_entirely_stops_at_its_last_failure(monkeypatch):
         return step(self, c, *args)
 
     monkeypatch.setattr(StageSolver, "step", counted)
-    outcomes = integrate(p, g, stacked_start(p, g, (16.0, 25.0, 1e200)))
+    outcomes = integrate(p, stacked_start(p, (16.0, 25.0, 1e200)))
     assert members == [3] * 4
     assert [(type(o).__name__, o.t) for o in outcomes] == [
         ("StageSolveDiverged", 0.375), ("StageSolveDiverged", 0.0), ("NonFinite", 0.125)
@@ -905,8 +890,8 @@ def test_the_zero_state_takes_one_sweep_and_stays_zero(stages):
     # what a failed member costs the others in integrate's stack: one sweep
     # with a zero residual, with or without a start, and a zero step
     p = SimParams(irk_stages=stages)
-    g = make_grid(p.grid_points, p.domain_length)
-    solver = StageSolver(p, g)
+    g = p.grid
+    solver = StageSolver(p)
     zero = np.zeros((1, 2, g.n // 2 + 1), dtype=complex)
     for start in (None, np.zeros((1, stages, g.n // 2 + 1), dtype=complex)):
         *blocks, (report,), next_start = solver.solve(zero, np.zeros((1, 2)), start)
@@ -920,13 +905,12 @@ def test_members_keep_their_own_start_time_and_odd_projection():
     # an odd start is projected every step and a start with an even part is
     # not; in one stack each member still gets exactly its solo treatment
     p = SimParams(t_end=8.0, snapshot_every=4.0)
-    g = make_grid(p.grid_points, p.domain_length)
-    s0 = initial_state(p, g)
+    s0 = initial_state(p)
     starts = [s0, FieldState(t=5.0, u=s0.u + 1e-10, v=s0.v)]
     stack = FieldState(t=[0.0, 5.0], u=[s.u for s in starts], v=[s.v for s in starts])
-    outcomes = integrate(p, g, stack)
+    outcomes = integrate(p, stack)
     for start, got in zip(starts, outcomes):
-        assert_same_results(got, integrate(p, g, start))
+        assert_same_results(got, integrate(p, start))
     (_, odd, _, _), (_, mixed, _, _) = outcomes
     assert odd.t.tolist() == [0.0, 4.0, 8.0] and mixed.t.tolist() == [5.0, 9.0, 13.0]
     assert np.array_equal(reflect(odd.u), -odd.u)
@@ -941,9 +925,9 @@ def test_the_stage_maps_reproduce_the_stage_algebra(stages, sign):
     # what the separate factors give, to 1e-14 of the magnitudes that enter
     # (the s = 3 extrapolation weights reach 77, so its guesses cancel)
     p = SimParams(irk_stages=stages, laplacian_sign=sign)
-    g = make_grid(p.grid_points, p.domain_length)
-    solver = StageSolver(p, g)
-    tab, dt, lam = gauss_tableau(stages), p.dt, kgbreather.dynamics.linear_symbol(p, g)
+    g = p.grid
+    solver = StageSolver(p)
+    tab, dt, lam = gauss_tableau(stages), p.dt, kgbreather.dynamics.linear_symbol(p)
     a2 = dt**2 * (tab.a @ tab.a)
     k = np.linalg.inv(np.eye(stages) - lam[:, None, None] * a2)
     # Lagrange basis on the nodes (0, c_1..c_s), evaluated at 1 + c_j

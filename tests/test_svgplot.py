@@ -4,14 +4,13 @@ import math
 
 import numpy as np
 
-from kgbreather import FieldState, SimParams, fixed_points, initial_state, make_grid
+from kgbreather import FieldState, SimParams, fixed_points, initial_state
 from kgbreather.svgplot import phase_svg, waveform_svg
 
 
 def default_setup():
     p = SimParams()
-    g = make_grid(p.grid_points, p.domain_length)
-    return p, g, initial_state(p, g)
+    return p, p.grid, initial_state(p)
 
 
 def test_waveform_markup_shape():
