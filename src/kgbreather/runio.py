@@ -106,7 +106,8 @@ class _Body:
 
     The pass reads 1 MiB binary blocks and finds the newlines in each. It
     checks the header and the structure that a read of part of the body
-    relies on: a final newline and no blank line. Body line k (0 is the line
+    relies on: a final newline and no blank line, which it looks for block
+    by block, across each block boundary too. Body line k (0 is the line
     after the header, file line k + 2) spans bytes starts[k] to starts[k + 1].
     """
 
@@ -123,21 +124,26 @@ class _Body:
                 raise InsufficientData(f"{path} has header {names}, expected {list(header)}")
             if not first.endswith(b"\n"):
                 raise InsufficientData(f"{path}, line 1: no final newline, cut inside its last cell")
-            ends, size = [np.array([len(first)])], len(first)
+            ends, size, blank = [np.array([len(first)])], len(first), None
+            last, count = len(first), 1  # the end of the last line so far, and the line ends so far
             for block in iter(lambda: fh.read(1 << 20), b""):
-                ends.append(np.flatnonzero(np.frombuffer(block, np.uint8) == 10) + (size + 1))
-                size += len(block)
+                end = np.flatnonzero(np.frombuffer(block, np.uint8) == 10) + (size + 1)
+                # a blank line ends one byte after the line before it, which may end in an earlier block
+                gap = np.flatnonzero(np.diff(end, prepend=last) == 1)
+                if gap.size and blank is None:
+                    blank = count + int(gap[0]) + 1  # its file line
+                ends.append(end)
+                last, count, size = end[-1] if end.size else last, count + end.size, size + len(block)
         self.starts = np.concatenate(ends)
-        del ends  # the per-block arrays would otherwise outlive the blank-line scan below
+        del ends  # freed before a cut final row copies the index
         self.count = len(self.starts) - 1
         if size > self.starts[-1]:
             # a cut row that no longer parses is named for its fault, one that still parses for the cut
             self.starts = np.append(self.starts, size)
             self.rows(range(self.count, self.count + 1))
             raise InsufficientData(f"{path}, line {self.count + 2}: no final newline, cut inside its last cell")
-        blank = np.flatnonzero(np.diff(self.starts) == 1)
-        if blank.size:  # np.loadtxt would skip it without a word
-            raise InsufficientData(f"{path}, line {blank[0] + 2}: blank line")
+        if blank is not None:  # np.loadtxt would skip it without a word
+            raise InsufficientData(f"{path}, line {blank}: blank line")
 
     def _parse(self, lines, count):
         return np.loadtxt(lines, self.fields, delimiter=",", comments=None, ndmin=1, max_rows=count)

@@ -37,15 +37,18 @@ and returns one outcome per member. A single run is M = 1 through the same
 loop, and irk_step stacks its one state the same way and raises its
 member's exception. The members of an amplitude sweep differ only in their
 starts, so they share lambda and the maps. A sweep makes one batched map,
-one batched cube of all stages and guesses of all members and one batched
-synthesis of the residual. The maps are row-wise products and the other
+one batched cube of the stages and guesses of its members and one batched
+synthesis of their residual. The maps are row-wise products and the other
 matrices act on the stage axis alone, so a member's numbers are bit for bit
-those of its solo run. Each member keeps its own residual and stall count,
-and all members sweep in the full block until each has an outcome: a
-member's stages, cubes and next start are those of the sweep where its
-residual first met stage_tol, and a finished member's rows ride along
-unused. A member whose cube overflows fails on its own non-finite residual,
-at the end time of its step that the caller passes.
+those of its solo run. Each member keeps its own residual and stall count
+and leaves the sweep block at its outcome: converged, stalled, out of
+sweeps or non-finite. The first sweep's blocks hold every member; each
+later sweep gathers the rows of the members still sweeping, so the map,
+the cube and the residual act on those alone, and writes them back. A
+member thus keeps the stages, cubes and next start of the sweep where its
+residual first met stage_tol, and a stack of one never gathers. A member
+whose cube overflows fails on its own non-finite residual, at the end time
+of its step that the caller passes.
 
 The samples w = (u, v) feed only the record, so integrate holds each
 step's projected c in a pending block of _BLOCK // M steps (at least one)
@@ -191,9 +194,10 @@ class StageSolver:
         per-mode map, one cube and one residual: the map gives the stages
         and the next step's guesses as one (M, 2s, N/2+1) block, which one
         call cubes, and the returned start is the guess half of those cubes.
-        All members sweep together until each has an outcome, and a
-        member's rows are those of the sweep where its residual first met
-        stage_tol, so it gets the numbers it gets alone. outcomes holds one
+        A member leaves the sweeps at its outcome; later sweeps map, cube
+        and measure only the members still sweeping and write their rows
+        back, so a member's rows are those of the sweep where its residual
+        first met stage_tol, the numbers it gets alone. outcomes holds one
         StepReport or exception per member, and a failed member's rows are
         zero. A member whose residual is not finite (its cube overflowed)
         fails with NonFinite at its step's end, a stalled one with
@@ -201,25 +205,26 @@ class StageSolver:
         """
         m, s = len(c), self.tableau.stages
         tol, max_iter = self.params.stage_tol, self.params.stage_max_iter
-        outcomes, blocks = [None] * m, []  # blocks: each sweep's (stages and guesses, their cubes)
-        prev_res, stall = [math.inf] * m, [0] * m
-        # an overflowing member's rows turn inf or nan and ride along unused
+        outcomes, prev_res, stall = [None] * m, [math.inf] * m, [0] * m
+        live = slice(None)  # the members still sweeping: all of them until one has an outcome
+        # an overflowing member's rows turn inf or nan until its outcome
         with np.errstate(over="ignore", invalid="ignore"):
             # P_u uhat + P_v vhat, the part of every sweep that the cube does not change
             base = accel.stage_matvec(self.map_c, c)
             nl_old = np.broadcast_to(self._cube(c[:, :1]), (m, s, c.shape[-1])) if start is None else start
             for it in range(1, max_iter + 1):
-                block = base + accel.stage_matvec(self.map_nl, nl_old)
-                cubes = self._cube(block)
-                blocks.append((block, cubes))
-                nl_new = cubes[:, :s]
-                # physical max norm of the only nonzero residual component, per member
-                res = (self.dt_a @ (nl_new - nl_old).view(float)).view(complex)
+                new = base[live] + accel.stage_matvec(self.map_nl, nl_old[live])
+                new_cubes = self._cube(new)
+                # physical max norm of the only nonzero residual component, per
+                # live member, taken before new_cubes overwrite nl_old's rows
+                res = (self.dt_a @ (new_cubes[:, :s] - nl_old[live]).view(float)).view(complex)
                 res = np.abs(dft_inverse(res)).max(axis=(1, 2)).tolist()
-                nl_old = nl_new
-                for k, r in enumerate(res):
-                    if outcomes[k] is not None:
-                        continue
+                if isinstance(live, slice):
+                    block, cubes, members = new, new_cubes, range(m)
+                else:
+                    block[live], cubes[live], members = new, new_cubes, live
+                nl_old = cubes[:, :s]
+                for k, r in zip(members, res):
                     if not math.isfinite(r):
                         outcomes[k] = NonFinite("cubic term overflowed", t=float(t[k][1]))
                     elif r <= tol:
@@ -234,15 +239,14 @@ class StageSolver:
                         else:
                             continue
                         outcomes[k] = StageSolveDiverged(message, t=float(t[k][0]))
-                if all(outcomes):
+                still = [k for k in members if outcomes[k] is None]
+                if not still:
                     break
-        # the last sweep's blocks are returned; a member that converged in an
-        # earlier sweep gets its rows of that sweep back, a failed one zeros
+                if len(still) < len(members):
+                    live = still  # later sweeps gather these rows and write them back
         for k, outcome in enumerate(outcomes):
             if not isinstance(outcome, StepReport):
                 block[k] = cubes[k] = 0
-            elif outcome.iterations < it:
-                block[k], cubes[k] = (x[k] for x in blocks[outcome.iterations - 1])
         return block[:, :s], cubes[:, :s], outcomes, cubes[:, s:]
 
     def step(self, c, t, start=None):

@@ -156,11 +156,23 @@ def test_linearized_mode_satisfies_rhs(setup):
     g = p_lin.grid
     k = 2.0
     omega = math.sqrt(p_lin.alpha * k ** 2 + m_coef ** 2)
+
+    def mode(t):
+        return np.sin(k * g.nodes) * math.cos(omega * t), -omega * np.sin(k * g.nodes) * math.sin(omega * t)
+
+    h, energies = 1e-4, []
     for t in (0.0, 0.3, 1.7):
-        u = np.sin(k * g.nodes) * math.cos(omega * t)
-        v = -omega * np.sin(k * g.nodes) * math.sin(omega * t)
+        u, v = mode(t)
         dv = force(u, p_lin)
         assert np.max(np.abs(dv - (-(omega ** 2)) * u)) <= 1e-12
+        # centred differences in t: v is du/dt, and force(u) is dv/dt
+        (u_minus, v_minus), (u_plus, v_plus) = mode(t - h), mode(t + h)
+        assert np.max(np.abs((u_plus - u_minus) / (2 * h) - v)) <= 1e-6
+        assert np.max(np.abs((v_plus - v_minus) / (2 * h) - dv)) <= 1e-6
+        energies.append(float(energy(u, v, p_lin)))
+    # (pi/2) (omega^2 sin^2 + (k^2 + m^2) cos^2) = 5 pi/2 at every t
+    assert energies == pytest.approx([2.5 * math.pi] * 3, rel=1e-14)
+    assert max(energies) - min(energies) <= 1e-14
 
 
 def test_energy_drift_guard():

@@ -350,8 +350,9 @@ def test_snapshots_read_peaks_below_three_tables(tmp_path):
 
 def test_snapshot_index_peaks_below_three_indexes(tmp_path):
     # the byte pass keeps one int64 start per line; its per-block newline arrays
-    # are freed once concatenated, so the blank-line scan does not hold a second
-    # copy of the index (2.15 times the index, measured; 3.15 with the copy)
+    # are freed once concatenated, and the blank-line check runs block by block,
+    # so no second copy of the index is held (2.03 times the index, measured;
+    # 3.15 with a copy)
     grid = make_grid(128, 8.0)
     states = random_states(np.random.default_rng(5), 2048, grid, 0.125)
     path = tmp_path / "snapshots.csv"
@@ -490,6 +491,26 @@ def test_snapshots_with_a_blank_line_are_rejected(tmp_path):
     path.write_text(path.read_text(encoding="utf-8") + "\n", encoding="utf-8")
     with pytest.raises(InsufficientData, match="snapshots.csv, line 34: blank line$"):
         read_snapshots(path)
+
+
+def test_a_blank_line_across_a_block_boundary_is_rejected(tmp_path):
+    # the byte pass reads 1 MiB blocks after the header line: the newline
+    # before the blank line ends the first block and the blank line's own
+    # newline starts the second
+    n = 40000
+    track = TracerTrack(probe_x=2.0, t=0.125 * np.arange(n), u=np.linspace(0.0, 1.0, n), v=np.full(n, 1 / 3))
+    path = tmp_path / "tracers.csv"
+    write_tracers(path, [track])
+    text = path.read_text(encoding="utf-8")
+    boundary = text.index("\n") + 1 + (1 << 20)
+    q = text.rfind("\n", 0, boundary - 1)
+    # trailing zeros on that line's last cell move its newline to the block's last byte
+    text = text[:q] + "0" * (boundary - 1 - q) + "\n\n" + text[q + 1 :]
+    assert text[boundary - 1 : boundary + 1] == "\n\n"
+    path.write_text(text, encoding="utf-8")
+    line = text[:boundary].count("\n") + 1
+    with pytest.raises(InsufficientData, match=f"tracers.csv, line {line}: blank line$"):
+        read_tracers(path)
 
 
 def test_cut_final_newline_after_a_blank_line_is_named_by_its_file_line(tmp_path):

@@ -658,29 +658,36 @@ def test_each_member_of_a_stack_equals_its_solo_run_bit_for_bit(stages):
     assert len({summary.sweep_counts for summary, _, _, _ in outcomes}) > 1
 
 
+def record_cubes(monkeypatch):
+    """The list that every later cube input of the stage solver is copied into."""
+    inputs = []
+    cube = kgbreather.stepping.nonlinear_hat
+
+    def recorded(x, params):
+        inputs.append(x.copy())
+        return cube(x, params)
+
+    monkeypatch.setattr(kgbreather.stepping, "nonlinear_hat", recorded)
+    return inputs
+
+
 def test_a_member_that_converges_early_keeps_the_stages_of_its_own_sweep(monkeypatch):
     # in the second step A = 0.02 converges after one sweep and A = 0.12
-    # after two; the second sweep runs on both members, and A = 0.02 keeps
+    # after two; the second sweep runs on A = 0.12 alone, and A = 0.02 keeps
     # the stages, cubes and next start of its first
     p = SimParams()
     stack = stacked_start(p, (0.02, 0.12))
     solver = StageSolver(p)
     c, _, start = solver.step(dft_forward(np.stack([stack.u, stack.v], axis=1)), np.zeros((2, 2)))
     times = np.array([[p.dt, 2 * p.dt]] * 2)
-    rows = []
-    cube = kgbreather.stepping.nonlinear_hat
-
-    def counted(x, params):
-        rows.append(len(x) // p.irk_stages)
-        return cube(x, params)
-
-    monkeypatch.setattr(kgbreather.stepping, "nonlinear_hat", counted)
+    inputs = record_cubes(monkeypatch)
     stage_u, nl, reports, guess_nl = solver.solve(c, times, start)
     monkeypatch.undo()
     assert [r.iterations for r in reports] == [1, 2]
-    # each sweep cubes the stage rows and the guess rows of both members,
-    # and the start's cube comes from the step before
-    assert rows == [4, 4]
+    # each sweep cubes the stage rows and the guess rows of the members
+    # still sweeping, and the start's cube comes from the step before
+    rows = [len(x) // p.irk_stages for x in inputs]
+    assert rows == [4, 2]
     for k in range(2):
         solo = slice(k, k + 1)  # member k as a stack of one
         solo_u, solo_nl, solo_reports, solo_start = solver.solve(c[solo], times[solo], start[solo])
@@ -691,6 +698,60 @@ def test_a_member_that_converges_early_keeps_the_stages_of_its_own_sweep(monkeyp
     # the map composes the extrapolation in advance, so it agrees to roundoff
     own = kgbreather.dynamics.nonlinear_hat(solver.extrap[:, :1] * c[0, :1] + solver.extrap[:, 1:] @ stage_u[0], p)
     assert np.max(np.abs(guess_nl[0] - own)) <= 1e-13 * np.max(np.abs(own))
+
+
+@pytest.mark.parametrize("stages", [1, 2, 3])
+def test_each_sweep_cubes_exactly_the_members_without_an_outcome(stages, monkeypatch):
+    # alone, these members take 4, 2, 7 and 3 sweeps in their first step at
+    # s = 1, 4, 2, 5 and 3 at s = 2, 3, 2, 5 and 3 at s = 3; sweep j cubes
+    # the rows of the members that took j sweeps or more, in member order,
+    # and each member's numbers are those of its solo solve
+    p = SimParams(irk_stages=stages)
+    stack = stacked_start(p, (0.3, 0.02, 1.0, 0.12))
+    c = dft_forward(np.stack([stack.u, stack.v], axis=1))
+    times = np.zeros((4, 2))
+    solver = StageSolver(p)
+    inputs = record_cubes(monkeypatch)
+    *blocks, reports, start = solver.solve(c, times)
+    sweeps, solos = inputs[1:], []  # the first cube is that of uhat, which starts every stage
+    for k in range(4):
+        inputs.clear()
+        solos.append((solver.solve(c[k : k + 1], times[k : k + 1]), inputs[1:]))
+    iterations = [r.iterations for r in reports]
+    assert len(set(iterations)) > 2
+    assert len(sweeps) == max(iterations)
+    for j, x in enumerate(sweeps, start=1):
+        live = [k for k, n in enumerate(iterations) if n >= j]
+        assert np.array_equal(x, np.concatenate([solos[k][1][j - 1] for k in live]))
+    for k, ((solo_u, solo_nl, solo_reports, solo_start), _) in enumerate(solos):
+        assert [reports[k]] == solo_reports
+        for got, want in zip((*blocks, start), (solo_u, solo_nl, solo_start)):
+            assert np.array_equal(got[k], want[0])
+
+
+def test_a_member_that_fails_in_the_first_sweep_leaves_the_sweep_block(monkeypatch):
+    # A = 1e200 overflows its cube and fails in sweep 1; A = 0.02 needs two
+    # sweeps, and the second cubes its rows alone
+    p = SimParams(irk_stages=2)
+    stack = stacked_start(p, (1e200, 0.02))
+    c = dft_forward(np.stack([stack.u, stack.v], axis=1))
+    times = np.array([[3.0, 3.0 + p.dt]] * 2)
+    solver = StageSolver(p)
+    inputs = record_cubes(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stage_u, nl, (failure, report), start = solver.solve(c, times)
+    # the starting cube of uhat, then 2s rows a member in each sweep
+    assert [len(x) for x in inputs] == [2, 8, 4]
+    second = inputs.pop()
+    inputs.clear()
+    solo_u, solo_nl, solo_reports, solo_start = solver.solve(c[1:], times[1:])
+    assert np.array_equal(second, inputs[2])
+    assert isinstance(failure, NonFinite) and failure.t == 3.0 + p.dt
+    assert report.iterations == 2 and [report] == solo_reports
+    for got, want in zip((stage_u, nl, start), (solo_u, solo_nl, solo_start)):
+        assert not got[0].any()
+        assert np.array_equal(got[1], want[0])
 
 
 def test_an_overflowing_member_fails_on_its_own_residual_inside_one_solve():
