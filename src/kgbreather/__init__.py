@@ -19,17 +19,12 @@ from .errors import (
     CenterOnLoop,
     ConfigParseError,
     DegenerateLoop,
-    IncompatibleDomain,
     InsufficientData,
-    InvalidGrid,
     InvalidParams,
     KgError,
     LengthMismatch,
-    MissingSnapshot,
     NonFinite,
-    NonIntegerWinding,
     StageSolveDiverged,
-    UnsupportedStageCount,
 )
 from .geometry import (
     ClassifyResult,

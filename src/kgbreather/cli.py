@@ -20,7 +20,7 @@ from .core import (
     validate_params,
 )
 from .dynamics import fixed_points
-from .errors import InsufficientData, InvalidParams, KgError, MissingSnapshot
+from .errors import InsufficientData, InvalidParams, KgError
 from .geometry import classify_mode
 from .runio import (
     DIAGNOSTICS_FILE,
@@ -103,7 +103,6 @@ def write_run(params, out_dir, outcome, wall):
         "tool_version": __version__,
         "params": params_to_dict(params),
         "params_sha256": params_digest(params_to_dict(params)),
-        "grid": {"n": params.grid.n, "length": params.grid.length, "dx": params.grid.dx},
         "wall_clock_seconds": wall,
     }
     if isinstance(outcome, Exception):
@@ -282,7 +281,7 @@ def cmd_plot(args):
         matches = [k for k, t in enumerate(times) if abs(t - args.time) <= 1e-9]
         if not matches:
             have = ", ".join(fmt(t) for t in times[:8])
-            raise MissingSnapshot(f"no snapshot at t={args.time}; run starts {have} ...")
+            raise InsufficientData(f"no snapshot at t={args.time}; run starts {have} ...")
         sel = matches[0]
     # the selected state and the one before it, which the waveform draws dotted
     nodes, states = read_snapshots(source, max(sel - 1, 0), sel + 1, index)

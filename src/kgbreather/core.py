@@ -8,7 +8,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import IncompatibleDomain, InvalidGrid, LengthMismatch, NonFinite
+from .errors import InvalidParams, LengthMismatch, NonFinite
 
 LAPLACIAN_SIGNS = ("standard_wave", "as_written")
 
@@ -191,7 +191,7 @@ class Grid:
 
 def make_grid(n, length):
     if n % 2 != 0 or n < 8 or length <= 0:
-        raise InvalidGrid(f"need even n >= 8 and length > 0, got n={n}, length={length}")
+        raise InvalidParams([f"need even n >= 8 and length > 0, got n={n}, length={length}"])
     nodes = np.arange(n) * (length / n)
     wavenumbers = 2.0 * np.pi * np.fft.rfftfreq(n, d=length / n)
     nodes.setflags(write=False)
@@ -236,9 +236,7 @@ def initial_state(params):
     """Profile A*sin(pi x/4) at rest, exactly odd on params.grid; L must keep it periodic."""
     grid = params.grid
     if not _holds_sine_periods(grid.length):
-        raise IncompatibleDomain(
-            f"domain_length must be a positive multiple of 8 for the sine profile, got {grid.length}"
-        )
+        raise InvalidParams([f"domain_length must be a multiple of 8 for the sine profile, got {grid.length}"])
     # the profile is odd about x = 0 and x = L/2; mirror the sampled half so
     # u[N - j] = -u[j] holds bit for bit and integrate keeps the run odd
     h = grid.n // 2
@@ -295,7 +293,9 @@ def half_domain_masks(grid):
 
 
 def probe_indices(params):
-    idx = [_probe_node(x, params.grid.n, params.grid.length) for x in params.probes]
+    n, length = params.grid.n, params.grid.length
+    idx = [_probe_node(x, n, length) for x in params.probes]
     if None in idx:
-        raise InvalidGrid(f"probe {params.probes[idx.index(None)]} does not lie on a grid node")
+        x = params.probes[idx.index(None)]
+        raise InvalidParams([f"probe {x} not on a grid node (N = {n}, L = {length})"])
     return idx

@@ -5,19 +5,8 @@ class KgError(Exception):
     """Base class for every error raised by this package."""
 
 
-class InvalidGrid(KgError):
-    """Grid construction rejected (odd point count, too few points, bad length)."""
-
-
-class IncompatibleDomain(KgError):
-    """Initial profile does not fit the periodic domain."""
-
-
 class InvalidParams(KgError):
-    """Parameter set violates its invariants.
-
-    Carries the violation list produced by ``validate_params``.
-    """
+    """A parameter breaks a rule; carries the violations, from validate_params or from one check."""
 
     def __init__(self, violations):
         self.violations = list(violations)
@@ -36,10 +25,6 @@ class NonFinite(KgError):
         super().__init__(message)
 
 
-class UnsupportedStageCount(KgError):
-    """Requested stage count has no tableau."""
-
-
 class StageSolveDiverged(KgError):
     """Implicit stage iteration failed to reach the residual tolerance; t is the start of that step."""
 
@@ -50,10 +35,6 @@ class StageSolveDiverged(KgError):
 
 class CenterOnLoop(KgError):
     """Winding center coincides with a loop point."""
-
-
-class NonIntegerWinding(KgError):
-    """Accumulated angle is not close to a whole number of turns."""
 
 
 class DegenerateLoop(KgError):
@@ -71,7 +52,3 @@ class ConfigParseError(KgError):
         self.line = line
         self.key = key
         super().__init__(message)
-
-
-class MissingSnapshot(KgError):
-    """Requested plot time is not present in the run output."""

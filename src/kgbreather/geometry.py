@@ -18,19 +18,10 @@ import numpy as np
 
 from .core import clean_samples
 from .dynamics import fixed_points
-from .errors import (
-    CenterOnLoop,
-    DegenerateLoop,
-    InsufficientData,
-    InvalidParams,
-    LengthMismatch,
-    NonIntegerWinding,
-)
+from .errors import CenterOnLoop, DegenerateLoop, InsufficientData, InvalidParams, LengthMismatch
 
 # Absolute distance below which a point coincides with a rotation center.
 CENTER_EPS = 1e-12
-# |angle sum / 2pi - nearest integer| allowed for a closed loop.
-WINDING_GUARD = 1e-6
 # Crossing tolerance as a fraction of the loop diameter.
 CROSSING_REL_EPS = 1e-12
 
@@ -61,8 +52,6 @@ def _dedup_closed(state):
     if state.u.ndim != 1:
         raise LengthMismatch(f"a loop is one state, got a stack of shape {state.u.shape}")
     u, v = state.u, state.v
-    if u.size == 0:
-        return u, v
     keep = np.ones(u.size, dtype=bool)
     keep[1:] = (u[1:] != u[:-1]) | (v[1:] != v[:-1])
     u, v = u[keep], v[keep]
@@ -94,9 +83,10 @@ def _turns(u, v, center):
 def winding_number(state, center):
     """Signed integer turns about center of the closed loop of a one-state FieldState.
 
-    Raises CenterOnLoop when a vertex sits within CENTER_EPS of the center,
-    DegenerateLoop for loops with fewer than 3 distinct consecutive vertices,
-    and NonIntegerWinding when the angle sum is not an integer number of turns.
+    The principal-value angle steps of a closed loop sum to a whole number of
+    turns up to rounding, which round removes. Raises CenterOnLoop when a
+    vertex sits within CENTER_EPS of the center, and DegenerateLoop for loops
+    with fewer than 3 distinct consecutive vertices.
     """
     cu, cv = float(center[0]), float(center[1])
     u, v = _dedup_closed(state)
@@ -104,11 +94,7 @@ def winding_number(state, center):
         raise DegenerateLoop(f"loop reduces to {u.size} vertices")
     if float(np.min(np.hypot(u - cu, v - cv))) < CENTER_EPS:
         raise CenterOnLoop(f"center ({cu}, {cv}) lies on the loop")
-    turns = float(_turns(np.append(u, u[0]), np.append(v, v[0]), (cu, cv))[-1])
-    nearest = round(turns)
-    if abs(turns - nearest) > WINDING_GUARD:
-        raise NonIntegerWinding(f"angle sum is {turns} turns, not an integer")
-    return int(nearest)
+    return round(float(_turns(np.append(u, u[0]), np.append(v, v[0]), (cu, cv))[-1]))
 
 
 def cumulative_rotation(track, center):
@@ -214,9 +200,10 @@ def classify_mode(diagnostics, track, params):
     """Label a finished run as breather, ordinary, or indeterminate.
 
     diagnostics is the (S,) record of integrate or read_diagnostics. final_t is the
-    last snapshot's t, and the margins use the snapshots of the last seven eighths of
-    it (the first eighth is transient): m_left is the worst (smallest) left half
-    minimum of u, m_right the worst (largest) right half maximum. The turns are the
+    last snapshot's t; the span final_t - t0 from the first snapshot's t0 must cover 4
+    snapshot intervals, and the margins use the snapshots at t >= t0 + span/8 (the
+    first eighth is transient): m_left is the worst (smallest) left half minimum of u,
+    m_right the worst (largest) right half maximum. The turns are the
     cumulative_rotation of the whole first-probe track, where a sample within
     CENTER_EPS of the center carries no angle. They run to t_end, so they equal the
     last rot_* row only when snapshot_every divides t_end, and else run past it:
@@ -229,13 +216,14 @@ def classify_mode(diagnostics, track, params):
         raise InsufficientData("no diagnostics rows")
     if track is None or len(track) < 2:
         raise InsufficientData("first-probe track missing or too short")
-    final_t = float(diagnostics.t[-1])
-    if final_t < 4.0 * params.snapshot_every:
+    t0, final_t = float(diagnostics.t[0]), float(diagnostics.t[-1])
+    span = final_t - t0
+    if span < 4.0 * params.snapshot_every:
         raise InsufficientData(
-            f"run covers t={final_t}; need at least 4 snapshot intervals "
+            f"run covers t={span}; need at least 4 snapshot intervals "
             f"({4.0 * params.snapshot_every})"
         )
-    kept = diagnostics[diagnostics.t >= final_t / 8.0]
+    kept = diagnostics[diagnostics.t >= t0 + span / 8.0]
     if not len(kept):
         raise InsufficientData("no diagnostics rows past the transient window")
     m_left, m_right = float(kept.u_min_left.min()), float(kept.u_max_right.max())

@@ -119,7 +119,8 @@ class _Body:
             first = fh.readline()
             if not first:
                 raise InsufficientData(f"{path} is empty")
-            names = first.decode("utf-8").rstrip("\n").split(",")
+            # a byte that is not UTF-8 decodes to U+FFFD, which no header holds
+            names = first.decode("utf-8", "replace").rstrip("\n").split(",")
             if names != list(header):
                 raise InsufficientData(f"{path} has header {names}, expected {list(header)}")
             if not first.endswith(b"\n"):
@@ -153,7 +154,10 @@ class _Body:
         with open(self.path, "rb", buffering=0) as fh:
             for k in lines:
                 fh.seek(self.starts[k])
-                yield fh.read(self.starts[k + 1] - self.starts[k]).decode("utf-8")
+                try:
+                    yield fh.read(self.starts[k + 1] - self.starts[k]).decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise InsufficientData(f"{self.path}, line {k + 2}: not UTF-8 text: {exc}") from None
 
     def rows(self, lines):
         """The body lines in the range lines as (len(lines),) records, parsed by one numpy.loadtxt call.
@@ -399,15 +403,8 @@ def params_digest(params):
 
 
 def inventory_digests(run_dir, names):
-    """sha256 of each named file that exists in run_dir (manifest never listed)."""
-    out = {}
-    for name in names:
-        if name == MANIFEST_FILE:
-            continue
-        p = os.path.join(run_dir, name)
-        if os.path.exists(p):
-            out[name] = file_digest(p)
-    return out
+    """sha256 of each named file in run_dir, which must exist; the manifest lists these."""
+    return {name: file_digest(os.path.join(run_dir, name)) for name in names}
 
 
 def write_manifest(path, manifest):

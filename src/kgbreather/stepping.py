@@ -82,7 +82,7 @@ from .core import (
     probe_indices,
 )
 from .dynamics import energy, energy_drift, linear_symbol, momentum, nonlinear_hat
-from .errors import LengthMismatch, NonFinite, StageSolveDiverged, UnsupportedStageCount
+from .errors import InvalidParams, LengthMismatch, NonFinite, StageSolveDiverged
 from .geometry import TracerTrack, _turns, vacuum_on_side
 from .spectral import dft_forward, dft_inverse
 
@@ -123,7 +123,7 @@ def gauss_tableau(stages):
         b = [5.0 / 18.0, 4.0 / 9.0, 5.0 / 18.0]
         c = [0.5 - r / 10.0, 0.5, 0.5 + r / 10.0]
     else:
-        raise UnsupportedStageCount(f"stage count must be 1, 2, or 3, got {stages}")
+        raise InvalidParams([f"irk_stages must be 1, 2, or 3, got {stages}"])
     a = np.array(a, dtype=np.float64)
     a.setflags(write=False)
     b = np.array(b, dtype=np.float64)
@@ -313,7 +313,8 @@ def integrate(params, state=None):
     step before (see the module docstring). Every failure carries its t: a
     StageSolveDiverged the start of its step, a NonFinite the end.
     A state whose samples turn non-finite fails with NonFinite at the first
-    such step.
+    such step, and one whose energy or momentum is not finite at a snapshot
+    with NonFinite at the first such snapshot's t.
 
     The grid is params.grid. The start is one N-point state, N =
     params.grid_points, or a stack of M of them (u and v (M, N), t (M,))
@@ -413,13 +414,22 @@ def integrate(params, state=None):
         # temporary grows with the run; each acts row by row, so the rows are
         # those of one call over the stack
         cols = np.empty((snapshots.t.size, 6))
-        for a in range(0, len(cols), _BLOCK):
-            u, v = snapshots.u[a : a + _BLOCK], snapshots.v[a : a + _BLOCK]
-            cols[a : a + _BLOCK] = np.column_stack(
-                [energy(u, v, params), momentum(u, v, params)]
-                + [u[:, mask_left].min(axis=1), u[:, mask_left].max(axis=1)]
-                + [u[:, mask_right].min(axis=1), u[:, mask_right].max(axis=1)]
-            )
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails this member alone
+            for a in range(0, len(cols), _BLOCK):
+                u, v = snapshots.u[a : a + _BLOCK], snapshots.v[a : a + _BLOCK]
+                try:
+                    cols[a : a + _BLOCK] = np.column_stack(
+                        [energy(u, v, params), momentum(u, v, params)]
+                        + [u[:, mask_left].min(axis=1), u[:, mask_left].max(axis=1)]
+                        + [u[:, mask_right].min(axis=1), u[:, mask_right].max(axis=1)]
+                    )
+                except NonFinite:
+                    # the member fails at its first snapshot whose energy or momentum is not finite
+                    for j, t in enumerate(snapshots.t[a : a + _BLOCK].tolist()):
+                        try:
+                            energy(u[j], v[j], params), momentum(u[j], v[j], params)
+                        except NonFinite as exc:
+                            return NonFinite(f"{exc} at t={t}", t=t)
         e = cols[:, 0]
         drift = energy_drift(e, e[0])
         diagnostics = np.rec.fromarrays(
@@ -443,7 +453,7 @@ def integrate(params, state=None):
 
     outcomes = [outcome(k) for k in range(m)]
     if state.u.ndim == 1:
-        if errors:
-            raise errors[0][1]
+        if isinstance(outcomes[0], Exception):
+            raise outcomes[0]
         return outcomes[0]
     return outcomes

@@ -8,6 +8,7 @@ with two decimals; data values appearing in labels use %g.
 import numpy as np
 
 _FONT = "font-family=\"Helvetica, Arial, sans-serif\" font-size=\"12\""
+MAX_TRAIL = 512
 
 
 def _num(x):
@@ -115,8 +116,11 @@ def waveform_svg(nodes, length, u_now, t_now, u_prev=None, t_prev=None):
     return "".join(parts)
 
 
-def phase_svg(state, fixed_pts, trail_u=None, trail_v=None, max_trail=512):
-    """The closed (u, v) loop of a one-state FieldState, the equilibria, and an optional tracer trail."""
+def phase_svg(state, fixed_pts, trail_u=None, trail_v=None):
+    """The closed (u, v) loop of a one-state FieldState, the equilibria, and an optional tracer trail.
+
+    A trail longer than MAX_TRAIL points is drawn at every ceil(len / MAX_TRAIL)-th point.
+    """
     us = [state.u, np.array([p[0] for p in fixed_pts])]
     vs = [state.v, np.array([p[1] for p in fixed_pts])]
     if trail_u is not None:
@@ -135,7 +139,7 @@ def phase_svg(state, fixed_pts, trail_u=None, trail_v=None, max_trail=512):
     )
     if trail_u is not None and len(trail_u) > 0:
         n = len(trail_u)
-        stride = max(1, -(-n // max_trail))
+        stride = max(1, -(-n // MAX_TRAIL))
         for a, b in zip(trail_u[::stride], trail_v[::stride]):
             parts.append(
                 f'<circle cx="{_num(fr.px(a))}" cy="{_num(fr.py(b))}" r="1" '

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import importlib.util
+import inspect
 import json
 import os
 import pathlib
@@ -13,7 +14,7 @@ import sys
 import pytest
 
 import kgbreather
-from kgbreather import FieldState, InvalidParams, SimParams, fixed_points, params_from_dict
+from kgbreather import FieldState, InvalidParams, SimParams, cli, errors, fixed_points, params_from_dict
 from kgbreather.cli import main, run_members
 from kgbreather.runio import (
     file_digest,
@@ -75,7 +76,7 @@ def test_simulate_writes_all_artifacts(tmp_path, cfg64):
     assert manifest["params"]["t_end"] == 64.0
     canonical = json.dumps(manifest["params"], sort_keys=True, separators=(",", ":"))
     assert manifest["params_sha256"] == hashlib.sha256(canonical.encode()).hexdigest()
-    assert manifest["grid"]["n"] == 64
+    assert manifest["params"]["grid_points"] == 64
     # stage_sweep_counts[k - 1] steps took k sweeps
     counts = manifest["stage_sweep_counts"]
     assert sum(counts) == manifest["steps"]
@@ -291,6 +292,70 @@ def test_classify_rejects_a_manifest_without_file_digests(finished_run):
     assert res.stdout == ""
 
 
+ERRORS = [
+    obj
+    for _, obj in inspect.getmembers(errors, inspect.isclass)
+    if issubclass(obj, errors.KgError) and obj.__module__ == errors.__name__
+]
+
+
+@pytest.mark.parametrize("error", ERRORS, ids=lambda error: error.__name__)
+def test_every_package_error_exits_2_with_its_message(tmp_path, monkeypatch, capsys, error):
+    # no caller tells the package's errors apart: each is exit 2 and its message
+    exc = error(["a rule broken"]) if error is InvalidParams else error("a rule broken")
+
+    def fail(args):
+        raise exc
+
+    monkeypatch.setitem(cli._COMMANDS, "classify", fail)
+    assert main(["classify", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: a rule broken\n"
+
+
+def test_classify_and_plot_read_a_manifest_with_the_retired_grid_block(finished_run):
+    # manifests once restated N, L and dx beside the params; readers ignore the copy
+    edit_manifest(finished_run, lambda m: m.update(grid={"n": 64, "length": 8.0, "dx": 0.125}))
+    assert main(["classify", "--out", finished_run]) == 0
+    assert main(["plot", "--out", finished_run]) == 0
+
+
+def rewrite_with_digest(run_dir, name, change):
+    """Apply change to the bytes of a run file and record its new digest in the manifest."""
+    path = pathlib.Path(run_dir, name)
+    path.write_bytes(change(path.read_bytes()))
+    edit_manifest(run_dir, lambda m: m["files"].update({name: file_digest(path)}))
+    return path
+
+
+def test_classify_of_diagnostics_with_nan_times_finds_no_rows_past_the_transient(finished_run, capsys):
+    def nan_times(raw):
+        header, *rows = raw.decode().splitlines(keepends=True)
+        return (header + "".join("nan" + row[row.index(",") :] for row in rows)).encode()
+
+    rewrite_with_digest(finished_run, "diagnostics.csv", nan_times)
+    assert main(["classify", "--out", finished_run]) == 2
+    assert capsys.readouterr().err == "error: no diagnostics rows past the transient window\n"
+
+
+@pytest.mark.parametrize(
+    "command, name, line, fault",
+    [
+        ("classify", "diagnostics.csv", 3, ", line 3: not UTF-8 text: 'utf-8' codec can't decode byte 0xff"),
+        ("plot", "snapshots.csv", 1, " has header ['t', '\ufffd', 'u', 'v'], expected ['t', 'x', 'u', 'v']"),
+    ],
+    ids=["data_row", "header"],
+)
+def test_a_byte_that_is_not_utf8_exits_2_naming_the_line(finished_run, capsys, command, name, line, fault):
+    def poke(raw):
+        lines = raw.split(b"\n")
+        lines[line - 1] = lines[line - 1][:2] + b"\xff" + lines[line - 1][3:]
+        return b"\n".join(lines)
+
+    path = rewrite_with_digest(finished_run, name, poke)
+    assert main([command, "--out", finished_run]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}{fault}")
+
+
 def test_classify_missing_run_exits_3(tmp_path):
     res = run_cli("classify", "--out", str(tmp_path / "nowhere"))
     assert res.returncode == 3
@@ -450,6 +515,13 @@ def test_sweep_rejects_non_increasing_amplitudes(tmp_path, cfg64):
     assert res.returncode == 1
 
 
+def test_sweep_rejects_an_amplitude_that_is_not_a_number(tmp_path, cfg64, capsys):
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", cfg64, "--out", str(out), "--amplitudes", "0.01,abc"]) == 1
+    assert capsys.readouterr().err == "usage error: bad amplitude value: could not convert string to float: 'abc'\n"
+    assert not out.exists()
+
+
 def test_sweep_rejects_an_invalid_member_before_running_any(tmp_path, cfg64):
     out = tmp_path / "sweep"
     res = run_cli("sweep", "--config", cfg64, "--out", str(out), "--amplitudes", "0.01,nan")
@@ -529,6 +601,31 @@ def test_sweep_survives_members_that_fail_apart_from_the_others(tmp_path, cfg64)
     for e in entries[1:]:
         assert e["label"] == "indeterminate"
         assert all(e[k] != e[k] for k in ("m_left", "m_right", "rot_left", "rot_origin", "max_drift"))
+
+
+def test_sweep_survives_a_member_whose_diagnostics_overflow(tmp_path, capsys):
+    # the energy of A = 1e80 overflows at t = 0; A = 0.04 writes its solo bytes
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("t_end = 0\ngrid_points = 32\n", encoding="utf-8")
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out), "--amplitudes", "0.04,1e80"]) == 0
+    assert capsys.readouterr().err == "A=1e+80: failed (energy non-finite at t=0.0)\n"
+    solo = tmp_path / "solo"
+    assert main(["simulate", "--config", str(cfg), "--out", str(solo)]) == 0
+    for name in ("snapshots.csv", "diagnostics.csv", "tracers.csv"):
+        assert (out / "A_0.04" / name).read_bytes() == (solo / name).read_bytes()
+    manifests = [json.loads((d / "manifest.json").read_text()) for d in (out / "A_0.04", solo)]
+    for manifest in manifests:
+        del manifest["wall_clock_seconds"]
+    assert manifests[0] == manifests[1]
+    manifest = json.loads((out / "A_1e+80" / "manifest.json").read_text())
+    assert manifest["status"] == "failed" and manifest["files"] == {}
+    assert manifest["failure"] == {"t": 0.0, "error": "NonFinite", "message": "energy non-finite at t=0.0"}
+    assert sorted(os.listdir(out / "A_1e+80")) == ["manifest.json"]
+    entries = read_sweep(out / "sweep.csv")
+    assert [e["A"] for e in entries] == [0.04, 1e80]
+    assert entries[1]["label"] == "indeterminate"
+    assert all(entries[1][k] != entries[1][k] for k in ("m_left", "m_right", "rot_left", "rot_origin", "max_drift"))
 
 
 def test_two_simulates_write_identical_csv_bytes(tmp_path, cfg64):

@@ -12,8 +12,7 @@ import pytest
 import kgbreather
 from kgbreather import (
     FieldState,
-    IncompatibleDomain,
-    InvalidGrid,
+    InvalidParams,
     LengthMismatch,
     NonFinite,
     SimParams,
@@ -65,7 +64,7 @@ def test_make_grid_wavenumbers_closed_under_negation_except_nyquist():
 
 @pytest.mark.parametrize("n,length", [(6, 8.0), (7, 8.0), (128, 0.0), (128, -8.0), (0, 8.0)])
 def test_make_grid_rejects_bad_shapes(n, length):
-    with pytest.raises(InvalidGrid):
+    with pytest.raises(InvalidParams, match="need even n >= 8 and length > 0"):
         make_grid(n, length)
 
 
@@ -127,7 +126,7 @@ def test_block_projection_matches_rows():
 @pytest.mark.parametrize("length", [4.0, 7.0, 12.0])
 def test_initial_state_rejects_non_multiple_domain(length):
     p = dataclasses.replace(SimParams(), domain_length=length)
-    with pytest.raises(IncompatibleDomain):
+    with pytest.raises(InvalidParams, match="domain_length must be a multiple of 8 for the sine profile"):
         initial_state(p)
 
 
@@ -187,6 +186,7 @@ def test_validate_params_defaults_clean():
         ("t_end", 1e-14, "t_end = 1e-14 is not a positive integer multiple"),
         ("domain_length", 12.0, "domain_length must be a multiple of 8"),
         ("domain_length", 1e-14, "domain_length must be a multiple of 8"),
+        ("snapshot_every", -16.0, "snapshot_every must be positive, got -16.0"),
     ],
 )
 def test_validate_params_flags_each_violation(field, value, word):
@@ -290,6 +290,11 @@ def test_probe_indices_defaults():
     assert probe_indices(SimParams()) == [32, 96]
 
 
+def test_probe_indices_rejects_an_off_node_probe():
+    with pytest.raises(InvalidParams, match=r"^probe 2\.01 not on a grid node \(N = 128, L = 8\.0\)$"):
+        probe_indices(SimParams(probes=(2.0, 2.01)))
+
+
 
 def test_params_carry_their_grid():
     # N and L are stated once, in the params; the grid is built from them
@@ -303,7 +308,7 @@ def test_params_carry_their_grid():
     assert "grid" not in params_to_dict(p)
     _, snapshots, _, _ = integrate(SimParams(grid_points=64, t_end=4.0))
     assert snapshots.u.shape == (1, 64)
-    with pytest.raises(InvalidGrid):
+    with pytest.raises(InvalidParams, match="need even n >= 8 and length > 0"):
         SimParams(grid_points=7).grid
 
 

@@ -154,6 +154,8 @@ def test_winding_degenerate_loops_raise():
         winding_number(FieldState(t=0.0, u=np.array([0.0, 1.0]), v=np.array([0.0, 0.0])), (5.0, 5.0))
     with pytest.raises(DegenerateLoop):
         winding_number(FieldState(t=0.0, u=np.ones(6), v=np.full(6, 2.0)), (5.0, 5.0))
+    with pytest.raises(DegenerateLoop, match="^loop reduces to 0 vertices$"):
+        winding_number(FieldState(t=0.0, u=np.empty(0), v=np.empty(0)), (5.0, 5.0))
 
 
 def stacked_loops():
@@ -312,6 +314,8 @@ def test_crossings_invariant_under_shift_and_reversal(shift):
 def test_crossings_reject_coincident_points():
     with pytest.raises(DegenerateLoop):
         self_intersections(FieldState(t=0.0, u=np.full(8, 0.3), v=np.full(8, -0.7)))
+    with pytest.raises(DegenerateLoop, match="^all loop points coincide$"):
+        self_intersections(FieldState(t=0.0, u=np.empty(0), v=np.empty(0)))
 
 
 def test_crossings_reject_a_stacked_state():
@@ -443,6 +447,28 @@ def test_classify_insufficient_data(default_params):
     # 3 rows reach t = 32, less than 4 snapshot intervals (64)
     with pytest.raises(InsufficientData):
         classify_mode(rows_every_16(3, 0.02, -0.02), good_track, default_params)
+
+
+def late_start(params, t0):
+    """The default start of params at time t0."""
+    return dataclasses.replace(initial_state(params), t=t0)
+
+
+def test_classify_measures_a_run_from_its_first_snapshot():
+    # 16 time units are too short to label from t = 1000 as from t = 0
+    short = SimParams(t_end=16.0)
+    _, _, diagnostics, tracks = integrate(short, late_start(short, 1000.0))
+    with pytest.raises(InsufficientData, match=r"^run covers t=16\.0; need at least 4 snapshot intervals \(64\.0\)$"):
+        classify_mode(diagnostics, tracks[0], short)
+    # 128 units from t = 1000 skip the same transient eighth as from t = 0
+    params = SimParams(t_end=128.0)
+    results = [
+        classify_mode(diagnostics, tracks[0], params)
+        for _, _, diagnostics, tracks in (integrate(params), integrate(params, late_start(params, 1000.0)))
+    ]
+    assert [r.final_t for r in results] == [128.0, 1128.0]
+    evidence = [(r.label, r.m_left, r.m_right, r.rot_left, r.rot_origin) for r in results]
+    assert evidence[0] == evidence[1]
 
 
 def test_classify_turns_equal_the_last_diagnostics_row_bit_for_bit():

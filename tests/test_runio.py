@@ -201,6 +201,9 @@ def test_snapshots_reject_empty_and_header_only(tmp_path):
     path.write_text("t,x,u,v\n", encoding="utf-8")
     with pytest.raises(InsufficientData):
         read_snapshots(path)
+    path.write_text("t,x,u,v", encoding="utf-8")
+    with pytest.raises(InsufficientData, match="snapshots.csv, line 1: no final newline, cut inside its last cell$"):
+        read_snapshots(path)
 
 
 def test_snapshots_reject_non_numeric_cell(tmp_path):
@@ -716,7 +719,7 @@ def test_manifest_round_trip_and_digests(tmp_path):
     grid = make_grid(16, 8.0)
     write_snapshots(tmp_path / "snapshots.csv", sample_states(grid), grid)
     write_diagnostics(tmp_path / "diagnostics.csv", sample_rows())
-    files = inventory_digests(tmp_path, ["snapshots.csv", "diagnostics.csv", "manifest.json"])
+    files = inventory_digests(tmp_path, ["snapshots.csv", "diagnostics.csv"])
     assert sorted(files) == ["diagnostics.csv", "snapshots.csv"]
     manifest = {"params": {"dt": 0.125}, "files": files}
     write_manifest(tmp_path / "manifest.json", manifest)

@@ -11,6 +11,7 @@ from conftest import force
 import kgbreather
 from kgbreather import (
     LengthMismatch,
+    NonFinite,
     SimParams,
     dft_forward,
     dft_inverse,
@@ -92,6 +93,20 @@ def test_forward_rejects_bad_shapes():
     for shape in (0, (3, 0)):
         with pytest.raises(LengthMismatch):
             dft_forward(np.zeros(shape))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_forward_rejects_non_finite_samples(bad):
+    u = np.zeros((2, 8))
+    u[1, 3] = bad
+    with pytest.raises(NonFinite, match="^samples have non-finite entries$"):
+        dft_forward(u)
+
+
+@pytest.mark.parametrize("shape", [0, 1, (3, 1)])
+def test_inverse_rejects_fewer_than_two_coefficients(shape):
+    with pytest.raises(LengthMismatch, match="expected half-spectra of >= 2 coefficients"):
+        dft_inverse(np.zeros(shape, dtype=complex))
 
 
 def test_first_derivative_of_sine():

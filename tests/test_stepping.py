@@ -14,9 +14,9 @@ import kgbreather.spectral
 import kgbreather.stepping
 from kgbreather import (
     FieldState,
+    InvalidParams,
     SimParams,
     StageSolveDiverged,
-    UnsupportedStageCount,
     dft_forward,
     dft_inverse,
     energy,
@@ -94,7 +94,7 @@ def test_tableau_structural_invariants(stages):
 
 @pytest.mark.parametrize("stages", [0, 4, -1])
 def test_tableau_rejects_unsupported_counts(stages):
-    with pytest.raises(UnsupportedStageCount):
+    with pytest.raises(InvalidParams, match=f"^irk_stages must be 1, 2, or 3, got {stages}$"):
         gauss_tableau(stages)
 
 
@@ -924,6 +924,20 @@ def test_a_failing_member_stops_at_its_own_time_and_the_others_march_on():
     # StageSolveDiverged.t is the start of the failed step, NonFinite.t its end
     assert [outcomes[k].t for k in (1, 2, 4)] == [0.375, 0.0, 0.125]
     assert "above" in str(outcomes[1]) and "stalled" in str(outcomes[2])
+
+
+@pytest.mark.parametrize("beta, t_end", [(1.0, 0.0), (1e-300, 1.0)])
+def test_a_member_whose_diagnostics_overflow_fails_on_its_own(beta, t_end):
+    # at A = 1e80, u**4 overflows in the energy of the start; at beta = 1e-300
+    # the cube stays small, so the steps converge and only the energy fails
+    p = SimParams(grid_points=32, beta=beta, t_end=t_end)
+    ok, failure = integrate(p, stacked_start(p, (0.04, 1e80)))
+    assert_same_results(ok, integrate(dataclasses.replace(p, amplitude=0.04)))
+    assert isinstance(failure, NonFinite) and failure.t == 0.0
+    assert str(failure) == "energy non-finite at t=0.0"
+    with pytest.raises(NonFinite, match="^energy non-finite at t=0.0$") as solo:
+        integrate(dataclasses.replace(p, amplitude=1e80))
+    assert solo.value.t == 0.0
 
 
 def test_a_stack_that_fails_entirely_stops_at_its_last_failure(monkeypatch):

@@ -75,7 +75,6 @@ def test_phase_trail_is_thinned_to_max_trail():
         [(0.0, 0.0)],
         trail_u=0.5 * np.cos(ang),
         trail_v=0.5 * np.sin(ang),
-        max_trail=512,
     )
     dots = svg.count('r="1"')
     assert 0 < dots <= 512
