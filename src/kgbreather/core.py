@@ -199,9 +199,18 @@ def make_grid(n, length):
     return Grid(n=int(n), length=float(length), nodes=nodes, wavenumbers=wavenumbers)
 
 
+def _frozen(x):
+    """x is a read-only float64 ndarray whose memory's owner is a read-only ndarray too."""
+    if type(x) is not np.ndarray or x.dtype != np.float64 or x.flags.writeable:
+        return False
+    while isinstance(x.base, np.ndarray):
+        x = x.base
+    return x.base is None and not x.flags.writeable
+
+
 def clean_samples(t, u, v, what):
-    """Read-only float64 copies of t, u and v, checked to be finite, with u and v of one shape."""
-    t, u, v = (np.array(x, dtype=np.float64) for x in (t, u, v))
+    """Read-only float64 t, u and v, checked finite, u and v of one shape; _frozen inputs kept, others copied."""
+    t, u, v = (x if _frozen(x) else np.array(x, dtype=np.float64) for x in (t, u, v))
     if u.ndim == 0 or u.shape != v.shape:
         raise LengthMismatch(f"{what} u and v must share one shape, got {u.shape} and {v.shape}")
     if not all(np.isfinite(x).all() for x in (t, u, v)):
@@ -216,7 +225,8 @@ class FieldState:
     """Collocated samples of u and v = du/dt on the periodic grid, by the last-axis rule.
 
     One state has (N,) samples at a float t; a stack of S states has (S, N)
-    samples, row k at t[k] of a read-only (S,) float64 array.
+    samples, row k at t[k] of a (S,) float64 array. Every array is read-only,
+    the input itself when no one can write it, else a copy (clean_samples).
     """
 
     t: float

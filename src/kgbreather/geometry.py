@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import clean_samples
 from .dynamics import fixed_points
-from .errors import CenterOnLoop, DegenerateLoop, InsufficientData, InvalidParams, LengthMismatch
+from .errors import CenterOnLoop, DegenerateLoop, InsufficientData, InvalidParams, LengthMismatch, NonFinite
 
 # Absolute distance below which a point coincides with a rotation center.
 CENTER_EPS = 1e-12
@@ -28,7 +28,7 @@ CROSSING_REL_EPS = 1e-12
 
 @dataclass(frozen=True)
 class TracerTrack:
-    """Open (u, v) polyline sampled at increasing times at one probe location."""
+    """Open (u, v) polyline sampled at increasing times at one probe location; arrays as FieldState's."""
 
     probe_x: float
     t: np.ndarray = field(repr=False)
@@ -67,6 +67,8 @@ def _turns(u, v, center):
     CENTER_EPS of the center carry no angle: the count holds its value over
     them and the next step is measured from the last sample that had one.
     """
+    if not np.isfinite(center).all():
+        raise NonFinite(f"center ({center[0]}, {center[1]}) is not finite")
     du = u - center[0]
     dv = v - center[1]
     keep = np.hypot(du, dv) >= CENTER_EPS
@@ -85,8 +87,8 @@ def winding_number(state, center):
 
     The principal-value angle steps of a closed loop sum to a whole number of
     turns up to rounding, which round removes. Raises CenterOnLoop when a
-    vertex sits within CENTER_EPS of the center, and DegenerateLoop for loops
-    with fewer than 3 distinct consecutive vertices.
+    vertex sits within CENTER_EPS of the center, NonFinite for a non-finite
+    center and DegenerateLoop below 3 distinct consecutive vertices.
     """
     cu, cv = float(center[0]), float(center[1])
     u, v = _dedup_closed(state)
@@ -98,7 +100,7 @@ def winding_number(state, center):
 
 
 def cumulative_rotation(track, center):
-    """Signed turns of an open track about center; a sample within CENTER_EPS of it carries no angle."""
+    """Signed turns of an open track about a finite center, else NonFinite; samples within CENTER_EPS add none."""
     if len(track) < 2:
         raise InsufficientData(f"track has {len(track)} samples; need at least 2")
     return float(_turns(track.u, track.v, center)[-1])

@@ -59,10 +59,11 @@ the block's tracer columns and snapshot rows into preallocated
 block as the zero state, which converges in one sweep, so the member axis
 is the same from the first step to the last. Its outcome is its first
 failure: its solve's, or a non-finite sample's at an earlier step, with that
-step's t. Each member's snapshot rows become one stacked FieldState before
-the diagnostics pass, which frees the (M, 2, S, N) block, and the pass takes
-energy, momentum and the margins of _BLOCK snapshots per call: every one acts
-row by row, so the rows are those of one call over the whole stack.
+step's t. Per member the loop tallies only the largest stage residual and
+the steps per sweep count. After it, both blocks and the time axes turn
+read-only, and each member's records are views of them, not copies. The
+diagnostics pass takes energy, momentum and the margins of _BLOCK snapshots
+per call, each row by row, so the rows are those of one call over the stack.
 """
 
 import math
@@ -307,11 +308,13 @@ def integrate(params, state=None):
     stacked FieldState of the start and every snapshot_every after it, row k
     at time snapshots.t[k]; diagnostics one read-only (S,) numpy.recarray of a
     float64 field per DIAGNOSTICS_COLUMNS name, record k of snapshot k; tracks
-    one per-step TracerTrack per probe. A start that is exactly odd
-    (u(L - x) = -u(x), likewise v) stays exactly odd at every step. Every
-    step after the first starts its stages from the extrapolation of the
-    step before (see the module docstring). Every failure carries its t: a
-    StageSolveDiverged the start of its step, a NonFinite the end.
+    one per-step TracerTrack per probe; the snapshots' and tracks' arrays are
+    read-only views of one block per run, which the members of a stack share.
+    A start that is exactly odd (u(L - x) = -u(x), likewise v) stays exactly
+    odd at every step. Every step after the first starts its stages from the
+    extrapolation of the step before (see the module docstring). Every
+    failure carries its t: a StageSolveDiverged the start of its step, a
+    NonFinite the end.
     A state whose samples turn non-finite fails with NonFinite at the first
     such step, and one whose energy or momentum is not finite at a snapshot
     with NonFinite at the first such snapshot's t.
@@ -351,8 +354,8 @@ def integrate(params, state=None):
     trk[..., 0] = w[:, :, idx]
     snap = np.empty((m, 2, steps // sps + 1, grid.n))
     snap[:, :, 0] = w
-    # per member: the sweeps and the last residual of each step
-    sweeps, resid = [[] for _ in range(m)], [[] for _ in range(m)]
+    # per member: the largest last residual of a step, and tally[k][j] steps that took j sweeps
+    max_res, tally = [0.0] * m, [[0] * (params.stage_max_iter + 1) for _ in range(m)]
     errors = {}  # member -> (step, exception) of its first failure
     c = dft_forward(w)
     start = None  # the first step starts from uhat, as irk_step does
@@ -362,8 +365,8 @@ def integrate(params, state=None):
         c, results, start = solver.step(c, t_axis[:, i - 1 : i + 1], start)
         for k, r in enumerate(results):
             if isinstance(r, StepReport):
-                sweeps[k].append(r.iterations)
-                resid[k].append(r.residual)
+                tally[k][r.iterations] += 1
+                max_res[k] = max(max_res[k], r.residual)
             else:
                 errors.setdefault(k, (i, r))
                 c[k] = 0  # the zero state, which every later step keeps in one sweep
@@ -390,17 +393,14 @@ def integrate(params, state=None):
         if len(errors) == m:
             break
 
-    # each member's snapshot rows become one stacked FieldState, a copy, so the
-    # (M, 2, S, N) block is released before the diagnostics pass
-    stacks = [
-        None if k in errors else FieldState(t=t_axis[k, ::sps], u=snap[k, 0], v=snap[k, 1]) for k in range(m)
-    ]
-    del snap
+    # every record is a read-only view of these blocks, which FieldState and TracerTrack keep uncopied
+    for x in (t_axis, trk, snap):
+        x.setflags(write=False)
 
     def outcome(k):
         if k in errors:
             return errors[k][1]
-        snapshots = stacks[k]
+        snapshots = FieldState(t=t_axis[k, ::sps], u=snap[k, 0], v=snap[k, 1])
         # turns of the first probe about the origin and of each of the first two
         # probes about the vacuum on its starting side, at every snapshot
         tu, tv = trk[k]
@@ -437,17 +437,14 @@ def integrate(params, state=None):
             names=DIAGNOSTICS_COLUMNS,
         )
         diagnostics.setflags(write=False)
-        tracks = [
-            TracerTrack(probe_x=params.probes[p], t=t_axis[k], u=tu[p], v=tv[p])
-            for p in range(len(idx))
-        ]
+        tracks = [TracerTrack(probe_x=params.probes[p], t=t_axis[k], u=tu[p], v=tv[p]) for p in range(len(idx))]
         summary = RunSummary(
             final_state=FieldState(t=float(t_axis[k, -1]), u=w[k, 0], v=w[k, 1]),
             steps=steps,
             max_abs_drift=float(np.max(np.abs(drift))),
-            max_residual=max([0.0, *resid[k]]),
-            total_sweeps=sum(sweeps[k]),
-            sweep_counts=tuple(np.bincount(np.array(sweeps[k], dtype=np.int64))[1:].tolist()),
+            max_residual=max_res[k],
+            total_sweeps=sum(j * n for j, n in enumerate(tally[k])),
+            sweep_counts=tuple(np.trim_zeros(tally[k][1:], "b")),
         )
         return summary, snapshots, diagnostics, tracks
 

@@ -16,6 +16,7 @@ from kgbreather import (
     LengthMismatch,
     NonFinite,
     SimParams,
+    TracerTrack,
     half_domain_masks,
     initial_state,
     integrate,
@@ -275,6 +276,44 @@ def test_field_state_copies_input():
     s = FieldState(t=0.0, u=u, v=np.zeros(8))
     u[0] = 5.0
     assert s.u[0] == 0.0
+
+
+def make_record(kind, u):
+    """A FieldState stack or a TracerTrack over one (S,) t with u and v = -u."""
+    t = np.arange(u.shape[0], dtype=np.float64)
+    if kind is FieldState:
+        return FieldState(t=t, u=u, v=-u)
+    return TracerTrack(probe_x=2.0, t=t, u=u, v=-u)
+
+
+@pytest.mark.parametrize("kind", [FieldState, TracerTrack])
+def test_records_copy_what_a_caller_can_write_and_keep_what_no_one_can(kind):
+    shape = (3, 8) if kind is FieldState else (8,)
+    # a writable array, and a read-only view of one, are copied
+    writable = np.ones(shape)
+    view = writable[:]
+    view.setflags(write=False)
+    for given in (writable, view):
+        record = make_record(kind, given)
+        assert not np.shares_memory(record.u, writable)
+        writable[0] = 5.0
+        assert (record.u == 1.0).all()
+        writable[0] = 1.0
+    # a read-only array that owns its memory is kept, and so is a read-only view of it
+    frozen = np.ones(shape)
+    frozen.setflags(write=False)
+    for given in (frozen, frozen[:]):
+        record = make_record(kind, given)
+        assert record.u is given and np.shares_memory(record.u, frozen)
+    # another dtype is converted, so copied
+    single = np.ones(shape, dtype=np.float32)
+    single.setflags(write=False)
+    assert make_record(kind, single).u.dtype == np.float64
+    for record in (make_record(kind, writable), make_record(kind, frozen)):
+        for x in (record.t, record.u, record.v):
+            assert not x.flags.writeable
+            with pytest.raises(ValueError):
+                x[0] = 2.0
 
 
 def test_half_domain_masks_are_strict_interiors():

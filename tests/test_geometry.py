@@ -258,6 +258,16 @@ def test_rotation_needs_two_samples():
         cumulative_rotation(trk, (0.0, 0.0))
 
 
+@pytest.mark.parametrize("center", [(math.nan, math.inf), (math.nan, 0.0), (math.inf, 0.0)])
+def test_a_center_that_is_not_finite_raises_nonfinite(center):
+    # hypot(nan, inf) is inf, so (nan, inf) clears the on-loop check; every
+    # angle about such a center is nan
+    with pytest.raises(NonFinite, match="is not finite"):
+        winding_number(circle_loop(), center)
+    with pytest.raises(NonFinite, match="is not finite"):
+        cumulative_rotation(circle_track(2.0), center)
+
+
 def test_convex_loop_has_no_crossings():
     cs = self_intersections(circle_loop())
     assert cs.count == 0

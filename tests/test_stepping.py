@@ -850,7 +850,7 @@ def test_a_non_finite_sample_inside_a_pending_block_keeps_its_own_t():
 
 
 def per_step_record(params, start):
-    """(snapshots, tracer samples, final samples, sweeps) of one start, synthesized and recorded step by step.
+    """(snapshots, tracer samples, final samples, step reports) of one start, synthesized and recorded step by step.
 
     The loop drives StageSolver.step by hand and synthesizes every step's
     samples from its projected coefficients: the reference for integrate,
@@ -862,7 +862,7 @@ def per_step_record(params, start):
     w = np.stack([start.u, start.v])[None]
     odd = is_odd(w)
     c, next_start = dft_forward(w), None
-    samples, sweeps = [w[0]], []
+    samples, reports = [w[0]], []
     for i in range(1, steps + 1):
         c, (report,), next_start = solver.step(c, t[None, i - 1 : i + 1], next_start)
         if odd:
@@ -871,10 +871,10 @@ def per_step_record(params, start):
         else:
             w = dft_inverse(c)
         samples.append(w[0])
-        sweeps.append(report.iterations)
+        reports.append(report)
     samples = np.array(samples)
     sps = round(params.snapshot_every / params.dt)
-    return samples[::sps], samples[..., probe_indices(params)], samples[-1], sweeps
+    return samples[::sps], samples[..., probe_indices(params)], samples[-1], reports
 
 
 def test_the_block_built_record_equals_a_per_step_record():
@@ -892,7 +892,8 @@ def test_the_block_built_record_equals_a_per_step_record():
     assert [is_odd(s.u) for s in starts] == [True, False, True, False, True]
     runs = list(zip(starts, integrate(p, stack))) + [(starts[0], integrate(p, starts[0]))]
     for start, (summary, snapshots, _, tracks) in runs:
-        snaps, probes, final, sweeps = per_step_record(p, start)
+        snaps, probes, final, reports = per_step_record(p, start)
+        sweeps = [r.iterations for r in reports]
         assert snapshots.t.size == 51
         assert np.array_equal(snapshots.u, snaps[:, 0]) and np.array_equal(snapshots.v, snaps[:, 1])
         for k, trk in enumerate(tracks):
@@ -901,6 +902,55 @@ def test_the_block_built_record_equals_a_per_step_record():
         assert np.array_equal(summary.final_state.v, final[1])
         assert summary.total_sweeps == sum(sweeps)
         assert summary.sweep_counts == tuple(np.bincount(sweeps)[1:].tolist())
+
+
+def test_the_sweep_tallies_equal_a_recount_of_the_step_reports():
+    # the members' largest sweep counts differ, so each tally has to end at
+    # its own member's largest count
+    p = SimParams(t_end=16.0)
+    amplitudes = (0.02, 0.12, 0.3)
+    outcomes = integrate(p, stacked_start(p, amplitudes))
+    for a, (summary, _, _, _) in zip(amplitudes, outcomes):
+        reports = per_step_record(p, initial_state(dataclasses.replace(p, amplitude=a)))[3]
+        sweeps = [r.iterations for r in reports]
+        assert summary.max_residual == max(r.residual for r in reports)
+        assert summary.total_sweeps == sum(sweeps)
+        assert summary.sweep_counts == tuple(np.bincount(sweeps)[1:].tolist())
+        assert summary.sweep_counts[-1] > 0
+    assert len({len(summary.sweep_counts) for summary, _, _, _ in outcomes}) > 1
+
+
+def test_the_records_are_read_only_views_of_one_block_per_run():
+    p = SimParams(t_end=8.0, snapshot_every=1.0)
+    (_, snaps_a, _, tracks_a), (_, snaps_b, _, tracks_b) = integrate(p, stacked_start(p, (0.02, 0.12)))
+    for snapshots, tracks in ((snaps_a, tracks_a), (snaps_b, tracks_b)):
+        for x in (snapshots.t, snapshots.u, snapshots.v, *(y for trk in tracks for y in (trk.t, trk.u, trk.v))):
+            assert not x.flags.writeable
+        # the tracks share one t array, whose every 8th sample is a snapshot's t
+        assert np.shares_memory(tracks[0].t, tracks[1].t)
+        assert np.shares_memory(snapshots.t, tracks[0].t)
+    assert snaps_a.u.base is snaps_a.v.base is snaps_b.u.base is snaps_b.v.base
+    assert tracks_a[0].u.base is tracks_a[1].v.base is tracks_b[0].u.base
+    assert snaps_a.t.base is tracks_b[0].t.base
+
+
+def test_a_stack_peaks_at_the_bytes_of_its_records():
+    # the records are views of integrate's blocks and the sweep tallies do not
+    # grow with the steps, so the blocks are the peak (1.3 blocks, measured;
+    # copied records and per-step tallies read 3.3)
+    p = SimParams(grid_points=32, t_end=192.0)
+    stack = stacked_start(p, np.linspace(0.01, 0.16, 16).tolist())
+    tracemalloc.start()
+    try:
+        outcomes = integrate(p, stack)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    blocks = 0
+    for _, snapshots, _, tracks in outcomes:
+        blocks += snapshots.u.nbytes + snapshots.v.nbytes + tracks[0].t.nbytes
+        blocks += sum(trk.u.nbytes + trk.v.nbytes for trk in tracks)
+    assert peak < 1.5 * blocks, f"peak {peak / blocks:.2f} blocks"
 
 
 def test_a_failing_member_stops_at_its_own_time_and_the_others_march_on():
