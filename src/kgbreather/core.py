@@ -18,9 +18,9 @@ DRIFT_GUARD = 1e-30
 
 _REL_TOL = 1e-12
 
-# Largest grid whose node indices are exact as floats; the probe check does
-# float arithmetic with N, which for a far larger integer would overflow.
-_MAX_GRID_POINTS = 2**53
+# Largest grid and step count whose indices are exact as floats: the probe check
+# does float arithmetic with N, and integrate indexes t_end/dt + 1 time samples.
+_MAX_COUNT = 2**53
 
 
 @dataclass(frozen=True)
@@ -120,7 +120,7 @@ def validate_params(params):
     if params.t_end < 0:
         v.append(f"t_end must be >= 0, got {params.t_end}")
     n = params.grid_points
-    if n % 2 != 0 or not 8 <= n <= _MAX_GRID_POINTS:
+    if n % 2 != 0 or not 8 <= n <= _MAX_COUNT:
         v.append(f"grid_points must be even and in [8, 2**53], got {_show(n)}")
     if params.snapshot_every <= 0:
         v.append(f"snapshot_every must be positive, got {params.snapshot_every}")
@@ -131,6 +131,8 @@ def validate_params(params):
         )
     if params.dt > 0 and params.t_end > 0 and not _is_integer_multiple(params.t_end, params.dt):
         v.append(f"t_end = {params.t_end} is not a positive integer multiple of dt = {params.dt}")
+    elif params.dt > 0 and params.t_end / params.dt > _MAX_COUNT:
+        v.append(f"t_end / dt must be at most 2**53 steps, got {params.t_end / params.dt}")
     if params.laplacian_sign not in LAPLACIAN_SIGNS:
         v.append(
             f"laplacian_sign must be one of {LAPLACIAN_SIGNS}, got {params.laplacian_sign!r}"
@@ -148,7 +150,7 @@ def validate_params(params):
         if not (0 <= x < length):
             v.append(f"probe {_show(x)} outside [0, {length})")
             continue
-        if length > 0 and 0 < n <= _MAX_GRID_POINTS and _probe_node(x, n, length) is None:
+        if length > 0 and 0 < n <= _MAX_COUNT and _probe_node(x, n, length) is None:
             v.append(f"probe {x} not on a grid node (N = {n}, L = {length})")
     return v
 

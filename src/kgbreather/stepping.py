@@ -61,9 +61,9 @@ is the same from the first step to the last. Its outcome is its first
 failure: its solve's, or a non-finite sample's at an earlier step, with that
 step's t. Per member the loop tallies only the largest stage residual and
 the steps per sweep count. After it, both blocks and the time axes turn
-read-only, and each member's records are views of them, not copies. The
-diagnostics pass takes energy, momentum and the margins of _BLOCK snapshots
-per call, each row by row, so the rows are those of one call over the stack.
+read-only, and each member's records are views of them, not copies, as
+are the diagnostics: one (M, S) record block whose energy, momentum and
+margins take one row-wise call each per _BLOCK // M snapshots of the stack.
 """
 
 import math
@@ -306,10 +306,11 @@ def integrate(params, state=None):
     The run starts at the state's t and ends at t + round(t_end/dt)*dt.
     Returns (RunSummary, snapshots, diagnostics, tracks): snapshots is one
     stacked FieldState of the start and every snapshot_every after it, row k
-    at time snapshots.t[k]; diagnostics one read-only (S,) numpy.recarray of a
-    float64 field per DIAGNOSTICS_COLUMNS name, record k of snapshot k; tracks
-    one per-step TracerTrack per probe; the snapshots' and tracks' arrays are
-    read-only views of one block per run, which the members of a stack share.
+    at time snapshots.t[k]; diagnostics an (S,) numpy.recarray of a float64
+    field per DIAGNOSTICS_COLUMNS name, record k of snapshot k; tracks one
+    per-step TracerTrack per probe. The arrays of all three are read-only
+    views of one block per run, which the members of a stack share: the
+    diagnostics are a row of one (M, S) record block.
     A start that is exactly odd (u(L - x) = -u(x), likewise v) stays exactly
     odd at every step. Every step after the first starts its stages from the
     extrapolation of the step before (see the module docstring). Every
@@ -344,7 +345,6 @@ def integrate(params, state=None):
     # the even perturbations that the confined state amplifies.
     odd = [k for k, x in enumerate(w) if is_odd(x)]
     odd = slice(None) if len(odd) == m else np.array(odd, dtype=np.intp)
-    mask_left, mask_right = half_domain_masks(grid)
     idx = probe_indices(params)
     # one time axis per member: tracers sample every step of it, snapshots
     # every sps-th; trk[k, 0] holds member k's tracer samples of u and
@@ -393,60 +393,57 @@ def integrate(params, state=None):
         if len(errors) == m:
             break
 
+    # the diagnostics of every snapshot of the stack, one call each per chunk of
+    # snapshots, so no temporary grows with the run; a failed member's rows are
+    # never returned, and zeroed since first_derivative refuses non-finite samples
+    snap[list(errors)] = 0
+    diag = np.recarray((m, snap.shape[2]), dtype=[(name, float) for name in DIAGNOSTICS_COLUMNS])
+    diag[...] = 0  # the rotation columns of a run with fewer than two probes stay zero
+    diag["t"] = t_axis[:, ::sps]
+    chunk = max(1, _BLOCK // m)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing row fails its member alone, below
+        for a in range(0, diag.shape[1], chunk):
+            u, v, d = snap[:, 0, a : a + chunk], snap[:, 1, a : a + chunk], diag[:, a : a + chunk]
+            d["energy"], d["momentum"] = energy(u, v, params), momentum(u, v, params)
+            for side, mask in zip(("left", "right"), half_domain_masks(grid)):
+                d[f"u_min_{side}"], d[f"u_max_{side}"] = u[..., mask].min(axis=-1), u[..., mask].max(axis=-1)
+        diag["energy_drift"] = energy_drift(diag["energy"], diag["energy"][:, :1])
+    # a member with no earlier failure (a failed member's zero rows are finite)
+    # fails at its first snapshot whose energy or momentum is not finite
+    finite = np.isfinite(diag["energy"]) & np.isfinite(diag["momentum"])
+    for k in np.flatnonzero(~finite.all(axis=1)).tolist():
+        j = int(finite[k].argmin())
+        t = float(diag["t"][k, j])
+        name = "momentum" if math.isfinite(diag["energy"][k, j]) else "energy"
+        errors[k] = (j * sps, NonFinite(f"{name} non-finite at t={t}", t=t))
+    for k in set(range(m)) - set(errors):
+        # turns of the first probe about the origin and of each of the first two
+        # probes about the vacuum on its starting side, at every snapshot
+        tu, tv = trk[k]
+        if idx:
+            diag["rot_origin"][k] = _turns(tu[0], tv[0], (0.0, 0.0))[::sps]
+            diag["rot_left"][k] = _turns(tu[0], tv[0], vacuum_on_side(params, tu[0, 0]))[::sps]
+        if len(idx) > 1:
+            diag["rot_right"][k] = _turns(tu[1], tv[1], vacuum_on_side(params, tu[1, 0]))[::sps]
+
     # every record is a read-only view of these blocks, which FieldState and TracerTrack keep uncopied
-    for x in (t_axis, trk, snap):
+    for x in (t_axis, trk, snap, diag):
         x.setflags(write=False)
 
     def outcome(k):
         if k in errors:
             return errors[k][1]
-        snapshots = FieldState(t=t_axis[k, ::sps], u=snap[k, 0], v=snap[k, 1])
-        # turns of the first probe about the origin and of each of the first two
-        # probes about the vacuum on its starting side, at every snapshot
         tu, tv = trk[k]
-        rot_origin = rot_left = rot_right = np.zeros(snapshots.t.size)
-        if idx:
-            rot_origin = _turns(tu[0], tv[0], (0.0, 0.0))[::sps]
-            rot_left = _turns(tu[0], tv[0], vacuum_on_side(params, tu[0, 0]))[::sps]
-        if len(idx) > 1:
-            rot_right = _turns(tu[1], tv[1], vacuum_on_side(params, tu[1, 0]))[::sps]
-        # energy, momentum and the margins of _BLOCK snapshots at a time, so no
-        # temporary grows with the run; each acts row by row, so the rows are
-        # those of one call over the stack
-        cols = np.empty((snapshots.t.size, 6))
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails this member alone
-            for a in range(0, len(cols), _BLOCK):
-                u, v = snapshots.u[a : a + _BLOCK], snapshots.v[a : a + _BLOCK]
-                try:
-                    cols[a : a + _BLOCK] = np.column_stack(
-                        [energy(u, v, params), momentum(u, v, params)]
-                        + [u[:, mask_left].min(axis=1), u[:, mask_left].max(axis=1)]
-                        + [u[:, mask_right].min(axis=1), u[:, mask_right].max(axis=1)]
-                    )
-                except NonFinite:
-                    # the member fails at its first snapshot whose energy or momentum is not finite
-                    for j, t in enumerate(snapshots.t[a : a + _BLOCK].tolist()):
-                        try:
-                            energy(u[j], v[j], params), momentum(u[j], v[j], params)
-                        except NonFinite as exc:
-                            return NonFinite(f"{exc} at t={t}", t=t)
-        e = cols[:, 0]
-        drift = energy_drift(e, e[0])
-        diagnostics = np.rec.fromarrays(
-            [snapshots.t, e, cols[:, 1], drift, *cols[:, 2:].T, rot_origin, rot_left, rot_right],
-            names=DIAGNOSTICS_COLUMNS,
-        )
-        diagnostics.setflags(write=False)
         tracks = [TracerTrack(probe_x=params.probes[p], t=t_axis[k], u=tu[p], v=tv[p]) for p in range(len(idx))]
         summary = RunSummary(
             final_state=FieldState(t=float(t_axis[k, -1]), u=w[k, 0], v=w[k, 1]),
             steps=steps,
-            max_abs_drift=float(np.max(np.abs(drift))),
+            max_abs_drift=float(np.max(np.abs(diag["energy_drift"][k]))),
             max_residual=max_res[k],
             total_sweeps=sum(j * n for j, n in enumerate(tally[k])),
             sweep_counts=tuple(np.trim_zeros(tally[k][1:], "b")),
         )
-        return summary, snapshots, diagnostics, tracks
+        return summary, FieldState(t=t_axis[k, ::sps], u=snap[k, 0], v=snap[k, 1]), diag[k], tracks
 
     outcomes = [outcome(k) for k in range(m)]
     if state.u.ndim == 1:

@@ -99,6 +99,8 @@ def test_simulate_bad_config_value_exits_2(tmp_path):
         # rounds to zero steps between snapshots
         ("snapshot_every = 1e-14\n", "snapshot_every = 1e-14 is not a positive integer multiple"),
         ("domain_length = 12\nprobes = 3\n", "domain_length must be a multiple of 8"),
+        # a whole number of steps, 2.048e303 of them: more than one time axis can index
+        ("dt = 1e-300\n", "t_end / dt must be at most 2**53 steps, got 2.0479999999999998e+303"),
     ]
     for i, (text, message) in enumerate(cases):
         cfg = tmp_path / f"run{i}.cfg"

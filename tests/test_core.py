@@ -188,6 +188,7 @@ def test_validate_params_defaults_clean():
         ("domain_length", 12.0, "domain_length must be a multiple of 8"),
         ("domain_length", 1e-14, "domain_length must be a multiple of 8"),
         ("snapshot_every", -16.0, "snapshot_every must be positive, got -16.0"),
+        ("dt", 1e-300, "t_end / dt must be at most 2**53 steps"),
     ],
 )
 def test_validate_params_flags_each_violation(field, value, word):
@@ -200,6 +201,14 @@ def test_validate_params_flags_each_violation(field, value, word):
 def test_validate_params_reports_a_step_count_beyond_float_range():
     p = dataclasses.replace(SimParams(), dt=1e-10, t_end=1e300, snapshot_every=1e300)
     assert any("t_end = 1e+300 is not a positive integer multiple" in v for v in validate_params(p))
+
+
+def test_validate_params_bounds_the_step_count_at_2_53():
+    # validation only: a run of these step counts would allocate its blocks
+    at = dataclasses.replace(SimParams(), dt=2048.0 / 2**53)
+    above = dataclasses.replace(SimParams(), dt=2048.0 / 2**54)
+    assert validate_params(at) == []
+    assert validate_params(above) == ["t_end / dt must be at most 2**53 steps, got 1.8014398509481984e+16"]
 
 
 def test_validate_params_probe_on_node_is_fine():

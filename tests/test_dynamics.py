@@ -8,12 +8,14 @@ import pytest
 from conftest import force
 
 from kgbreather import (
+    FieldState,
     InvalidParams,
     SimParams,
     energy,
     energy_drift,
     fixed_points,
     initial_state,
+    integrate,
     momentum,
 )
 
@@ -179,6 +181,81 @@ def test_energy_drift_guard():
     assert energy_drift(1.0, 0.0) == pytest.approx(1e30)
     assert energy_drift(2.0, 1.0) == 1.0
     assert energy_drift(-1.2937e-7, -1.2937e-7) == 0.0
+    # an (M, 1) reference serves the (M, S) energies of a stack, row by row
+    drift = energy_drift(np.array([[2.0, 3.0], [0.0, 1e-30]]), np.array([[1.0], [0.0]]))
+    assert np.array_equal(drift, [[1.0, 2.0], [0.0, 1.0]])
+
+
+def elliptic_steady_state(p, agm_steps=8):
+    """(a, u): the odd steady state u_ss = a sn(kappa x | m) of p, sampled on p.grid; numpy only.
+
+    With sigma = +1, alpha u_xx + mu u - beta u^3 = 0 holds for a sn(kappa x | m)
+    when mu = alpha kappa^2 (1 + m) and beta a^2 = 2 m alpha kappa^2, and one
+    period 4K(m)/kappa spans L. The right side of mu grows with m, so m comes
+    from bisection. K(m) = pi / (2 AGM(1, sqrt(1 - m))) (A&S 17.6), and
+    sn(w | m) = sin(phi_0) by AGM descent (A&S 16.4): phi_n = 2^n a_n w and
+    phi_(j-1) = (phi_j + arcsin(c_j sin(phi_j) / a_j)) / 2. The AGM runs a
+    fixed number of steps, since its last bits can cycle and never meet a
+    tolerance. The samples of 0 < x < L/2 are mirrored, so u is odd bit for bit.
+    """
+
+    def agm(m):
+        a, b, c = [1.0], math.sqrt(1.0 - m), [math.sqrt(m)]
+        for _ in range(agm_steps):
+            a, b, c = a + [(a[-1] + b) / 2], math.sqrt(a[-1] * b), c + [(a[-1] - b) / 2]
+        return a, c
+
+    def kappa(m):
+        return 4 * (math.pi / (2 * agm(m)[0][-1])) / p.domain_length
+
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if p.alpha * kappa(mid) ** 2 * (1 + mid) < p.mu else (lo, mid)
+    m = (lo + hi) / 2
+    k = kappa(m)
+    amp = k * math.sqrt(2 * m * p.alpha / p.beta)
+    a, c = agm(m)
+    h = p.grid_points // 2
+    phi = 2.0 ** agm_steps * a[-1] * k * p.grid.nodes[1:h]
+    for j in range(agm_steps, 0, -1):
+        phi = (phi + np.arcsin(c[j] / a[j] * np.sin(phi))) / 2
+    u = np.zeros(p.grid_points)
+    u[1:h] = amp * np.sin(phi)
+    u[h + 1 :] = -u[1:h][::-1]
+    return amp, u
+
+
+@pytest.mark.parametrize(
+    "mu, amp", [(0.00305, 0.02906303088022), (0.005, 0.05756150527608), (0.008, 0.08289992490127)]
+)
+def test_elliptic_steady_state_amplitude(mu, amp):
+    got, u = elliptic_steady_state(SimParams(mu=mu))
+    assert abs(got - amp) <= 1e-13
+    assert np.max(np.abs(u)) <= got
+
+
+@pytest.mark.parametrize("n", [32, 128])
+def test_the_resolved_elliptic_steady_state_stays_put(n):
+    # the sn profile's spectrum decays fast enough that at N >= 32 the
+    # collocation equations hold it to roundoff (measured: 2e-17 in u and
+    # 1e-17 to 3e-17 in v over the run)
+    p = SimParams(grid_points=n, t_end=256.0)
+    _, u0 = elliptic_steady_state(p)
+    summary, snapshots, _, _ = integrate(p, FieldState(t=0.0, u=u0, v=np.zeros(n)))
+    for u, v in ((snapshots.u, snapshots.v), (summary.final_state.u, summary.final_state.v)):
+        assert np.max(np.abs(u - u0)) <= 1e-15
+        assert np.max(np.abs(v)) <= 1e-15
+
+
+def test_the_unresolved_elliptic_steady_state_moves():
+    # at N = 16 the samples of u_ss are not a steady state of the collocation
+    # equations, so the oracle above can tell a resolved grid from this one
+    # (measured: 8.2e-10)
+    p = SimParams(grid_points=16, t_end=256.0)
+    _, u0 = elliptic_steady_state(p)
+    _, snapshots, _, _ = integrate(p, FieldState(t=0.0, u=u0, v=np.zeros(16)))
+    assert np.max(np.abs(snapshots.u - u0)) > 1e-11
 
 
 def test_fixed_points_values():

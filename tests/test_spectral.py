@@ -21,6 +21,7 @@ from kgbreather import (
     make_grid,
     momentum,
 )
+from kgbreather.core import odd_part, reflect
 from kgbreather.dynamics import linear_symbol
 from kgbreather.spectral import cube_hat
 
@@ -215,28 +216,43 @@ def test_cube_hermitian_output_round_trips():
 
 
 def test_stacked_half_spectra_act_row_by_row():
-    # the stepper cubes and synthesizes its (s, N/2 + 1) stage block in one
-    # call, and integrate takes every diagnostic of its (S, N) snapshots in one
+    # the stepper cubes and synthesizes its (M, 2s, N/2 + 1) stage blocks in
+    # one call, and integrate takes each diagnostic of a chunk of its (M, S, N)
+    # snapshots in one, so every row of a 3-d block must be that row alone
     p = SimParams(grid_points=64)
     g = p.grid
     rng = np.random.default_rng(11)
-    u = 0.05 * rng.standard_normal((3, g.n))
-    v = 0.05 * rng.standard_normal((3, g.n))
+    u = 0.05 * rng.standard_normal((2, 3, g.n))
+    v = 0.05 * rng.standard_normal((2, 3, g.n))
     c = dft_forward(u)
     cubes = cube_hat(c)
     samples = dft_inverse(c)
     du = first_derivative(u, g)
     e, mom = energy(u, v, p), momentum(u, v, p)
-    assert cubes.shape == c.shape == (3, g.n // 2 + 1)
-    assert samples.shape == du.shape == (3, g.n)
-    assert e.shape == mom.shape == (3,)
-    for row in range(3):
+    assert cubes.shape == c.shape == (2, 3, g.n // 2 + 1)
+    assert samples.shape == du.shape == reflect(u).shape == odd_part(u).shape == (2, 3, g.n)
+    assert e.shape == mom.shape == (2, 3)
+    for row in np.ndindex(2, 3):
         assert np.array_equal(c[row], dft_forward(u[row]))
         assert np.array_equal(cubes[row], cube_hat(c[row]))
         assert np.array_equal(samples[row], dft_inverse(c[row]))
         assert np.array_equal(du[row], first_derivative(u[row], g))
+        assert np.array_equal(reflect(u)[row], reflect(u[row]))
+        assert np.array_equal(odd_part(u)[row], odd_part(u[row]))
         assert e[row] == energy(u[row], v[row], p)
         assert mom[row] == momentum(u[row], v[row], p)
+    # one row at amplitude 1e80: u^4 overflows the energy, and with v at 1e240
+    # (a cosine, so v Du keeps one sign) v Du overflows the momentum; the row
+    # comes back inf, nothing raises, and the other rows keep their values
+    kx = 2 * np.pi * g.nodes / g.length
+    big_u, big_v = u.copy(), v.copy()
+    big_u[1, 0], big_v[1, 0] = 1e80 * np.sin(kx), 1e240 * np.cos(kx)
+    with np.errstate(over="ignore", invalid="ignore"):
+        big_e, big_mom = energy(big_u, big_v, p), momentum(big_u, big_v, p)
+    assert big_e[1, 0] == big_mom[1, 0] == np.inf
+    others = np.ones((2, 3), dtype=bool)
+    others[1, 0] = False
+    assert np.array_equal(big_e[others], e[others]) and np.array_equal(big_mom[others], mom[others])
 
 
 def test_dealiasing_premise_holds_over_the_default_run(default_run):

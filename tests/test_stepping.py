@@ -922,9 +922,10 @@ def test_the_sweep_tallies_equal_a_recount_of_the_step_reports():
 
 def test_the_records_are_read_only_views_of_one_block_per_run():
     p = SimParams(t_end=8.0, snapshot_every=1.0)
-    (_, snaps_a, _, tracks_a), (_, snaps_b, _, tracks_b) = integrate(p, stacked_start(p, (0.02, 0.12)))
-    for snapshots, tracks in ((snaps_a, tracks_a), (snaps_b, tracks_b)):
-        for x in (snapshots.t, snapshots.u, snapshots.v, *(y for trk in tracks for y in (trk.t, trk.u, trk.v))):
+    (_, snaps_a, diag_a, tracks_a), (_, snaps_b, diag_b, tracks_b) = integrate(p, stacked_start(p, (0.02, 0.12)))
+    for snapshots, diagnostics, tracks in ((snaps_a, diag_a, tracks_a), (snaps_b, diag_b, tracks_b)):
+        tracked = (y for trk in tracks for y in (trk.t, trk.u, trk.v))
+        for x in (snapshots.t, snapshots.u, snapshots.v, diagnostics, *tracked):
             assert not x.flags.writeable
         # the tracks share one t array, whose every 8th sample is a snapshot's t
         assert np.shares_memory(tracks[0].t, tracks[1].t)
@@ -932,6 +933,9 @@ def test_the_records_are_read_only_views_of_one_block_per_run():
     assert snaps_a.u.base is snaps_a.v.base is snaps_b.u.base is snaps_b.v.base
     assert tracks_a[0].u.base is tracks_a[1].v.base is tracks_b[0].u.base
     assert snaps_a.t.base is tracks_b[0].t.base
+    # the diagnostics of both members are rows of one read-only (M, S) record block
+    assert diag_a.base is diag_b.base and diag_a.base.shape == (2, 9)
+    assert np.shares_memory(diag_a.base, diag_b) and not diag_a.base.flags.writeable
 
 
 def test_a_stack_peaks_at_the_bytes_of_its_records():
@@ -979,10 +983,13 @@ def test_a_failing_member_stops_at_its_own_time_and_the_others_march_on():
 @pytest.mark.parametrize("beta, t_end", [(1.0, 0.0), (1e-300, 1.0)])
 def test_a_member_whose_diagnostics_overflow_fails_on_its_own(beta, t_end):
     # at A = 1e80, u**4 overflows in the energy of the start; at beta = 1e-300
-    # the cube stays small, so the steps converge and only the energy fails
+    # the cube stays small, so the steps converge and only the energy fails.
+    # The diagnostics of the stack are one block, so the failing member sits
+    # between two good ones, which keep their solo numbers
     p = SimParams(grid_points=32, beta=beta, t_end=t_end)
-    ok, failure = integrate(p, stacked_start(p, (0.04, 1e80)))
+    ok, failure, ok_too = integrate(p, stacked_start(p, (0.04, 1e80, 0.12)))
     assert_same_results(ok, integrate(dataclasses.replace(p, amplitude=0.04)))
+    assert_same_results(ok_too, integrate(dataclasses.replace(p, amplitude=0.12)))
     assert isinstance(failure, NonFinite) and failure.t == 0.0
     assert str(failure) == "energy non-finite at t=0.0"
     with pytest.raises(NonFinite, match="^energy non-finite at t=0.0$") as solo:
